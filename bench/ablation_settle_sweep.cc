@@ -39,8 +39,7 @@ int main(int argc, char** argv) {
     Rng probe_rng(70);
     const auto probe_reqs = GenerateRandomWorkload(probe, probe_rng);
     SstfLbnScheduler probe_sched;
-    const double service_ms =
-        RunOpenLoop(&device, &probe_sched, probe_reqs).MeanServiceMs();
+    const double service_ms = Run(&device, &probe_sched, probe_reqs).MeanServiceMs();
     const double rate = 1.35 * 1000.0 / service_ms;
 
     RandomWorkloadConfig config;

@@ -96,12 +96,12 @@ int main(int argc, char** argv) {
   std::printf("own region rebuilds (idle-injected), instead of a pre-planned stream\n");
   table.Row({"policy", "fg_mean_ms", "remaps", "rebuild_ios", "rebuild_ms"});
   {
-    FaultRunConfig config;
-    config.injector.permanent_rate = 0.002;
-    config.injector.spares = 128;
-    config.rebuild_idle_delay_ms = 2.0;
+    FaultInjectorConfig faults;
+    faults.permanent_rate = 0.002;
+    faults.spares = 128;
     const ExperimentResult r =
-        RunFaultedRandomTrial(SchedKind::kSptf, 600, fg_count, config, opts.seed);
+        RunFaultedTrial(/*disk=*/false, SchedKind::kSptf, 600, fg_count, faults, opts.seed,
+                        /*trace=*/{}, /*rebuild_idle_delay_ms=*/2.0);
     const FaultCounters& fc = r.metrics.fault();
     table.Row({"fault-driven", Fmt("%.3f", r.MeanResponseMs()),
                Fmt("%.0f", static_cast<double>(fc.remaps)),

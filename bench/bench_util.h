@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,7 +29,7 @@
 #include "src/core/storage_device.h"
 #include "src/core/trial_runner.h"
 #include "src/disk/disk_device.h"
-#include "src/fault/fault_experiment.h"
+#include "src/fault/injector.h"
 #include "src/layout/layout_map.h"
 #include "src/layout/layout_policy.h"
 #include "src/mems/mems_device.h"
@@ -38,7 +39,7 @@
 #include "src/sched/sstf_lbn.h"
 #include "src/sim/json_writer.h"
 #include "src/sim/rng.h"
-#include "src/trace/replay.h"
+#include "src/trace/format.h"
 #include "src/trace/scenarios.h"
 #include "src/trace/transforms.h"
 #include "src/workload/cello_like.h"
@@ -219,7 +220,7 @@ struct SchedulingCell {
 
 inline SchedulingCell RunSchedulingCell(StorageDevice* device, IoScheduler* scheduler,
                                         const std::vector<Request>& requests) {
-  const ExperimentResult result = RunOpenLoop(device, scheduler, requests);
+  const ExperimentResult result = Run(device, scheduler, requests);
   return SchedulingCell{result.MeanResponseMs(), result.ResponseScv()};
 }
 
@@ -242,29 +243,22 @@ inline const char* SchedKindName(SchedKind kind) {
   return "?";
 }
 
+// The one SchedKind -> scheduler switch. SPTF borrows `device` for its
+// positioning estimates.
+inline std::unique_ptr<IoScheduler> MakeScheduler(SchedKind kind, const StorageDevice* device) {
+  switch (kind) {
+    case SchedKind::kFcfs: return std::make_unique<FcfsScheduler>();
+    case SchedKind::kSstfLbn: return std::make_unique<SstfLbnScheduler>();
+    case SchedKind::kClook: return std::make_unique<ClookScheduler>();
+    case SchedKind::kSptf: return std::make_unique<SptfScheduler>(device);
+  }
+  return std::make_unique<FcfsScheduler>();
+}
+
 inline ExperimentResult RunWithScheduler(StorageDevice* device, SchedKind kind,
                                          const std::vector<Request>& requests,
-                                         TraceTrack trace = {}) {
-  switch (kind) {
-    case SchedKind::kFcfs: {
-      FcfsScheduler sched;
-      return RunOpenLoop(device, &sched, requests, trace);
-    }
-    case SchedKind::kSstfLbn: {
-      SstfLbnScheduler sched;
-      return RunOpenLoop(device, &sched, requests, trace);
-    }
-    case SchedKind::kClook: {
-      ClookScheduler sched;
-      return RunOpenLoop(device, &sched, requests, trace);
-    }
-    case SchedKind::kSptf: {
-      SptfScheduler sched(device);
-      return RunOpenLoop(device, &sched, requests, trace);
-    }
-  }
-  FcfsScheduler sched;
-  return RunOpenLoop(device, &sched, requests, trace);
+                                         const RunConfig& config = {}, TraceTrack trace = {}) {
+  return Run(device, MakeScheduler(kind, device).get(), requests, config, trace);
 }
 
 // One Fig 6 cell trial: random workload at `rate` on a fresh MEMS device.
@@ -277,79 +271,36 @@ inline ExperimentResult RunRandomSchedTrial(SchedKind kind, double rate, int64_t
   config.capacity_blocks = device.CapacityBlocks();
   Rng rng(seed);
   const auto requests = GenerateRandomWorkload(config, rng);
-  return RunWithScheduler(&device, kind, requests, trace);
+  return RunWithScheduler(&device, kind, requests, {}, trace);
 }
 
-// One fault-injection cell trial: random workload at `rate` on a fresh MEMS
-// device with online fault injection and recovery (§6). The injector's
+// One fault-injection cell trial: random workload at `rate` on a fresh
+// device (MEMS, or the disk to exercise the slip / spare-region remap
+// penalties) with online fault injection and recovery (§6). The injector's
 // fault stream is derived from `seed` so trials stay independent and
 // deterministic.
-inline ExperimentResult RunFaultedRandomTrial(SchedKind kind, double rate, int64_t count,
-                                              const FaultRunConfig& config, uint64_t seed,
-                                              TraceTrack trace = {}) {
-  MemsDevice device;
+inline ExperimentResult RunFaultedTrial(
+    bool disk, SchedKind kind, double rate, int64_t count, const FaultInjectorConfig& faults,
+    uint64_t seed, TraceTrack trace = {},
+    TimeMs rebuild_idle_delay_ms = RunConfig{}.rebuild_idle_delay_ms) {
+  std::unique_ptr<StorageDevice> device;
+  if (disk) {
+    device = std::make_unique<DiskDevice>();
+  } else {
+    device = std::make_unique<MemsDevice>();
+  }
   RandomWorkloadConfig wl;
   wl.arrival_rate_per_s = rate;
   wl.request_count = count;
-  wl.capacity_blocks = device.CapacityBlocks();
+  wl.capacity_blocks = device->CapacityBlocks();
   Rng rng(seed);
   const auto requests = GenerateRandomWorkload(wl, rng);
-  const uint64_t fault_seed = DeriveTrialSeed(seed, /*trial_index=*/0x0fa17);
-  switch (kind) {
-    case SchedKind::kFcfs: {
-      FcfsScheduler sched;
-      return RunFaultInjectedOpenLoop(&device, &sched, requests, config, fault_seed, trace);
-    }
-    case SchedKind::kSstfLbn: {
-      SstfLbnScheduler sched;
-      return RunFaultInjectedOpenLoop(&device, &sched, requests, config, fault_seed, trace);
-    }
-    case SchedKind::kClook: {
-      ClookScheduler sched;
-      return RunFaultInjectedOpenLoop(&device, &sched, requests, config, fault_seed, trace);
-    }
-    case SchedKind::kSptf: {
-      SptfScheduler sched(&device);
-      return RunFaultInjectedOpenLoop(&device, &sched, requests, config, fault_seed, trace);
-    }
-  }
-  FcfsScheduler sched;
-  return RunFaultInjectedOpenLoop(&device, &sched, requests, config, fault_seed, trace);
-}
-
-// As above on a fresh DiskDevice — exercises the disk-style remap timing
-// penalties (slip / spare region).
-inline ExperimentResult RunFaultedDiskTrial(SchedKind kind, double rate, int64_t count,
-                                            const FaultRunConfig& config, uint64_t seed,
-                                            TraceTrack trace = {}) {
-  DiskDevice device;
-  RandomWorkloadConfig wl;
-  wl.arrival_rate_per_s = rate;
-  wl.request_count = count;
-  wl.capacity_blocks = device.CapacityBlocks();
-  Rng rng(seed);
-  const auto requests = GenerateRandomWorkload(wl, rng);
-  const uint64_t fault_seed = DeriveTrialSeed(seed, /*trial_index=*/0x0fa17);
-  switch (kind) {
-    case SchedKind::kFcfs: {
-      FcfsScheduler sched;
-      return RunFaultInjectedOpenLoop(&device, &sched, requests, config, fault_seed, trace);
-    }
-    case SchedKind::kSstfLbn: {
-      SstfLbnScheduler sched;
-      return RunFaultInjectedOpenLoop(&device, &sched, requests, config, fault_seed, trace);
-    }
-    case SchedKind::kClook: {
-      ClookScheduler sched;
-      return RunFaultInjectedOpenLoop(&device, &sched, requests, config, fault_seed, trace);
-    }
-    case SchedKind::kSptf: {
-      SptfScheduler sched(&device);
-      return RunFaultInjectedOpenLoop(&device, &sched, requests, config, fault_seed, trace);
-    }
-  }
-  FcfsScheduler sched;
-  return RunFaultInjectedOpenLoop(&device, &sched, requests, config, fault_seed, trace);
+  FaultInjector injector(faults, device->CapacityBlocks(),
+                         DeriveTrialSeed(seed, /*trial_index=*/0x0fa17));
+  RunConfig config;
+  config.fault_model = &injector;
+  config.rebuild_idle_delay_ms = rebuild_idle_delay_ms;
+  return RunWithScheduler(device.get(), kind, requests, config, trace);
 }
 
 // One layout-cube cell trial (tools/mstk_sweep `layouts` matrix): a
@@ -394,7 +345,7 @@ inline ExperimentResult RunLayoutSchedTrial(const LayoutPolicy& policy, bool cel
     }
   }
   const std::vector<Request> mapped = ApplyLayout(layout, logical);
-  return RunWithScheduler(&device, kind, mapped, trace);
+  return RunWithScheduler(&device, kind, mapped, {}, trace);
 }
 
 // One Fig 7(a) cell trial: cello-like trace at time-scale `scale`.
@@ -407,35 +358,7 @@ inline ExperimentResult RunCelloSchedTrial(SchedKind kind, double scale, int64_t
   config.scale = scale;
   Rng rng(seed);
   const auto requests = GenerateCelloLike(config, rng);
-  return RunWithScheduler(&device, kind, requests, trace);
-}
-
-// As RunWithScheduler, but replays through the trace front-end's arrival
-// control (src/trace/replay.h) instead of the plain open loop.
-inline ExperimentResult ReplayTraceWithScheduler(StorageDevice* device, SchedKind kind,
-                                                 const std::vector<Request>& requests,
-                                                 const trace::ReplayConfig& config,
-                                                 TraceTrack trace_track = {}) {
-  switch (kind) {
-    case SchedKind::kFcfs: {
-      FcfsScheduler sched;
-      return trace::Replay(device, &sched, requests, config, trace_track);
-    }
-    case SchedKind::kSstfLbn: {
-      SstfLbnScheduler sched;
-      return trace::Replay(device, &sched, requests, config, trace_track);
-    }
-    case SchedKind::kClook: {
-      ClookScheduler sched;
-      return trace::Replay(device, &sched, requests, config, trace_track);
-    }
-    case SchedKind::kSptf: {
-      SptfScheduler sched(device);
-      return trace::Replay(device, &sched, requests, config, trace_track);
-    }
-  }
-  FcfsScheduler sched;
-  return trace::Replay(device, &sched, requests, config, trace_track);
+  return RunWithScheduler(&device, kind, requests, {}, trace);
 }
 
 // One `traces` matrix cell trial (tools/mstk_sweep, bench/trace_replay): the
@@ -449,7 +372,7 @@ struct ScenarioReplaySpec {
   std::string scenario;
   SchedKind sched = SchedKind::kSptf;
   const LayoutPolicy* layout = nullptr;
-  trace::ArrivalMode mode = trace::ArrivalMode::kOpen;
+  ArrivalMode mode = ArrivalMode::kOpen;
   int window = 8;
   int clients = 1;
   double warp = 1.0;
@@ -470,14 +393,13 @@ inline ExperimentResult RunScenarioReplayTrial(const ScenarioReplaySpec& spec, u
     parsed.records = trace::TimeWarp(parsed.records, spec.warp);
   }
   MemsDevice device;
-  trace::ReplayConfig replay;
+  RunConfig replay;
   replay.mode = spec.mode;
   replay.window = spec.window;
   if (spec.layout == nullptr) {
     parsed.records = trace::RemapToCapacity(parsed.records, device.CapacityBlocks(),
                                             trace::RemapMode::kScale);
-    return ReplayTraceWithScheduler(&device, spec.sched, trace::ToRequests(parsed), replay,
-                                    trace_track);
+    return RunWithScheduler(&device, spec.sched, trace::ToRequests(parsed), replay, trace_track);
   }
   LayoutSpec layout_spec;
   layout_spec.geometry = &device.geometry();
@@ -488,7 +410,7 @@ inline ExperimentResult RunScenarioReplayTrial(const ScenarioReplaySpec& spec, u
       parsed.records, layout_spec.hot_blocks + layout_spec.cold_blocks, trace::RemapMode::kScale);
   const std::vector<Request> mapped =
       ApplyLayout(spec.layout->Build(layout_spec), trace::ToRequests(parsed));
-  return ReplayTraceWithScheduler(&device, spec.sched, mapped, replay, trace_track);
+  return RunWithScheduler(&device, spec.sched, mapped, replay, trace_track);
 }
 
 // One Fig 7(b) cell trial: tpcc-like trace at time-scale `scale`.
@@ -501,7 +423,7 @@ inline ExperimentResult RunTpccSchedTrial(SchedKind kind, double scale, int64_t 
   config.scale = scale;
   Rng rng(seed);
   const auto requests = GenerateTpccLike(config, rng);
-  return RunWithScheduler(&device, kind, requests, trace);
+  return RunWithScheduler(&device, kind, requests, {}, trace);
 }
 
 }  // namespace mstk

@@ -7,7 +7,7 @@
 #include <memory>
 
 #include "bench/bench_util.h"
-#include "src/core/closed_loop.h"
+#include "src/core/experiment.h"
 #include "src/disk/disk_device.h"
 #include "src/mems/mems_device.h"
 #include "src/sched/clook.h"
@@ -21,14 +21,17 @@ namespace {
 
 using namespace mstk;
 
-std::function<Request(int64_t)> RandomReads(int64_t capacity, uint64_t seed) {
-  auto rng = std::make_shared<Rng>(seed);
-  return [rng, capacity](int64_t) {
-    Request req;
+// 4 KB random reads in submission order; the closed loop stamps arrivals.
+std::vector<Request> RandomReads(int64_t capacity, int64_t count, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Request> requests(static_cast<size_t>(count));
+  for (int64_t i = 0; i < count; ++i) {
+    Request& req = requests[static_cast<size_t>(i)];
+    req.id = i;
     req.block_count = 8;
-    req.lbn = rng->UniformInt(capacity - 8);
-    return req;
-  };
+    req.lbn = rng.UniformInt(capacity - 8);
+  }
+  return requests;
 }
 
 }  // namespace
@@ -51,6 +54,7 @@ int main(int argc, char** argv) {
     LookScheduler look;
     SptfScheduler sptf(device.get());
     IoScheduler* scheds[] = {&fcfs, &sstf, &clook, &look, &sptf};
+    const std::vector<Request> requests = RandomReads(device->CapacityBlocks(), count, 7);
 
     std::printf("%s: closed-loop 4 KB read throughput (req/s) vs MPL\n",
                 mems ? "MEMS" : "Atlas 10K");
@@ -58,11 +62,10 @@ int main(int argc, char** argv) {
     for (const int mpl : {1, 2, 4, 8, 16, 32, 64}) {
       std::vector<std::string> row = {Fmt("%.0f", mpl)};
       for (IoScheduler* sched : scheds) {
-        ClosedLoopConfig config;
-        config.mpl = mpl;
-        config.request_count = count;
-        const ClosedLoopResult r = RunClosedLoop(
-            device.get(), sched, RandomReads(device->CapacityBlocks(), 7), config);
+        RunConfig config;
+        config.mode = ArrivalMode::kClosed;
+        config.window = mpl;
+        const ExperimentResult r = Run(device.get(), sched, requests, config);
         row.push_back(Fmt("%.0f", r.ThroughputPerSecond()));
       }
       table.Row(row);

@@ -1,13 +1,13 @@
 // events_per_sec — raw simulator-kernel throughput microbench.
 //
 // Measures wall-clock events/sec (and simulated IOs/sec) of the
-// discrete-event kernel itself on three deterministic configurations:
+// discrete-event kernel itself on four deterministic configurations:
 //
 //   open_loop    fixed-latency device + FCFS: pure kernel hot path
 //                (event queue, driver dispatch, metrics bookkeeping)
 //   closed_loop  completion-driven arrivals with think-time timers
 //   faults       open loop with online fault injection, retries, and
-//                idle-time background rebuild traffic
+//                idle-time region rebuild traffic
 //   open_loop_mems  MEMS device model + SPTF: full-model reference point
 //
 // Every configuration replays the identical request stream on every run
@@ -28,9 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "src/core/background.h"
-#include "src/core/driver.h"
-#include "src/core/metrics.h"
+#include "src/core/experiment.h"
 #include "src/core/request.h"
 #include "src/core/storage_device.h"
 #include "src/fault/injector.h"
@@ -40,7 +38,6 @@
 #include "src/sim/event_queue.h"
 #include "src/sim/json_writer.h"
 #include "src/sim/rng.h"
-#include "src/sim/simulator.h"
 #include "src/workload/random_workload.h"
 
 namespace mstk {
@@ -87,12 +84,6 @@ class FixedLatencyDevice final : public StorageDevice {
   TimeMs service_ms_;
 };
 
-struct RunStats {
-  int64_t events = 0;  // kernel events fired (deterministic)
-  int64_t ios = 0;     // requests completed (deterministic)
-  double wall_s = 0.0;
-};
-
 std::vector<Request> MakeStream(int64_t count, double rate_per_s, int64_t capacity,
                                 uint64_t seed) {
   RandomWorkloadConfig config;
@@ -103,124 +94,19 @@ std::vector<Request> MakeStream(int64_t count, double rate_per_s, int64_t capaci
   return GenerateRandomWorkload(config, rng);
 }
 
-template <typename Body>
-RunStats Timed(const Body& body) {
-  RunStats stats;
-  const auto t0 = std::chrono::steady_clock::now();
-  body(&stats);
-  const auto t1 = std::chrono::steady_clock::now();
-  stats.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  return stats;
-}
-
-// Open loop on the fixed-latency device: every request pre-scheduled as an
-// arrival event, one completion event each.
-RunStats RunOpenLoopConfig(const std::vector<Request>& requests) {
-  return Timed([&](RunStats* stats) {
-    FixedLatencyDevice device;
-    FcfsScheduler scheduler;
-    Simulator sim;
-    MetricsCollector metrics;
-    Driver driver(&sim, &device, &scheduler, &metrics);
-    for (const Request& req : requests) {
-      const Request* p = &req;
-      sim.ScheduleAt(req.arrival_ms, [&driver, p] { driver.Submit(*p); });
-    }
-    stats->events = sim.Run();
-    stats->ios = metrics.completed();
-  });
-}
-
-// Closed loop: mpl logical processes, think-time timers between completions.
-RunStats RunClosedLoopConfig(int64_t request_count, int mpl, TimeMs think_ms,
-                             uint64_t seed) {
-  return Timed([&](RunStats* stats) {
-    FixedLatencyDevice device;
-    FcfsScheduler scheduler;
-    Simulator sim;
-    MetricsCollector metrics;
-    Driver driver(&sim, &device, &scheduler, &metrics);
-    Rng rng(seed);
-    const int64_t capacity = device.CapacityBlocks();
-    int64_t submitted = 0;
-    auto submit_next = [&] {
-      if (submitted >= request_count) {
-        return;
-      }
-      Request req;
-      req.id = submitted++;
-      req.type = rng.NextDouble() < 0.67 ? IoType::kRead : IoType::kWrite;
-      req.lbn = rng.UniformInt(capacity - 8);
-      req.block_count = 8;
-      req.arrival_ms = sim.NowMs();
-      driver.Submit(req);
-    };
-    driver.set_on_complete([&](const Request&, TimeMs) {
-      if (submitted < request_count) {
-        sim.ScheduleAfter(think_ms, [&] { submit_next(); });
-      }
-    });
-    for (int i = 0; i < mpl; ++i) {
-      sim.ScheduleAt(0.0, [&] { submit_next(); });
-    }
-    stats->events = sim.Run();
-    stats->ios = metrics.completed();
-  });
-}
-
-// Open loop with the live fault path: injector judging every attempt,
-// retries/timeouts, and background rebuild reads on idle.
-RunStats RunFaultConfig(const std::vector<Request>& requests, uint64_t fault_seed) {
-  return Timed([&](RunStats* stats) {
-    FixedLatencyDevice device;
-    FcfsScheduler scheduler;
-    Simulator sim;
-    MetricsCollector metrics;
-    metrics.set_exclude_background(true);
-    Driver driver(&sim, &device, &scheduler, &metrics);
-
-    FaultInjectorConfig fc;
-    fc.transient_rate = 0.02;
-    fc.lost_completion_rate = 0.002;
-    fc.permanent_rate = 0.0005;
-    fc.spares = 64;
-    FaultInjector injector(fc, device.CapacityBlocks(), fault_seed);
-    driver.EnableRecovery(&injector, RecoveryPolicy{});
-
-    BackgroundRunner rebuilds(&sim, &driver, /*tasks=*/{}, /*idle_delay_ms=*/0.5);
-    driver.set_rebuild_sink([&](int64_t lbn, int32_t blocks) {
-      Request task;
-      task.type = IoType::kRead;
-      task.lbn = lbn;
-      task.block_count = blocks;
-      rebuilds.Enqueue(task);
-    });
-
-    for (const Request& req : requests) {
-      const Request* p = &req;
-      sim.ScheduleAt(req.arrival_ms, [&driver, p] { driver.Submit(*p); });
-    }
-    stats->events = sim.Run();
-    stats->ios = metrics.completed();
-  });
-}
-
-// Full MEMS model + SPTF: the model-bound reference point, for judging how
-// much of end-to-end sweep time the kernel itself accounts for.
-RunStats RunMemsConfig(const std::vector<Request>& requests) {
-  return Timed([&](RunStats* stats) {
-    MemsDevice device;
-    SptfScheduler scheduler(&device);
-    Simulator sim;
-    MetricsCollector metrics;
-    Driver driver(&sim, &device, &scheduler, &metrics);
-    for (const Request& req : requests) {
-      const Request* p = &req;
-      sim.ScheduleAt(req.arrival_ms, [&driver, p] { driver.Submit(*p); });
-    }
-    stats->events = sim.Run();
-    stats->ios = metrics.completed();
-  });
+// Closed-loop demand in submission order: 4 KB accesses, two reads to one
+// write. Arrival times are stamped by the run.
+std::vector<Request> MakeClosedStream(int64_t count, int64_t capacity, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Request> requests(static_cast<size_t>(count));
+  for (int64_t i = 0; i < count; ++i) {
+    Request& req = requests[static_cast<size_t>(i)];
+    req.id = i;
+    req.type = rng.NextDouble() < 0.67 ? IoType::kRead : IoType::kWrite;
+    req.lbn = rng.UniformInt(capacity - 8);
+    req.block_count = 8;
+  }
+  return requests;
 }
 
 struct ConfigResult {
@@ -231,6 +117,7 @@ struct ConfigResult {
   double best_ios_per_sec = 0.0;
 };
 
+// `body` performs one complete run and returns its result.
 template <typename Body>
 ConfigResult Measure(const std::string& name, int repeat, const Body& body) {
   ConfigResult result;
@@ -239,14 +126,17 @@ ConfigResult Measure(const std::string& name, int repeat, const Body& body) {
   // scheduler/cache interference — the runs are identical by construction).
   (void)body();
   for (int i = 0; i < repeat; ++i) {
-    const RunStats stats = body();
-    result.events = stats.events;
-    result.ios = stats.ios;
-    if (stats.wall_s > 0.0) {
-      const double eps = static_cast<double>(stats.events) / stats.wall_s;
+    const auto t0 = std::chrono::steady_clock::now();
+    const ExperimentResult run = body();
+    const double wall_s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    result.events = run.events;
+    result.ios = run.metrics.completed();
+    if (wall_s > 0.0) {
+      const double eps = static_cast<double>(result.events) / wall_s;
       if (eps > result.best_events_per_sec) {
         result.best_events_per_sec = eps;
-        result.best_ios_per_sec = static_cast<double>(stats.ios) / stats.wall_s;
+        result.best_ios_per_sec = static_cast<double>(result.ios) / wall_s;
       }
     }
   }
@@ -308,18 +198,45 @@ int main(int argc, char** argv) {
   // stable queue. Streams are generated outside the timed region.
   const int64_t fixed_capacity = 1 << 24;
   const auto open_stream = MakeStream(n(400000), 15000.0, fixed_capacity, 42);
+  const auto closed_stream = MakeClosedStream(n(400000), fixed_capacity, 45);
   const auto fault_stream = MakeStream(n(150000), 15000.0, fixed_capacity, 43);
 
   MemsDevice mems;
   const auto mems_stream = MakeStream(n(100000), 1200.0, mems.CapacityBlocks(), 44);
 
   std::vector<ConfigResult> results;
-  results.push_back(Measure("open_loop", repeat, [&] { return RunOpenLoopConfig(open_stream); }));
-  results.push_back(Measure("closed_loop", repeat, [&] {
-    return RunClosedLoopConfig(n(400000), /*mpl=*/16, /*think_ms=*/0.02, /*seed=*/45);
+  results.push_back(Measure("open_loop", repeat, [&] {
+    FixedLatencyDevice device;
+    FcfsScheduler scheduler;
+    return Run(&device, &scheduler, open_stream);
   }));
-  results.push_back(Measure("faults", repeat, [&] { return RunFaultConfig(fault_stream, 46); }));
-  results.push_back(Measure("open_loop_mems", repeat, [&] { return RunMemsConfig(mems_stream); }));
+  results.push_back(Measure("closed_loop", repeat, [&] {
+    FixedLatencyDevice device;
+    FcfsScheduler scheduler;
+    RunConfig config;
+    config.mode = ArrivalMode::kClosed;
+    config.window = 16;
+    config.think_ms = 0.02;
+    return Run(&device, &scheduler, closed_stream, config);
+  }));
+  results.push_back(Measure("faults", repeat, [&] {
+    FixedLatencyDevice device;
+    FcfsScheduler scheduler;
+    FaultInjectorConfig faults;
+    faults.transient_rate = 0.02;
+    faults.lost_completion_rate = 0.002;
+    faults.permanent_rate = 0.0005;
+    faults.spares = 64;
+    FaultInjector injector(faults, device.CapacityBlocks(), /*seed=*/46);
+    RunConfig config;
+    config.fault_model = &injector;
+    return Run(&device, &scheduler, fault_stream, config);
+  }));
+  results.push_back(Measure("open_loop_mems", repeat, [&] {
+    MemsDevice device;
+    SptfScheduler scheduler(&device);
+    return Run(&device, &scheduler, mems_stream);
+  }));
 
   std::printf("%-16s %12s %12s %14s %14s\n", "config", "events", "ios", "events/sec",
               "ios/sec");

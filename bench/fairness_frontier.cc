@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   table.Row({"scheduler", "mean_ms", "scv", "p99_ms"});
 
   auto report = [&](IoScheduler* sched, const char* label) {
-    ExperimentResult r = RunOpenLoop(&device, sched, requests);
+    ExperimentResult r = Run(&device, sched, requests);
     table.Row({label, Fmt("%.3f", r.MeanResponseMs()), Fmt("%.2f", r.ResponseScv()),
                Fmt("%.3f", r.metrics.ResponseQuantile(0.99))});
   };

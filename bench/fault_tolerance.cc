@@ -116,16 +116,16 @@ int main(int argc, char** argv) {
   std::printf("    permanent 0.2%%/request absorbed by spare tips, rebuilds on idle)\n");
   table.Row({"metric", "value"});
   {
-    FaultRunConfig config;
-    config.injector.transient_rate = opts.fault_rate > 0.0 ? opts.fault_rate : 0.02;
-    config.injector.permanent_rate = 0.002;
-    config.injector.lost_completion_rate = 0.001;
-    config.injector.spares = 64;
+    FaultInjectorConfig faults;
+    faults.transient_rate = opts.fault_rate > 0.0 ? opts.fault_rate : 0.02;
+    faults.permanent_rate = 0.002;
+    faults.lost_completion_rate = 0.001;
+    faults.spares = 64;
     const int64_t count = opts.Scale(5000);
     const ExperimentResult clean =
         RunRandomSchedTrial(SchedKind::kSptf, 600, count, opts.seed);
     const ExperimentResult faulted =
-        RunFaultedRandomTrial(SchedKind::kSptf, 600, count, config, opts.seed);
+        RunFaultedTrial(/*disk=*/false, SchedKind::kSptf, 600, count, faults, opts.seed);
     const FaultCounters& fc = faulted.metrics.fault();
     table.Row({"mean_response_ms(clean)", Fmt("%.3f", clean.MeanResponseMs())});
     table.Row({"mean_response_ms(faulted)", Fmt("%.3f", faulted.MeanResponseMs())});

@@ -42,12 +42,10 @@ int main(int argc, char** argv) {
       const auto requests = GenerateCelloLike(config, rng);
 
       SstfLbnScheduler plain;
-      const double t_plain =
-          RunOpenLoop(device.get(), &plain, requests).MeanResponseMs();
+      const double t_plain = Run(device.get(), &plain, requests).MeanResponseMs();
       SstfLbnScheduler inner;
       MergingScheduler merging(&inner);
-      const double t_merged =
-          RunOpenLoop(device.get(), &merging, requests).MeanResponseMs();
+      const double t_merged = Run(device.get(), &merging, requests).MeanResponseMs();
       table.Row({Fmt("%.0f", scale), Fmt("%.3f", t_plain), Fmt("%.3f", t_merged),
                  Fmt("%.1f%%", (1.0 - t_merged / t_plain) * 100.0),
                  Fmt("%.0f", static_cast<double>(merging.merges()))});

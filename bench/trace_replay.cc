@@ -35,8 +35,8 @@ void AddRow(const TableWriter& table, BenchJson& json, const std::string& label,
 
 int main(int argc, char** argv) {
   const BenchOptions opts = BenchOptions::Parse(argc, argv);
-  trace::ArrivalMode mode = trace::ArrivalMode::kOpen;
-  if (!trace::ParseArrivalMode(opts.arrival_mode.c_str(), &mode)) {
+  ArrivalMode mode = ArrivalMode::kOpen;
+  if (!ParseArrivalMode(opts.arrival_mode.c_str(), &mode)) {
     std::fprintf(stderr, "unknown --arrival-mode %s (open|closed|hybrid)\n",
                  opts.arrival_mode.c_str());
     return 2;
@@ -70,9 +70,9 @@ int main(int argc, char** argv) {
       const AggregateResult agg = TrialRunner::RunExperiments(
           opts.TrialOptions(), [&requests, sched, mode](uint64_t, int64_t) {
             MemsDevice device;
-            trace::ReplayConfig replay;
+            RunConfig replay;
             replay.mode = mode;
-            return ReplayTraceWithScheduler(&device, sched, requests, replay);
+            return RunWithScheduler(&device, sched, requests, replay);
           });
       AddRow(table, json, std::string("file/") + SchedKindName(sched), agg);
     }
@@ -90,8 +90,7 @@ int main(int argc, char** argv) {
       const AggregateResult agg = TrialRunner::RunExperiments(
           opts.TrialOptions(),
           [&spec](uint64_t seed, int64_t) { return RunScenarioReplayTrial(spec, seed); });
-      AddRow(table, json,
-             scenario + "/" + SchedKindName(sched) + "/" + trace::ArrivalModeName(spec.mode),
+      AddRow(table, json, scenario + "/" + SchedKindName(sched) + "/" + ArrivalModeName(spec.mode),
              agg);
     }
   }

@@ -40,7 +40,7 @@ int main() {
     double results[4] = {};
     double sptf_depth = 0.0;
     for (int i = 0; i < 4; ++i) {
-      const ExperimentResult r = RunOpenLoop(&device, scheds[i], requests);
+      const ExperimentResult r = Run(&device, scheds[i], requests);
       results[i] = r.MeanResponseMs();
       if (i == 3) {
         sptf_depth = r.metrics.queue_depth().mean();

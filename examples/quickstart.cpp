@@ -41,7 +41,7 @@ int main() {
     SptfScheduler sptf(device);
     for (IoScheduler* sched : {static_cast<IoScheduler*>(&fcfs),
                                static_cast<IoScheduler*>(&sptf)}) {
-      const ExperimentResult result = RunOpenLoop(device, sched, requests);
+      const ExperimentResult result = Run(device, sched, requests);
       std::printf("%-5s + %-5s  mean response %7.3f ms   mean service %6.3f ms   "
                   "sigma^2/mu^2 %5.2f\n",
                   device->name(), sched->name(), result.MeanResponseMs(),

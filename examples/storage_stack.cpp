@@ -53,7 +53,7 @@ int main() {
   SptfScheduler sptf(&stack);  // SPTF sees through the cache to the array
   for (IoScheduler* sched : {static_cast<IoScheduler*>(&fcfs),
                              static_cast<IoScheduler*>(&sptf)}) {
-    ExperimentResult r = RunOpenLoop(&stack, sched, requests);
+    ExperimentResult r = Run(&stack, sched, requests);
     std::printf("%-6s mean response %7.3f ms   p99 %7.3f ms   hit rate %.2f\n",
                 sched->name(), r.MeanResponseMs(), r.metrics.ResponseQuantile(0.99),
                 stack.stats().HitRate());

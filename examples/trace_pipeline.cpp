@@ -59,7 +59,7 @@ int main() {
     SptfScheduler sptf(device);
     for (IoScheduler* sched : {static_cast<IoScheduler*>(&fcfs),
                                static_cast<IoScheduler*>(&sptf)}) {
-      ExperimentResult r = RunOpenLoop(device, sched, requests);
+      ExperimentResult r = Run(device, sched, requests);
       std::printf("  %-5s %-6s %10.3f %10.3f\n", device->name(), sched->name(),
                   r.MeanResponseMs(), r.metrics.ResponseQuantile(0.99));
     }

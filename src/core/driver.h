@@ -1,10 +1,10 @@
 // Queueing driver: the host-side I/O path tying workload, scheduler, and
 // device together inside the discrete-event simulation.
 //
-// Open-loop: arrivals come from pre-generated request streams scheduled as
-// simulator events (see ExperimentRunner). The driver keeps the device busy
-// with one request at a time — the single-spindle / single-sled model the
-// paper's experiments use.
+// Arrivals come from a harness that calls Submit (see Run in
+// src/core/experiment.h). The driver keeps the device busy with one request
+// at a time — the single-spindle / single-sled model the paper's
+// experiments use.
 //
 // With EnableRecovery the driver also runs the §6 failure path: each dispatch
 // attempt is judged by a FaultModel, transient errors are retried with
@@ -82,13 +82,6 @@ class Driver {
   void AddActiveListener(std::function<void(TimeMs now_ms)> cb) {
     on_active_.push_back(std::move(cb));
   }
-
-  // Single-listener aliases kept for call-site brevity.
-  void set_on_complete(std::function<void(const Request&, TimeMs)> cb) {
-    AddCompletionListener(std::move(cb));
-  }
-  void set_on_idle(std::function<void(TimeMs)> cb) { AddIdleListener(std::move(cb)); }
-  void set_on_active(std::function<void(TimeMs)> cb) { AddActiveListener(std::move(cb)); }
 
   // Extra latency (ms) to charge before the next dispatch — used by power
   // policies to model restart-from-idle penalties. Consumed by one dispatch.

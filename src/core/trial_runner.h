@@ -37,7 +37,7 @@ double StudentT95(int64_t df);
 // trial of one experiment must report the same names in the same order.
 using TrialMetrics = std::vector<std::pair<std::string, double>>;
 
-// Scalar view of an ExperimentResult, for trials built on RunOpenLoop.
+// Scalar view of an ExperimentResult, for trials built on Run.
 TrialMetrics MetricsFromExperiment(const ExperimentResult& result);
 
 // Summary of one metric across trials. With a single trial the CI collapses

@@ -100,7 +100,7 @@ PowerResult RunPowerExperiment(StorageDevice* device, IoScheduler* scheduler,
   const double regret_ms = policy.regret_ms > 0.0 ? policy.regret_ms : break_even_ms;
 
   // Driver state callbacks are plain std::function — free to capture widely.
-  driver.set_on_active([&](TimeMs now) {
+  driver.AddActiveListener([&](TimeMs now) {
     accounting.CloseInterval(rs.state, now);
     ++rs.idle_epoch;
     if (rs.state == PowerState::kStandby) {
@@ -117,7 +117,7 @@ PowerResult RunPowerExperiment(StorageDevice* device, IoScheduler* scheduler,
     rs.state = PowerState::kActive;
   });
 
-  driver.set_on_idle([&](TimeMs now) {
+  driver.AddIdleListener([&](TimeMs now) {
     accounting.CloseInterval(rs.state, now);
     rs.state = PowerState::kIdle;
     const int64_t epoch = ++rs.idle_epoch;

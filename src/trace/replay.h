@@ -1,77 +1,23 @@
-// Trace replay through the standard Driver/MetricsCollector I/O path.
-//
-// A TraceReplayer is a workload source pluggable exactly where the synthetic
-// generators plug in today: it feeds a parsed trace into a Driver, so phase
-// breakdowns, Chrome traces, and fault injection all work on replayed load
-// unchanged. The §4.3 footnote's open-versus-closed criticism is addressed
-// with three arrival-control modes:
-//
-//   kOpen    submit every request at its recorded timestamp. Faithful to the
-//            captured arrival process, but no completion feedback — a slow
-//            device just builds queue.
-//   kClosed  ignore timestamps entirely: keep `window` requests outstanding,
-//            submitting the next record as soon as a completion frees a
-//            slot. Models the trace's demand under full feedback.
-//   kHybrid  a request is eligible at its recorded timestamp but waits for a
-//            window slot: submission time is max(recorded arrival, slot
-//            free). Keeps the captured arrival shape while bounding the
-//            fan-in a real client pool would impose.
+// Trace-namespace spellings of the run harness (src/core/experiment.h). The
+// frozen repository benchmark (perfbench/) still calls these names.
 #ifndef MSTK_SRC_TRACE_REPLAY_H_
 #define MSTK_SRC_TRACE_REPLAY_H_
 
-#include <cstdint>
 #include <vector>
 
-#include "src/core/driver.h"
 #include "src/core/experiment.h"
-#include "src/core/fault_model.h"
-#include "src/core/io_scheduler.h"
-#include "src/core/storage_device.h"
-#include "src/sim/trace_writer.h"
-#include "src/trace/format.h"
 
 namespace mstk {
 namespace trace {
 
-enum class ArrivalMode { kOpen, kClosed, kHybrid };
+using ::mstk::ArrivalMode;
+using ReplayConfig = RunConfig;
 
-const char* ArrivalModeName(ArrivalMode mode);
-// Parses "open" / "closed" / "hybrid"; returns false on anything else.
-bool ParseArrivalMode(const char* name, ArrivalMode* out);
-
-struct ReplayConfig {
-  ArrivalMode mode = ArrivalMode::kOpen;
-  // Outstanding-request bound for kClosed / kHybrid (ignored by kOpen).
-  int window = 8;
-  // Optional fault injection: when set, the driver runs its §6 recovery path
-  // on the replayed load.
-  FaultModel* fault_model = nullptr;
-  RecoveryPolicy recovery;
-};
-
-// Replays a request stream (usually ToRequests() of a parsed trace, already
-// remapped to the device's capacity) under the chosen arrival control.
-// Returns the same ExperimentResult the generator-driven harnesses produce.
-ExperimentResult Replay(StorageDevice* device, IoScheduler* scheduler,
-                        const std::vector<Request>& requests, const ReplayConfig& config,
-                        TraceTrack trace = {});
-
-// Convenience wrapper owning the record->request conversion.
-class TraceReplayer {
- public:
-  explicit TraceReplayer(const ParsedTrace& parsed) : requests_(ToRequests(parsed)) {}
-  explicit TraceReplayer(std::vector<Request> requests) : requests_(std::move(requests)) {}
-
-  const std::vector<Request>& requests() const { return requests_; }
-
-  ExperimentResult Run(StorageDevice* device, IoScheduler* scheduler,
-                       const ReplayConfig& config, TraceTrack trace = {}) const {
-    return Replay(device, scheduler, requests_, config, trace);
-  }
-
- private:
-  std::vector<Request> requests_;
-};
+inline ExperimentResult Replay(StorageDevice* device, IoScheduler* scheduler,
+                               const std::vector<Request>& requests, const RunConfig& config,
+                               TraceTrack trace = {}) {
+  return Run(device, scheduler, requests, config, trace);
+}
 
 }  // namespace trace
 }  // namespace mstk

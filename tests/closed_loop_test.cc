@@ -1,7 +1,10 @@
-#include "src/core/closed_loop.h"
-
+// Closed-mode Run: a fixed window of outstanding requests, each completion
+// reopening its slot after the think time.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/core/experiment.h"
 #include "src/mems/mems_device.h"
 #include "src/sched/fcfs.h"
 #include "src/sched/sptf.h"
@@ -10,24 +13,30 @@
 namespace mstk {
 namespace {
 
-std::function<Request(int64_t)> RandomReads(MemsDevice& device, uint64_t seed) {
-  auto rng = std::make_shared<Rng>(seed);
-  const int64_t capacity = device.CapacityBlocks();
-  return [rng, capacity](int64_t) {
-    Request req;
+std::vector<Request> RandomReads(const MemsDevice& device, uint64_t seed, int64_t count) {
+  Rng rng(seed);
+  std::vector<Request> requests(static_cast<size_t>(count));
+  for (int64_t i = 0; i < count; ++i) {
+    Request& req = requests[static_cast<size_t>(i)];
+    req.id = i;
     req.block_count = 8;
-    req.lbn = rng->UniformInt(capacity - 8);
-    return req;
-  };
+    req.lbn = rng.UniformInt(device.CapacityBlocks() - 8);
+  }
+  return requests;
+}
+
+RunConfig Closed(int window, TimeMs think_ms = 0.0) {
+  RunConfig config;
+  config.mode = ArrivalMode::kClosed;
+  config.window = window;
+  config.think_ms = think_ms;
+  return config;
 }
 
 TEST(ClosedLoopTest, CompletesExactlyRequestCount) {
   MemsDevice device;
   FcfsScheduler sched;
-  ClosedLoopConfig config;
-  config.mpl = 4;
-  config.request_count = 1000;
-  const ClosedLoopResult r = RunClosedLoop(&device, &sched, RandomReads(device, 1), config);
+  const ExperimentResult r = mstk::Run(&device, &sched, RandomReads(device, 1, 1000), Closed(4));
   EXPECT_EQ(r.metrics.completed(), 1000);
   EXPECT_GT(r.ThroughputPerSecond(), 0.0);
 }
@@ -35,10 +44,7 @@ TEST(ClosedLoopTest, CompletesExactlyRequestCount) {
 TEST(ClosedLoopTest, MplOneIsSequential) {
   MemsDevice device;
   FcfsScheduler sched;
-  ClosedLoopConfig config;
-  config.mpl = 1;
-  config.request_count = 500;
-  const ClosedLoopResult r = RunClosedLoop(&device, &sched, RandomReads(device, 2), config);
+  const ExperimentResult r = mstk::Run(&device, &sched, RandomReads(device, 2, 500), Closed(1));
   // One-at-a-time: response == service, device 100% busy.
   EXPECT_NEAR(r.metrics.response_time().mean(), r.metrics.service_time().mean(), 1e-9);
   EXPECT_NEAR(r.activity.busy_ms, r.makespan_ms, 1e-6);
@@ -47,13 +53,10 @@ TEST(ClosedLoopTest, MplOneIsSequential) {
 TEST(ClosedLoopTest, ThroughputSaturatesWithMpl) {
   MemsDevice device;
   FcfsScheduler sched;
+  const std::vector<Request> requests = RandomReads(device, 3, 2000);
   double prev = 0.0;
   for (const int mpl : {1, 4, 16}) {
-    ClosedLoopConfig config;
-    config.mpl = mpl;
-    config.request_count = 2000;
-    const ClosedLoopResult r =
-        RunClosedLoop(&device, &sched, RandomReads(device, 3), config);
+    const ExperimentResult r = mstk::Run(&device, &sched, requests, Closed(mpl));
     // FCFS gains nothing from a deeper queue (no reordering): throughput is
     // flat within noise.
     if (prev > 0.0) {
@@ -66,14 +69,9 @@ TEST(ClosedLoopTest, ThroughputSaturatesWithMpl) {
 TEST(ClosedLoopTest, SptfThroughputGrowsWithQueueDepth) {
   MemsDevice device;
   SptfScheduler sptf(&device);
-  ClosedLoopConfig config;
-  config.request_count = 3000;
-  config.mpl = 1;
-  const double t1 =
-      RunClosedLoop(&device, &sptf, RandomReads(device, 4), config).ThroughputPerSecond();
-  config.mpl = 32;
-  const double t32 =
-      RunClosedLoop(&device, &sptf, RandomReads(device, 4), config).ThroughputPerSecond();
+  const std::vector<Request> requests = RandomReads(device, 4, 3000);
+  const double t1 = mstk::Run(&device, &sptf, requests, Closed(1)).ThroughputPerSecond();
+  const double t32 = mstk::Run(&device, &sptf, requests, Closed(32)).ThroughputPerSecond();
   // With 32 candidates to choose from, SPTF cuts positioning dramatically.
   EXPECT_GT(t32, t1 * 1.4);
 }
@@ -81,11 +79,8 @@ TEST(ClosedLoopTest, SptfThroughputGrowsWithQueueDepth) {
 TEST(ClosedLoopTest, ThinkTimeReducesUtilization) {
   MemsDevice device;
   FcfsScheduler sched;
-  ClosedLoopConfig config;
-  config.mpl = 1;
-  config.request_count = 500;
-  config.think_ms = 5.0;
-  const ClosedLoopResult r = RunClosedLoop(&device, &sched, RandomReads(device, 5), config);
+  const ExperimentResult r =
+      mstk::Run(&device, &sched, RandomReads(device, 5, 500), Closed(1, /*think_ms=*/5.0));
   const double utilization = r.activity.busy_ms / r.makespan_ms;
   EXPECT_LT(utilization, 0.5);
 }

@@ -42,7 +42,7 @@ TEST(CompositionTest, CacheOverBusOverRaidOverMems) {
 
   SstfLbnScheduler inner;
   MergingScheduler sched(&inner);
-  const ExperimentResult result = RunOpenLoop(&stack, &sched, requests);
+  const ExperimentResult result = mstk::Run(&stack, &sched, requests);
   EXPECT_EQ(result.metrics.completed(), 2000);
   EXPECT_GT(result.MeanResponseMs(), 0.0);
   // Every member device did real work.

@@ -28,7 +28,7 @@ TEST(DriverTest, CompletesAllRequests) {
   MemsDevice device;
   FcfsScheduler sched;
   const auto requests = SmallWorkload(device, 200.0, 500);
-  const ExperimentResult result = RunOpenLoop(&device, &sched, requests);
+  const ExperimentResult result = mstk::Run(&device, &sched, requests);
   EXPECT_EQ(result.metrics.completed(), 500);
   EXPECT_EQ(result.activity.requests, 500);
 }
@@ -37,7 +37,7 @@ TEST(DriverTest, ResponseAtLeastService) {
   MemsDevice device;
   FcfsScheduler sched;
   const auto requests = SmallWorkload(device, 800.0, 1000);
-  const ExperimentResult result = RunOpenLoop(&device, &sched, requests);
+  const ExperimentResult result = mstk::Run(&device, &sched, requests);
   EXPECT_GE(result.metrics.response_time().mean(),
             result.metrics.service_time().mean());
   EXPECT_GE(result.metrics.response_time().min(), 0.0);
@@ -48,7 +48,7 @@ TEST(DriverTest, LowLoadResponseEqualsService) {
   FcfsScheduler sched;
   // 5/s against a ~1 ms service time: queueing is negligible.
   const auto requests = SmallWorkload(device, 5.0, 300);
-  const ExperimentResult result = RunOpenLoop(&device, &sched, requests);
+  const ExperimentResult result = mstk::Run(&device, &sched, requests);
   EXPECT_NEAR(result.metrics.response_time().mean(),
               result.metrics.service_time().mean(), 0.02);
 }
@@ -57,7 +57,7 @@ TEST(DriverTest, UtilizationMatchesLittlesLaw) {
   MemsDevice device;
   FcfsScheduler sched;
   const auto requests = SmallWorkload(device, 600.0, 4000);
-  const ExperimentResult result = RunOpenLoop(&device, &sched, requests);
+  const ExperimentResult result = mstk::Run(&device, &sched, requests);
   // Busy fraction ~= arrival rate * mean service time.
   const double util = result.activity.busy_ms / result.makespan_ms;
   const double expect = 600.0 * result.metrics.service_time().mean() / 1000.0;
@@ -67,8 +67,8 @@ TEST(DriverTest, UtilizationMatchesLittlesLaw) {
 TEST(DriverTest, HigherLoadRaisesResponseNotService) {
   MemsDevice device;
   FcfsScheduler sched;
-  const auto low = RunOpenLoop(&device, &sched, SmallWorkload(device, 100.0, 2000));
-  const auto high = RunOpenLoop(&device, &sched, SmallWorkload(device, 1000.0, 2000));
+  const auto low = mstk::Run(&device, &sched, SmallWorkload(device, 100.0, 2000));
+  const auto high = mstk::Run(&device, &sched, SmallWorkload(device, 1000.0, 2000));
   EXPECT_GT(high.metrics.response_time().mean(), low.metrics.response_time().mean() * 1.5);
   EXPECT_NEAR(high.metrics.service_time().mean(), low.metrics.service_time().mean(), 0.2);
 }
@@ -82,9 +82,9 @@ TEST(DriverTest, OnCompleteAndIdleCallbacksFire) {
   int completions = 0;
   int idles = 0;
   int actives = 0;
-  driver.set_on_complete([&](const Request&, TimeMs) { ++completions; });
-  driver.set_on_idle([&](TimeMs) { ++idles; });
-  driver.set_on_active([&](TimeMs) { ++actives; });
+  driver.AddCompletionListener([&](const Request&, TimeMs) { ++completions; });
+  driver.AddIdleListener([&](TimeMs) { ++idles; });
+  driver.AddActiveListener([&](TimeMs) { ++actives; });
 
   Request req;
   req.lbn = 1000;
@@ -119,7 +119,7 @@ TEST(DriverTest, QueuePhaseMatchesQueueTimeAndPhasesTileService) {
   FcfsScheduler sched;
   // Enough load that real queueing happens.
   const auto requests = SmallWorkload(device, 900.0, 2000, 3);
-  const ExperimentResult result = RunOpenLoop(&device, &sched, requests);
+  const ExperimentResult result = mstk::Run(&device, &sched, requests);
   const MetricsCollector& m = result.metrics;
   ASSERT_EQ(m.phase(Phase::kQueue).count(), m.completed());
   // The driver stamps time-in-queue into the kQueue phase.
@@ -162,8 +162,8 @@ TEST(DriverTest, SptfIntegrationReordersQueue) {
   FcfsScheduler fcfs;
   // Saturating load so the queue is deep enough for reordering to matter.
   const auto requests = SmallWorkload(device, 2000.0, 3000, 7);
-  const auto r_fcfs = RunOpenLoop(&device, &fcfs, requests);
-  const auto r_sptf = RunOpenLoop(&device, &sptf, requests);
+  const auto r_fcfs = mstk::Run(&device, &fcfs, requests);
+  const auto r_sptf = mstk::Run(&device, &sptf, requests);
   EXPECT_LT(r_sptf.metrics.response_time().mean(),
             r_fcfs.metrics.response_time().mean());
   // SPTF lowers mean service time (less positioning).

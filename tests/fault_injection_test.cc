@@ -10,7 +10,6 @@
 #include "src/core/experiment.h"
 #include "src/core/fault_model.h"
 #include "src/core/trial_runner.h"
-#include "src/fault/fault_experiment.h"
 #include "src/fault/injector.h"
 #include "src/mems/mems_device.h"
 #include "src/sched/fcfs.h"
@@ -222,14 +221,16 @@ TEST(FaultInjectorTest, SpareTipRemapPreservesIdentityTiming) {
 TEST(FaultExperimentTest, RebuildUnderLoadDrainsWithoutStarvingForeground) {
   MemsDevice device;
   SptfScheduler sched(&device);
-  FaultRunConfig config;
-  config.injector.permanent_rate = 0.005;
-  config.injector.spares = 256;
+  FaultInjectorConfig faults;
+  faults.permanent_rate = 0.005;
+  faults.spares = 256;
+  FaultInjector injector(faults, device.CapacityBlocks(), /*seed=*/3);
+  RunConfig config;
+  config.fault_model = &injector;
   const int64_t kRequests = 2000;
 
   const auto requests = SmallWorkload(device, 600.0, kRequests, 11);
-  const ExperimentResult faulted = RunFaultInjectedOpenLoop(
-      &device, &sched, requests, config, /*fault_seed=*/3);
+  const ExperimentResult faulted = mstk::Run(&device, &sched, requests, config);
 
   // Every foreground request completed (rebuild traffic is excluded from
   // the foreground metrics), and every remap queued a full region rebuild
@@ -237,8 +238,7 @@ TEST(FaultExperimentTest, RebuildUnderLoadDrainsWithoutStarvingForeground) {
   EXPECT_EQ(faulted.metrics.completed(), kRequests);
   const FaultCounters& fc = faulted.metrics.fault();
   ASSERT_GT(fc.remaps, 0);
-  const int64_t chunks_per_region =
-      config.rebuild_region_blocks / config.rebuild_chunk_blocks;
+  const int64_t chunks_per_region = kRebuildRegionBlocks / kRebuildChunkBlocks;
   EXPECT_GE(fc.rebuild_ios, fc.remaps * chunks_per_region);
   EXPECT_LE(fc.rebuild_ios, fc.remaps * (chunks_per_region + 1));
   EXPECT_GT(fc.rebuild_ms, 0.0);
@@ -247,8 +247,7 @@ TEST(FaultExperimentTest, RebuildUnderLoadDrainsWithoutStarvingForeground) {
   // stays within a small factor of the fault-free run of the same workload.
   MemsDevice clean_device;
   SptfScheduler clean_sched(&clean_device);
-  const ExperimentResult clean =
-      RunOpenLoop(&clean_device, &clean_sched, requests);
+  const ExperimentResult clean = mstk::Run(&clean_device, &clean_sched, requests);
   EXPECT_LT(faulted.MeanResponseMs(), 3.0 * clean.MeanResponseMs());
 }
 
@@ -256,18 +255,20 @@ TEST(FaultExperimentTest, InjectionIsDeterministicAcrossJobCounts) {
   auto trial = [](uint64_t seed, int64_t) {
     MemsDevice device;
     SptfScheduler sched(&device);
-    FaultRunConfig config;
-    config.injector.transient_rate = 0.02;
-    config.injector.permanent_rate = 0.002;
-    config.injector.lost_completion_rate = 0.002;
+    FaultInjectorConfig faults;
+    faults.transient_rate = 0.02;
+    faults.permanent_rate = 0.002;
+    faults.lost_completion_rate = 0.002;
+    FaultInjector injector(faults, device.CapacityBlocks(), DeriveTrialSeed(seed, 0x0fa17));
+    RunConfig config;
+    config.fault_model = &injector;
     RandomWorkloadConfig wl;
     wl.arrival_rate_per_s = 600.0;
     wl.request_count = 1000;
     wl.capacity_blocks = device.CapacityBlocks();
     Rng rng(seed);
     const auto requests = GenerateRandomWorkload(wl, rng);
-    return RunFaultInjectedOpenLoop(&device, &sched, requests, config,
-                                    DeriveTrialSeed(seed, 0x0fa17));
+    return mstk::Run(&device, &sched, requests, config);
   };
 
   auto run_json = [&](int jobs) {
@@ -294,18 +295,51 @@ TEST(FaultExperimentTest, FaultFreeInjectorMatchesPlainOpenLoop) {
   MemsDevice d1;
   FcfsScheduler s1;
   const auto requests = SmallWorkload(d1, 600.0, 1000, 5);
-  const ExperimentResult plain = RunOpenLoop(&d1, &s1, requests);
+  const ExperimentResult plain = mstk::Run(&d1, &s1, requests);
 
   MemsDevice d2;
   FcfsScheduler s2;
-  FaultRunConfig config;  // all rates zero
-  const ExperimentResult faulted =
-      RunFaultInjectedOpenLoop(&d2, &s2, requests, config, /*fault_seed=*/9);
+  const FaultInjectorConfig faults;  // all rates zero
+  FaultInjector injector(faults, d2.CapacityBlocks(), /*seed=*/9);
+  RunConfig config;
+  config.fault_model = &injector;
+  const ExperimentResult faulted = mstk::Run(&d2, &s2, requests, config);
 
   EXPECT_EQ(plain.metrics.completed(), faulted.metrics.completed());
   EXPECT_DOUBLE_EQ(plain.MeanResponseMs(), faulted.MeanResponseMs());
   EXPECT_DOUBLE_EQ(plain.MeanServiceMs(), faulted.MeanServiceMs());
   EXPECT_DOUBLE_EQ(plain.makespan_ms, faulted.makespan_ms);
+}
+
+TEST(FaultExperimentTest, WindowedModesFreeSlotsOnFailureButNotOnRebuild) {
+  // Failed requests must free their window slots (or the run stalls short
+  // of every request), and rebuild completions must never open one (or more
+  // than `window` foreground requests could queue).
+  const int64_t kRequests = 2000;
+  const int kWindow = 2;
+  for (const ArrivalMode mode : {ArrivalMode::kHybrid, ArrivalMode::kClosed}) {
+    MemsDevice device;
+    SptfScheduler sched(&device);
+    // 300 req/s leaves hybrid idle gaps; closed mode idles through its
+    // think time. Either way the rebuilds get idle time to run in.
+    const auto requests = SmallWorkload(device, 300.0, kRequests, 13);
+    FaultInjectorConfig faults;
+    faults.transient_rate = 0.3;  // 0.3^4 per request exhausts the 3 retries
+    faults.permanent_rate = 0.01;
+    faults.spares = 256;
+    FaultInjector injector(faults, device.CapacityBlocks(), /*seed=*/5);
+    RunConfig config;
+    config.mode = mode;
+    config.window = kWindow;
+    config.think_ms = mode == ArrivalMode::kClosed ? 2.0 : 0.0;
+    config.fault_model = &injector;
+    const ExperimentResult r = mstk::Run(&device, &sched, requests, config);
+    const FaultCounters& fc = r.metrics.fault();
+    EXPECT_EQ(r.metrics.completed(), kRequests) << ArrivalModeName(mode);
+    EXPECT_GT(fc.failed_requests, 0) << ArrivalModeName(mode);
+    EXPECT_GT(fc.rebuild_ios, 0) << ArrivalModeName(mode);
+    EXPECT_LE(r.metrics.queue_depth().max(), kWindow) << ArrivalModeName(mode);
+  }
 }
 
 }  // namespace

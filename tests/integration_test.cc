@@ -37,10 +37,10 @@ FourWay RunFour(StorageDevice& device, const std::vector<Request>& requests) {
   SstfLbnScheduler sstf;
   ClookScheduler clook;
   SptfScheduler sptf(&device);
-  return FourWay{RunOpenLoop(&device, &fcfs, requests).MeanResponseMs(),
-                 RunOpenLoop(&device, &sstf, requests).MeanResponseMs(),
-                 RunOpenLoop(&device, &clook, requests).MeanResponseMs(),
-                 RunOpenLoop(&device, &sptf, requests).MeanResponseMs()};
+  return FourWay{mstk::Run(&device, &fcfs, requests).MeanResponseMs(),
+                 mstk::Run(&device, &sstf, requests).MeanResponseMs(),
+                 mstk::Run(&device, &clook, requests).MeanResponseMs(),
+                 mstk::Run(&device, &sptf, requests).MeanResponseMs()};
 }
 
 TEST(IntegrationTest, Fig5DiskSchedulerOrdering) {
@@ -58,8 +58,8 @@ TEST(IntegrationTest, Fig5FairnessOrdering) {
   SstfLbnScheduler sstf;
   ClookScheduler clook;
   const auto requests = Random(disk, 150.0, 4000, 2);
-  const double scv_sstf = RunOpenLoop(&disk, &sstf, requests).ResponseScv();
-  const double scv_clook = RunOpenLoop(&disk, &clook, requests).ResponseScv();
+  const double scv_sstf = mstk::Run(&disk, &sstf, requests).ResponseScv();
+  const double scv_clook = mstk::Run(&disk, &clook, requests).ResponseScv();
   // Paper Fig 5(b): C-LOOK resists starvation better than SSTF_LBN.
   EXPECT_LT(scv_clook, scv_sstf);
 }
@@ -95,8 +95,8 @@ TEST(IntegrationTest, Fig7TpccSptfMarginLarge) {
   const auto requests = GenerateTpccLike(config, rng);
   SstfLbnScheduler sstf;
   SptfScheduler sptf(&mems);
-  const double t_sstf = RunOpenLoop(&mems, &sstf, requests).MeanResponseMs();
-  const double t_sptf = RunOpenLoop(&mems, &sptf, requests).MeanResponseMs();
+  const double t_sstf = mstk::Run(&mems, &sstf, requests).MeanResponseMs();
+  const double t_sptf = mstk::Run(&mems, &sptf, requests).MeanResponseMs();
   EXPECT_GT(t_sstf / t_sptf, 2.0);
 }
 
@@ -222,8 +222,8 @@ TEST(IntegrationTest, MemsOrderOfMagnitudeFasterThanDisk) {
   MemsDevice mems;
   DiskDevice disk;
   FcfsScheduler sched;
-  const auto m = RunOpenLoop(&mems, &sched, Random(mems, 50.0, 2000, 11));
-  const auto d = RunOpenLoop(&disk, &sched, Random(disk, 50.0, 2000, 11));
+  const auto m = mstk::Run(&mems, &sched, Random(mems, 50.0, 2000, 11));
+  const auto d = mstk::Run(&disk, &sched, Random(disk, 50.0, 2000, 11));
   EXPECT_GT(d.MeanServiceMs() / m.MeanServiceMs(), 8.0);
 }
 

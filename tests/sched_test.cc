@@ -217,11 +217,11 @@ TEST(AgedSptfTest, BoundedStarvationWithoutScvBlowup) {
   const std::vector<Request> requests = GenerateRandomWorkload(config, rng);
 
   SptfScheduler sptf(&sptf_device);
-  const ExperimentResult base = RunOpenLoop(&sptf_device, &sptf, requests);
+  const ExperimentResult base = mstk::Run(&sptf_device, &sptf, requests);
 
   MemsDevice aged_device;
   AgedSptfScheduler aged(&aged_device, /*age_weight=*/0.01);
-  const ExperimentResult shaped = RunOpenLoop(&aged_device, &aged, requests);
+  const ExperimentResult shaped = mstk::Run(&aged_device, &aged, requests);
 
   EXPECT_LE(shaped.ResponseScv(), base.ResponseScv());
   EXPECT_LT(shaped.metrics.response_time().max(),

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/experiment.h"
 #include "src/mems/mems_device.h"
 #include "src/sched/fcfs.h"
 #include "src/sched/sptf.h"
@@ -14,7 +15,6 @@
 #include "src/sim/rng.h"
 #include "src/trace/fidelity.h"
 #include "src/trace/format.h"
-#include "src/trace/replay.h"
 #include "src/trace/scenarios.h"
 #include "src/trace/transforms.h"
 #include "src/workload/tpcc_like.h"
@@ -233,68 +233,44 @@ std::vector<Request> ReplayableRequests(int count) {
 TEST(TraceReplayTest, OpenReplayCompletesEveryRequest) {
   MemsDevice device;
   FcfsScheduler sched;
-  ReplayConfig config;
-  const ExperimentResult result = Replay(&device, &sched, ReplayableRequests(200), config);
+  const ExperimentResult result = mstk::Run(&device, &sched, ReplayableRequests(200));
   EXPECT_EQ(result.metrics.completed(), 200);
   EXPECT_GT(result.MeanResponseMs(), 0.0);
-}
-
-TEST(TraceReplayTest, OpenReplayMatchesRunOpenLoop) {
-  // kOpen is the plain open loop: the replayer must reproduce RunOpenLoop
-  // bit-for-bit so replay results are comparable with every generator-driven
-  // experiment in the repo.
-  const std::vector<Request> requests = ReplayableRequests(300);
-  ExperimentResult via_replay;
-  {
-    MemsDevice device;
-    SptfScheduler sched(&device);
-    via_replay = Replay(&device, &sched, requests, ReplayConfig{});
-  }
-  ExperimentResult via_open_loop;
-  {
-    MemsDevice device;
-    SptfScheduler sched(&device);
-    via_open_loop = RunOpenLoop(&device, &sched, requests);
-  }
-  EXPECT_EQ(via_replay.MeanResponseMs(), via_open_loop.MeanResponseMs());
-  EXPECT_EQ(via_replay.makespan_ms, via_open_loop.makespan_ms);
 }
 
 TEST(TraceReplayTest, ClosedReplayBoundsOutstandingRequests) {
   MemsDevice device;
   FcfsScheduler sched;
-  ReplayConfig config;
+  RunConfig config;
   config.mode = ArrivalMode::kClosed;
   config.window = 4;
-  const ExperimentResult result = Replay(&device, &sched, ReplayableRequests(200), config);
+  const ExperimentResult result = mstk::Run(&device, &sched, ReplayableRequests(200), config);
   EXPECT_EQ(result.metrics.completed(), 200);
   // A window-4 closed loop can never queue more than 4 requests.
   EXPECT_LE(result.metrics.queue_depth().max(), 4.0);
 }
 
 TEST(TraceReplayTest, HybridWaitsForRecordedArrivals) {
-  // With a huge window, hybrid degenerates to open: recorded arrivals are
-  // the only throttle, so the makespan must span the trace duration.
+  // With a window no smaller than the request count, hybrid degenerates to
+  // open: recorded arrivals are the only throttle, so it must reproduce the
+  // open run bit for bit and the makespan must span the trace duration.
   const std::vector<Request> requests = ReplayableRequests(100);
   MemsDevice device;
-  FcfsScheduler sched;
-  ReplayConfig config;
+  SptfScheduler sched(&device);
+  const ExperimentResult open = mstk::Run(&device, &sched, requests);
+  RunConfig config;
   config.mode = ArrivalMode::kHybrid;
-  config.window = 1 << 20;
-  const ExperimentResult result = Replay(&device, &sched, requests, config);
+  config.window = static_cast<int>(requests.size());
+  const ExperimentResult result = mstk::Run(&device, &sched, requests, config);
   EXPECT_EQ(result.metrics.completed(), 100);
   EXPECT_GE(result.makespan_ms, requests.back().arrival_ms);
-}
-
-TEST(TraceReplayTest, ReplayerWrapperConvertsRecords) {
-  ParsedTrace parsed;
-  parsed.records = SampleRecords();
-  const TraceReplayer replayer(parsed);
-  ASSERT_EQ(replayer.requests().size(), 4u);
-  MemsDevice device;
-  FcfsScheduler sched;
-  const ExperimentResult result = replayer.Run(&device, &sched, ReplayConfig{});
-  EXPECT_EQ(result.metrics.completed(), 4);
+  EXPECT_EQ(result.MeanResponseMs(), open.MeanResponseMs());
+  EXPECT_EQ(result.makespan_ms, open.makespan_ms);
+  for (int i = 0; i < kPhaseCount; ++i) {
+    const Phase phase = static_cast<Phase>(i);
+    EXPECT_EQ(result.metrics.phase(phase).mean(), open.metrics.phase(phase).mean())
+        << PhaseName(phase);
+  }
 }
 
 TEST(ScenarioZooTest, LibraryIsDeterministic) {

@@ -7,11 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/experiment.h"
 #include "src/mems/mems_device.h"
 #include "src/sched/sptf.h"
 #include "src/sim/rng.h"
 #include "src/trace/format.h"
-#include "src/trace/replay.h"
 #include "src/trace/scenarios.h"
 #include "src/trace/transforms.h"
 
@@ -135,14 +135,14 @@ TEST(TraceReplayProperty, ReplayIsAPureFunction) {
   const std::vector<Request> requests = ToRequests(scenario);
   for (const ArrivalMode mode :
        {ArrivalMode::kOpen, ArrivalMode::kClosed, ArrivalMode::kHybrid}) {
-    ReplayConfig replay;
+    RunConfig replay;
     replay.mode = mode;
     double mean_ms[2];
     double makespan_ms[2];
     for (int run = 0; run < 2; ++run) {
       MemsDevice device;
       SptfScheduler sched(&device);
-      const ExperimentResult result = Replay(&device, &sched, requests, replay);
+      const ExperimentResult result = mstk::Run(&device, &sched, requests, replay);
       EXPECT_EQ(result.metrics.completed(), 400) << ArrivalModeName(mode);
       mean_ms[run] = result.MeanResponseMs();
       makespan_ms[run] = result.makespan_ms;

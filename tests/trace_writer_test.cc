@@ -86,8 +86,8 @@ TEST(TraceIntegrationTest, PhaseSlicesTileEachRequestSlice) {
   TraceWriter writer;
   const int tid = writer.AddTrack("cell");
   const ExperimentResult traced =
-      RunOpenLoop(&device, &sched, requests, TraceTrack(&writer, tid));
-  const ExperimentResult plain = RunOpenLoop(&device, &sched, requests);
+      mstk::Run(&device, &sched, requests, {}, TraceTrack(&writer, tid));
+  const ExperimentResult plain = mstk::Run(&device, &sched, requests);
   // Tracing must not perturb the simulation.
   EXPECT_EQ(traced.metrics.completed(), plain.metrics.completed());
   EXPECT_DOUBLE_EQ(traced.MeanResponseMs(), plain.MeanResponseMs());

@@ -117,7 +117,7 @@ TEST(TrialRunnerTest, ExperimentTrialsAreJobCountInvariant) {
     config.capacity_blocks = device.CapacityBlocks();
     Rng rng(seed);
     const auto requests = GenerateRandomWorkload(config, rng);
-    return RunOpenLoop(&device, &sched, requests);
+    return mstk::Run(&device, &sched, requests);
   };
   TrialRunner::Options serial;
   serial.trials = 6;

@@ -83,37 +83,36 @@ std::vector<SweepCell> BuildFaults() {
   // sharing request streams buys no pairing.
   std::vector<SweepCell> cells;
   auto add_fault_cell = [&cells](const std::string& label, int64_t offset, SchedKind sched,
-                                 double rate, int64_t count, FaultRunConfig config, bool disk) {
+                                 double rate, int64_t count, FaultInjectorConfig faults,
+                                 bool disk) {
     cells.push_back({label, offset,
-                     [sched, rate, count, config, disk](uint64_t seed, TraceTrack trace) {
+                     [sched, rate, count, faults, disk](uint64_t seed, TraceTrack trace) {
                        return MetricsFromExperiment(
-                           disk ? RunFaultedDiskTrial(sched, rate, count, config, seed, trace)
-                                : RunFaultedRandomTrial(sched, rate, count, config, seed,
-                                                        trace));
+                           RunFaultedTrial(disk, sched, rate, count, faults, seed, trace));
                      }});
   };
-  FaultRunConfig transient;
-  transient.injector.transient_rate = 0.02;
-  transient.injector.lost_completion_rate = 0.002;
+  FaultInjectorConfig transient;
+  transient.transient_rate = 0.02;
+  transient.lost_completion_rate = 0.002;
   add_fault_cell("transient/SPTF", 100, SchedKind::kSptf, 600, 2000, transient, false);
-  FaultRunConfig remap;  // permanent failures absorbed by spare tips
-  remap.injector.permanent_rate = 0.005;
-  remap.injector.spares = 256;
+  FaultInjectorConfig remap;  // permanent failures absorbed by spare tips
+  remap.permanent_rate = 0.005;
+  remap.spares = 256;
   add_fault_cell("remap_spare_tip/SPTF", 101, SchedKind::kSptf, 600, 2000, remap, false);
-  FaultRunConfig degraded;  // spares exhaust quickly -> degraded mode
-  degraded.injector.permanent_rate = 0.01;
-  degraded.injector.spares = 4;
+  FaultInjectorConfig degraded;  // spares exhaust quickly -> degraded mode
+  degraded.permanent_rate = 0.01;
+  degraded.spares = 4;
   add_fault_cell("degraded/SPTF", 102, SchedKind::kSptf, 600, 2000, degraded, false);
-  FaultRunConfig mixed;  // everything at once under FCFS at high load
-  mixed.injector.transient_rate = 0.02;
-  mixed.injector.permanent_rate = 0.002;
-  mixed.injector.lost_completion_rate = 0.002;
-  mixed.injector.spares = 32;
+  FaultInjectorConfig mixed;  // everything at once under FCFS at high load
+  mixed.transient_rate = 0.02;
+  mixed.permanent_rate = 0.002;
+  mixed.lost_completion_rate = 0.002;
+  mixed.spares = 32;
   add_fault_cell("mixed/FCFS", 103, SchedKind::kFcfs, 1200, 2000, mixed, false);
-  FaultRunConfig disk_slip;  // disk-style slip remapping penalties
-  disk_slip.injector.permanent_rate = 0.005;
-  disk_slip.injector.spares = 128;
-  disk_slip.injector.remap_style = RemapStyle::kDiskSlip;
+  FaultInjectorConfig disk_slip;  // disk-style slip remapping penalties
+  disk_slip.permanent_rate = 0.005;
+  disk_slip.spares = 128;
+  disk_slip.remap_style = RemapStyle::kDiskSlip;
   add_fault_cell("disk_slip/CLOOK", 104, SchedKind::kClook, 200, 800, disk_slip, true);
   return cells;
 }
@@ -238,9 +237,8 @@ std::vector<SweepCell> BuildTraces() {
       }
     }
   }
-  for (const trace::ArrivalMode mode :
-       {trace::ArrivalMode::kClosed, trace::ArrivalMode::kHybrid}) {
-    cells.push_back({std::string("oltp_burst/") + trace::ArrivalModeName(mode) + "/SPTF", 401,
+  for (const ArrivalMode mode : {ArrivalMode::kClosed, ArrivalMode::kHybrid}) {
+    cells.push_back({std::string("oltp_burst/") + ArrivalModeName(mode) + "/SPTF", 401,
                      [mode](uint64_t seed, TraceTrack trace) {
                        ScenarioReplaySpec spec;
                        spec.scenario = "oltp_burst";

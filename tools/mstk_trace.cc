@@ -11,7 +11,7 @@
 //       the v1 MSTKTRACE format are detected by their magic and remapped
 //       onto the device's capacity; anything else parses as a legacy ASCII
 //       trace. The optional arrival mode (default open) drives the replay
-//       through the trace front-end's arrival control (src/trace/replay.h).
+//       through the run harness's arrival control (src/core/experiment.h).
 //   mstk_trace fidelity <lhs> <rhs> [--json PATH] [--require-differs]
 //              [--count N] [--seed S]
 //       Compare two workload streams on the arrival-interval, request-size,
@@ -40,7 +40,6 @@
 #include "src/sim/stats.h"
 #include "src/trace/fidelity.h"
 #include "src/trace/format.h"
-#include "src/trace/replay.h"
 #include "src/trace/transforms.h"
 #include "src/workload/analysis.h"
 #include "src/workload/cello_like.h"
@@ -196,8 +195,8 @@ int CmdReplay(int argc, char** argv) {
     return Usage();
   }
   const double scale = argc > 5 ? std::atof(argv[5]) : 1.0;
-  trace::ReplayConfig replay;
-  if (argc > 6 && !trace::ParseArrivalMode(argv[6], &replay.mode)) {
+  RunConfig replay;
+  if (argc > 6 && !ParseArrivalMode(argv[6], &replay.mode)) {
     return Usage();
   }
   if (argc > 7) {
@@ -260,9 +259,9 @@ int CmdReplay(int argc, char** argv) {
     return Usage();
   }
 
-  ExperimentResult result = trace::Replay(device.get(), scheduler.get(), requests, replay);
+  ExperimentResult result = Run(device.get(), scheduler.get(), requests, replay);
   std::printf("device=%s scheduler=%s scale=%.1f mode=%s requests=%zu\n", device->name(),
-              scheduler->name(), scale, trace::ArrivalModeName(replay.mode), requests.size());
+              scheduler->name(), scale, ArrivalModeName(replay.mode), requests.size());
   std::printf("mean response:  %.3f ms\n", result.MeanResponseMs());
   std::printf("mean service:   %.3f ms\n", result.MeanServiceMs());
   std::printf("sigma^2/mu^2:   %.3f\n", result.ResponseScv());
