@@ -18,7 +18,6 @@
 // only guard the model, not the engine — stay unchanged.
 //
 //   events_per_sec [--repeat N] [--scale X] [--json PATH]
-//                  [--queue-backend calendar|heap]
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -35,7 +34,6 @@
 #include "src/mems/mems_device.h"
 #include "src/sched/fcfs.h"
 #include "src/sched/sptf.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/json_writer.h"
 #include "src/sim/rng.h"
 #include "src/workload/random_workload.h"
@@ -144,10 +142,7 @@ ConfigResult Measure(const std::string& name, int repeat, const Body& body) {
 }
 
 int Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--repeat N] [--scale X] [--json PATH]\n"
-               "          [--queue-backend calendar|heap]\n",
-               argv0);
+  std::fprintf(stderr, "usage: %s [--repeat N] [--scale X] [--json PATH]\n", argv0);
   return 2;
 }
 
@@ -160,7 +155,6 @@ int main(int argc, char** argv) {
   int repeat = 3;
   double scale = 1.0;
   std::string json_path;
-  std::string backend = "calendar";
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -174,21 +168,12 @@ int main(int argc, char** argv) {
       scale = std::atof(next());
     } else if (std::strcmp(arg, "--json") == 0) {
       json_path = next();
-    } else if (std::strcmp(arg, "--queue-backend") == 0) {
-      backend = next();
     } else {
       return Usage(argv[0]);
     }
   }
   if (repeat < 1) repeat = 1;
   if (scale <= 0.0) scale = 1.0;
-  if (backend == "heap") {
-    mstk::EventQueue::SetDefaultBackend(mstk::EventQueue::Backend::kHeap);
-  } else if (backend == "calendar") {
-    mstk::EventQueue::SetDefaultBackend(mstk::EventQueue::Backend::kCalendar);
-  } else {
-    return Usage(argv[0]);
-  }
 
   const auto n = [scale](int64_t full) {
     return std::max<int64_t>(static_cast<int64_t>(static_cast<double>(full) * scale), 1);
@@ -250,7 +235,6 @@ int main(int argc, char** argv) {
     JsonWriter json;
     json.BeginObject();
     json.KV("bench", std::string("events_per_sec"));
-    json.KV("queue_backend", backend);
     json.KV("repeat", static_cast<int64_t>(repeat));
     json.Key("configs");
     json.BeginObject();

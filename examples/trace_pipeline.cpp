@@ -1,8 +1,8 @@
 // Trace pipeline: the library's workload tooling end to end — generate a
-// synthetic trace, write it to disk, read it back, characterize it, scale
-// it, and replay it against both device models under two schedulers.
-// (The same flow works for imported DiskSim-format traces via
-// ReadDiskSimTrace / `mstk_trace convert`.)
+// synthetic trace, write it to disk as MSTKTRACE, read it back,
+// characterize it, time-warp it, and replay it against both device models
+// under two schedulers. (DiskSim-format and old mstk ASCII traces enter the
+// same flow through trace::ImportTraceFile / `mstk_trace convert`.)
 //
 // Run: ./build/examples/trace_pipeline
 #include <cstdio>
@@ -13,10 +13,12 @@
 #include "src/mems/mems_device.h"
 #include "src/sched/fcfs.h"
 #include "src/sched/sptf.h"
+#include "src/sim/json_writer.h"
 #include "src/sim/rng.h"
+#include "src/trace/format.h"
+#include "src/trace/transforms.h"
 #include "src/workload/analysis.h"
 #include "src/workload/cello_like.h"
-#include "src/workload/trace.h"
 
 int main() {
   using namespace mstk;
@@ -30,31 +32,31 @@ int main() {
   const auto generated = GenerateCelloLike(config, rng);
   const std::string path =
       (std::filesystem::temp_directory_path() / "pipeline.trace").string();
-  if (!WriteTraceFile(path, generated)) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  if (!WriteFileOrReport(path, trace::SerializeTrace(trace::FromRequests(generated)))) {
     return 1;
   }
 
   // 2. Load and characterize it.
+  trace::ParsedTrace parsed;
   std::string error;
-  auto trace = ReadTraceFile(path, &error);
-  if (trace.empty()) {
+  if (!trace::ReadTraceFile(path, &parsed, &error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
   std::printf("trace written to %s\n\n%s\n", path.c_str(),
-              FormatProfile(AnalyzeWorkload(trace)).c_str());
+              FormatProfile(AnalyzeWorkload(trace::ToRequests(parsed))).c_str());
 
-  // 3. Scale it up 8x and replay on both devices.
-  trace = ScaleTrace(trace, 8.0);
+  // 3. Warp it to 8x the arrival rate and replay on both devices, each with
+  //    the trace's footprint remapped onto its capacity.
+  const std::vector<trace::TraceRecord> warped = trace::TimeWarp(parsed.records, 8.0);
   DiskDevice disk;
-  const auto disk_trace = ClampTraceToCapacity(trace, disk.CapacityBlocks());
 
   std::printf("replay at 8x (mean response / p99, ms):\n");
-  for (const bool use_mems : {true, false}) {
-    StorageDevice* device = use_mems ? static_cast<StorageDevice*>(&mems)
-                                     : static_cast<StorageDevice*>(&disk);
-    const auto& requests = use_mems ? trace : disk_trace;
+  for (StorageDevice* device : {static_cast<StorageDevice*>(&mems),
+                                static_cast<StorageDevice*>(&disk)}) {
+    parsed.records =
+        trace::RemapToCapacity(warped, device->CapacityBlocks(), trace::RemapMode::kScale);
+    const std::vector<Request> requests = trace::ToRequests(parsed);
     FcfsScheduler fcfs;
     SptfScheduler sptf(device);
     for (IoScheduler* sched : {static_cast<IoScheduler*>(&fcfs),

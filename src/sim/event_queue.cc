@@ -1,7 +1,6 @@
 #include "src/sim/event_queue.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <utility>
 
@@ -13,13 +12,9 @@ constexpr uint64_t kMinBuckets = 16;
 // ~8M live events degrade gracefully to a few nodes per bucket.
 constexpr uint64_t kMaxBuckets = uint64_t{1} << 22;
 
-// Lazy-removal bound shared by both backends: once entries are non-trivial
-// and more than half dead, rebuild. The size floor keeps tiny queues from
-// rebuilding constantly.
+// Lazy-removal bound: once entries are non-trivial and more than half dead,
+// prune. The size floor keeps tiny queues from pruning constantly.
 constexpr int64_t kCompactMinEntries = 64;
-
-std::atomic<EventQueue::Backend> g_default_backend{
-    EventQueue::Backend::kCalendar};
 
 uint64_t NextPow2(uint64_t v) {
   uint64_t p = kMinBuckets;
@@ -31,22 +26,10 @@ uint64_t NextPow2(uint64_t v) {
 
 }  // namespace
 
-EventQueue::Backend EventQueue::DefaultBackend() {
-  return g_default_backend.load(std::memory_order_relaxed);
-}
-
-void EventQueue::SetDefaultBackend(Backend backend) {
-  g_default_backend.store(backend, std::memory_order_relaxed);
-}
-
-EventQueue::EventQueue(Backend backend) : backend_(backend) {
-  if (backend_ == Backend::kCalendar) {
-    bucket_count_ = kMinBuckets;
-    bucket_mask_ = bucket_count_ - 1;
-    width_ms_ = 1.0;
-    inv_width_ = 1.0 / width_ms_;
-    buckets_.assign(bucket_count_, kNil);
-  }
+EventQueue::EventQueue() {
+  bucket_count_ = kMinBuckets;
+  bucket_mask_ = bucket_count_ - 1;
+  buckets_.assign(bucket_count_, kNil);
 }
 
 int64_t EventQueue::Push(TimeMs at_ms, Callback cb) {
@@ -59,22 +42,16 @@ int64_t EventQueue::Push(TimeMs at_ms, Callback cb) {
   node.next = kNil;
   const int64_t id = EncodeId(slot, node.gen);
   ++live_;
-  if (backend_ == Backend::kCalendar) {
-    CalendarInsert(slot);
-    if (static_cast<uint64_t>(live_) > bucket_count_ * 2 &&
-        bucket_count_ < kMaxBuckets) {
-      // Over-allocate 8x: every resize re-threads the whole population, so
-      // growing geometrically both bounds total re-thread work (~1.15 links
-      // per event pushed vs ~2 with exact doubling) and keeps the largest
-      // rebuild small enough to stay cache-resident. The walk cost of the
-      // sparser ring is a few empty head slots per pop — a cache line or
-      // two. The shrink threshold leaves a wide hysteresis band so a
-      // grow/pop/push ripple never ping-pongs resizes.
-      CalendarResize(NextPow2(static_cast<uint64_t>(live_) * 8));
-    }
-  } else {
-    heap_.push_back(Key{at_ms, node.seq, slot, node.gen});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  CalendarInsert(slot);
+  if (static_cast<uint64_t>(live_) > bucket_count_ * 2 && bucket_count_ < kMaxBuckets) {
+    // Over-allocate 8x: every resize re-threads the whole population, so
+    // growing geometrically both bounds total re-thread work (~1.15 links
+    // per event pushed vs ~2 with exact doubling) and keeps the largest
+    // rebuild small enough to stay cache-resident. The walk cost of the
+    // sparser ring is a few empty head slots per pop — a cache line or
+    // two. The shrink threshold leaves a wide hysteresis band so a
+    // grow/pop/push ripple never ping-pongs resizes.
+    CalendarResize(NextPow2(static_cast<uint64_t>(live_) * 8));
   }
   return id;
 }
@@ -103,34 +80,18 @@ bool EventQueue::Cancel(int64_t event_id) {
     return false;
   }
   Node& node = pool_[slot];
-  // The entry stays linked (chain or heap) until pruned; bumping the
+  // The entry stays linked in its chain until pruned; bumping the
   // generation marks it dead for every later liveness check.
   node.cb.Reset();
   ++node.gen;
   --live_;
   ++dead_;
-  if (backend_ == Backend::kHeap) {
-    if (static_cast<int64_t>(heap_.size()) >= kCompactMinEntries &&
-        live_ * 2 < static_cast<int64_t>(heap_.size())) {
-      HeapCompact();
-    }
-  } else {
-    if (live_ + dead_ >= kCompactMinEntries && live_ < dead_) {
-      CalendarPruneDead();
-    }
-    MaybeShrink();
+  if (live_ + dead_ >= kCompactMinEntries && live_ < dead_) {
+    CalendarResize(bucket_count_);  // re-threads the live nodes, drops the dead
   }
+  MaybeShrink();
   return true;
 }
-
-int64_t EventQueue::heap_entries() const {
-  if (backend_ == Backend::kHeap) {
-    return static_cast<int64_t>(heap_.size());
-  }
-  return live_ + dead_;
-}
-
-// --- calendar backend ---
 
 void EventQueue::CalendarInsert(uint32_t slot) {
   Node& node = pool_[slot];
@@ -186,7 +147,8 @@ uint32_t EventQueue::CalendarFindMin(uint32_t* bucket_out, uint32_t* prev_out) {
     }
   }
   // A full ring without a hit: the population is sparse relative to the
-  // bucket year. Fall back to a direct scan of every chain.
+  // bucket year. Fall back to a direct scan of every chain; the ring walk
+  // visited every bucket, so no dead node is left to skip.
   uint32_t best = kNil;
   uint32_t best_prev = kNil;
   uint32_t best_bucket = 0;
@@ -194,15 +156,8 @@ uint32_t EventQueue::CalendarFindMin(uint32_t* bucket_out, uint32_t* prev_out) {
     uint32_t prev = kNil;
     uint32_t cur = buckets_[b];
     while (cur != kNil) {
-      Node& node = pool_[cur];
-      if (!node.cb) {
-        const uint32_t next = node.next;
-        CalendarUnlink(static_cast<uint32_t>(b), prev, cur);
-        --dead_;
-        pool_.Release(cur);
-        cur = next;
-        continue;
-      }
+      const Node& node = pool_[cur];
+      assert(node.cb);
       if (best == kNil || EarlierNode(node, pool_[best])) {
         best = cur;
         best_prev = prev;
@@ -267,25 +222,6 @@ void EventQueue::CalendarResize(uint64_t new_bucket_count) {
   }
 }
 
-void EventQueue::CalendarPruneDead() {
-  for (uint64_t b = 0; b < bucket_count_ && dead_ > 0; ++b) {
-    uint32_t prev = kNil;
-    uint32_t cur = buckets_[b];
-    while (cur != kNil) {
-      Node& node = pool_[cur];
-      const uint32_t next = node.next;
-      if (!node.cb) {
-        CalendarUnlink(static_cast<uint32_t>(b), prev, cur);
-        --dead_;
-        pool_.Release(cur);
-      } else {
-        prev = cur;
-      }
-      cur = next;
-    }
-  }
-}
-
 void EventQueue::MaybeShrink() {
   // Lazy: only rebuild once the ring is 32x oversized, and leave 8x slack
   // after the rebuild. Together with the 8x grow over-allocation this gives
@@ -298,76 +234,22 @@ void EventQueue::MaybeShrink() {
   }
 }
 
-// --- heap backend ---
-
-void EventQueue::HeapSkipCancelled() {
-  while (!heap_.empty()) {
-    const Key& top = heap_.front();
-    const Node& node = pool_[top.slot];
-    if (node.gen == top.gen && node.cb) {
-      return;
-    }
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    --dead_;
-    pool_.Release(heap_.back().slot);
-    heap_.pop_back();
-  }
-}
-
-void EventQueue::HeapCompact() {
-  auto stale = [this](const Key& key) {
-    const Node& node = pool_[key.slot];
-    if (node.gen == key.gen && node.cb) {
-      return false;
-    }
-    --dead_;
-    pool_.Release(key.slot);
-    return true;
-  };
-  heap_.erase(std::remove_if(heap_.begin(), heap_.end(), stale), heap_.end());
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
-}
-
-// --- common pop path ---
-
 uint32_t EventQueue::ExtractMinSlot(TimeMs* time_out) {
   assert(live_ > 0 && "pop on empty EventQueue");
-  uint32_t slot;
-  if (backend_ == Backend::kCalendar) {
-    uint32_t bucket = 0;
-    uint32_t prev = kNil;
-    slot = CalendarFindMin(&bucket, &prev);
-    CalendarUnlink(bucket, prev, slot);
-  } else {
-    HeapSkipCancelled();
-    slot = heap_.front().slot;
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-  }
+  uint32_t bucket = 0;
+  uint32_t prev = kNil;
+  const uint32_t slot = CalendarFindMin(&bucket, &prev);
+  CalendarUnlink(bucket, prev, slot);
   --live_;
   *time_out = pool_[slot].time_ms;
   return slot;
 }
 
-void EventQueue::RecycleNode(uint32_t slot) {
-  Node& node = pool_[slot];
-  node.cb.Reset();
-  ++node.gen;  // ids handed out for this incarnation are now stale
-  pool_.Release(slot);
-  if (backend_ == Backend::kCalendar) {
-    MaybeShrink();
-  }
-}
-
 TimeMs EventQueue::PeekTime() {
   assert(!Empty() && "PeekTime on empty queue");
-  if (backend_ == Backend::kCalendar) {
-    uint32_t bucket = 0;
-    uint32_t prev = kNil;
-    return pool_[CalendarFindMin(&bucket, &prev)].time_ms;
-  }
-  HeapSkipCancelled();
-  return heap_.front().time_ms;
+  uint32_t bucket = 0;
+  uint32_t prev = kNil;
+  return pool_[CalendarFindMin(&bucket, &prev)].time_ms;
 }
 
 EventQueue::Event EventQueue::Pop() {
@@ -376,7 +258,10 @@ EventQueue::Event EventQueue::Pop() {
   Node& node = pool_[slot];
   event.id = EncodeId(slot, node.gen);
   event.callback = std::move(node.cb);
-  RecycleNode(slot);
+  node.cb.Reset();
+  ++node.gen;  // ids handed out for this incarnation are now stale
+  pool_.Release(slot);
+  MaybeShrink();
   return event;
 }
 
@@ -391,9 +276,7 @@ void EventQueue::FireNext(TimeMs* now_ms) {
   node.cb();  // in place — the callback is never moved or copied
   node.cb.Reset();
   pool_.Release(slot);
-  if (backend_ == Backend::kCalendar) {
-    MaybeShrink();
-  }
+  MaybeShrink();
 }
 
 }  // namespace mstk

@@ -1,24 +1,20 @@
 // Time-ordered event queue for the discrete-event simulator.
 //
-// Events with equal timestamps fire in insertion order (stable), which keeps
-// runs deterministic regardless of the backend's internal layout. Two
-// backends implement the same (time, seq) strict total order:
-//
-//  - kCalendar (default): a bucketed calendar queue (Brown's design) with
-//    O(1) amortized push/pop under high fan-in. Buckets are intrusive
-//    chains threaded through pooled event nodes, so steady-state operation
-//    performs no allocation at all; the bucket count and width resize to
-//    track the live event population.
-//  - kHeap: the classic binary heap, kept as an A/B fallback
-//    (`--queue-backend heap` in the tools). Sweep JSON is byte-identical
-//    under either backend — CI enforces this.
+// Events pop in (time, seq) order: equal timestamps fire in insertion order
+// (stable), which keeps runs deterministic regardless of the internal
+// layout. The structure is a bucketed calendar queue (Brown's design) with
+// O(1) amortized push/pop under high fan-in. Buckets are intrusive chains
+// threaded through pooled event nodes, so steady-state operation performs
+// no allocation at all; the bucket count and width resize to track the live
+// event population. tests/event_queue_property_test.cc drives it in
+// lockstep with a binary-heap reference and requires identical pop order.
 //
 // Event callbacks are InlineFunction (src/sim/inline_function.h) stored in
 // SlabPool nodes (src/sim/pool.h): scheduling an event costs a pooled slot
 // and an inline move, never a malloc. Cancellation is O(1) with lazy
-// removal; when dead entries outnumber live ones the structure is pruned,
-// so cancel-heavy workloads (timer re-arming) hold memory within a constant
-// factor of the live event count.
+// removal; when dead entries outnumber live ones the calendar is rebuilt
+// without them, so cancel-heavy workloads (timer re-arming) hold memory
+// within a constant factor of the live event count.
 #ifndef MSTK_SRC_SIM_EVENT_QUEUE_H_
 #define MSTK_SRC_SIM_EVENT_QUEUE_H_
 
@@ -43,12 +39,7 @@ class EventQueue {
  public:
   using Callback = InlineFunction<kEventCallbackBytes>;
 
-  enum class Backend { kCalendar, kHeap };
-
-  // Uses the process-wide default backend (kCalendar unless overridden via
-  // SetDefaultBackend, e.g. by a tool's --queue-backend flag).
-  EventQueue() : EventQueue(DefaultBackend()) {}
-  explicit EventQueue(Backend backend);
+  EventQueue();
 
   // Enqueues `cb` to fire at absolute time `at_ms`. Returns the event id,
   // usable with Cancel().
@@ -63,7 +54,7 @@ class EventQueue {
 
   // Entries currently held, including lazily-cancelled ones. Bounded at
   // roughly 2x size() by pruning; exposed for tests.
-  int64_t heap_entries() const;
+  int64_t entries() const { return live_ + dead_; }
 
   // Time of the earliest live event. Requires !Empty().
   TimeMs PeekTime();
@@ -82,14 +73,6 @@ class EventQueue {
   // recycles the node. Requires !Empty().
   void FireNext(TimeMs* now_ms);
 
-  Backend backend() const { return backend_; }
-
-  // Process-wide default backend for default-constructed queues. Set it
-  // before any simulation threads start (tools do this while parsing flags);
-  // reads are lock-free.
-  static Backend DefaultBackend();
-  static void SetDefaultBackend(Backend backend);
-
  private:
   static constexpr uint32_t kNil = UINT32_MAX;
 
@@ -101,28 +84,10 @@ class EventQueue {
     uint32_t next = kNil;  // calendar bucket chain link
   };
 
-  // Heap-backend entry. Liveness is checked against the node's generation.
-  struct Key {
-    TimeMs time_ms;
-    uint64_t seq;
-    uint32_t slot;
-    uint32_t gen;
-  };
-  struct Later {
-    bool operator()(const Key& a, const Key& b) const {
-      // Exact compare is intentional: (time, seq) must be a strict total
-      // order so equal-time events fire in insertion order.
-      // mstk-lint: allow(U2)
-      if (a.time_ms != b.time_ms) {
-        return a.time_ms > b.time_ms;
-      }
-      return a.seq > b.seq;
-    }
-  };
-
   // Returns (a.time, a.seq) < (b.time, b.seq) — the pop order.
   static bool EarlierNode(const Node& a, const Node& b) {
-    // Same strict total order as Later, over pooled nodes.
+    // Exact compare is intentional: (time, seq) must be a strict total
+    // order so equal-time events fire in insertion order.
     // mstk-lint: allow(U2)
     if (a.time_ms != b.time_ms) {
       return a.time_ms < b.time_ms;
@@ -136,7 +101,6 @@ class EventQueue {
 
   bool LiveId(int64_t event_id, uint32_t* slot_out) const;
 
-  // --- calendar backend ---
   // Virtual bucket number of `t`: monotone in t, so the earliest live event
   // in the lowest non-empty virtual bucket is the global minimum.
   uint64_t VirtualBucket(TimeMs t) const {
@@ -151,25 +115,17 @@ class EventQueue {
   // Re-buckets every live node into `new_bucket_count` buckets with a width
   // fitted to the live population's time span; drops dead nodes.
   void CalendarResize(uint64_t new_bucket_count);
-  void CalendarPruneDead();
   void MaybeShrink();
 
-  // --- heap backend ---
-  void HeapSkipCancelled();
-  void HeapCompact();
-
-  // Removes the earliest live event from the backend structure and returns
-  // its slot; the node stays allocated until RecycleNode.
+  // Unlinks the earliest live event and returns its slot; the caller
+  // releases the node.
   uint32_t ExtractMinSlot(TimeMs* time_out);
-  void RecycleNode(uint32_t slot);
 
-  Backend backend_;
   SlabPool<Node> pool_;
   int64_t live_ = 0;
-  int64_t dead_ = 0;  // cancelled but still linked/heaped entries
+  int64_t dead_ = 0;  // cancelled but still linked entries
   uint64_t next_seq_ = 0;
 
-  // Calendar state.
   std::vector<uint32_t> buckets_;  // chain heads into pool_
   uint64_t bucket_count_ = 0;      // power of two
   uint64_t bucket_mask_ = 0;
@@ -177,9 +133,6 @@ class EventQueue {
   double inv_width_ = 1.0;
   TimeMs min_time_floor_ = 0.0;  // no live event is earlier (last pop time)
   std::vector<uint32_t> scratch_slots_;  // resize workspace, capacity reused
-
-  // Heap state.
-  std::vector<Key> heap_;  // binary heap via std::push_heap/pop_heap
 };
 
 }  // namespace mstk

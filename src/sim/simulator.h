@@ -18,11 +18,6 @@ class Simulator {
  public:
   using Callback = EventQueue::Callback;
 
-  // The default constructor uses the process-wide default queue backend;
-  // pass one explicitly to A/B the calendar queue against the binary heap.
-  Simulator() = default;
-  explicit Simulator(EventQueue::Backend backend) : queue_(backend) {}
-
   // Current virtual time (ms).
   TimeMs NowMs() const { return now_ms_; }
 

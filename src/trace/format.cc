@@ -1,11 +1,13 @@
 #include "src/trace/format.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "src/sim/check.h"
@@ -18,12 +20,6 @@ namespace {
 // Sanity bound on a single access: 1 Mi blocks = 512 MiB. A length beyond
 // this is a corrupt record, not a workload.
 constexpr int32_t kMaxRecordBlocks = 1 << 20;
-
-bool ValidRecord(const TraceRecord& r, int64_t last_timestamp_us) {
-  return r.timestamp_us >= 0 && r.timestamp_us >= last_timestamp_us && r.lba >= 0 &&
-         r.blocks > 0 && r.blocks <= kMaxRecordBlocks && r.client >= 0 &&
-         (r.op == IoType::kRead || r.op == IoType::kWrite);
-}
 
 void AppendRecordLine(std::string* out, const TraceRecord& r) {
   char buf[96];
@@ -63,7 +59,52 @@ bool Fail(std::string* error, const std::string& message, int64_t line_no, Parse
   return false;
 }
 
+// Whole-token numeric parses for the importer: trailing characters fail.
+bool ParseToken(const std::string& token, int64_t* value) {
+  size_t pos = 0;
+  return ParseInt(token, &pos, value) && pos == token.size();
+}
+
+bool ParseToken(const std::string& token, double* value) {
+  char* end = nullptr;
+  *value = std::strtod(token.c_str(), &end);
+  return end != token.c_str() && *end == '\0';
+}
+
+// Reads the file at `path` and hands its bytes to `parse`; errors gain the
+// path as a prefix.
+template <typename Parse>
+bool ParseFile(const std::string& path, std::string* error, Parse parse) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    if (error != nullptr) *error = "cannot open " + path;
+    return false;
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  if (!parse(buffer.str())) {
+    if (error != nullptr) *error = path + ": " + *error;
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
+
+const char* RecordError(const TraceRecord& r, int64_t last_timestamp_us) {
+  if (r.timestamp_us < 0) return "negative timestamp_us";
+  if (r.timestamp_us < last_timestamp_us) {
+    return "timestamp_us runs backwards (trace must be arrival-sorted)";
+  }
+  if (r.lba < 0) return "out-of-range lba (must be >= 0)";
+  if (r.blocks <= 0 || r.blocks > kMaxRecordBlocks) {
+    return "out-of-range blocks (must be in [1, 2^20])";
+  }
+  if (r.lba > INT64_MAX - r.blocks) return "out-of-range lba + blocks (end overflows int64)";
+  if (r.client < 0) return "out-of-range client id";
+  if (r.op != IoType::kRead && r.op != IoType::kWrite) return "malformed op (expected R or W)";
+  return nullptr;
+}
 
 TraceWriter::TraceWriter() {
   out_ = std::string(kTraceMagic) + " " + std::to_string(kTraceVersion) + "\n" +
@@ -71,22 +112,13 @@ TraceWriter::TraceWriter() {
 }
 
 bool TraceWriter::Append(const TraceRecord& record) {
-  if (!ValidRecord(record, last_timestamp_us_)) {
+  if (RecordError(record, last_timestamp_us_) != nullptr) {
     return false;
   }
   AppendRecordLine(&out_, record);
   last_timestamp_us_ = record.timestamp_us;
   ++records_written_;
   return true;
-}
-
-bool TraceWriter::WriteFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return false;
-  }
-  out.write(out_.data(), static_cast<std::streamsize>(out_.size()));
-  return static_cast<bool>(out);
 }
 
 std::string SerializeTrace(const std::vector<TraceRecord>& records) {
@@ -177,6 +209,9 @@ bool ParseTrace(const std::string& bytes, ParsedTrace* out, std::string* error) 
     if (blocks64 <= 0 || blocks64 > kMaxRecordBlocks) {
       return Fail(error, "out-of-range blocks (must be in [1, 2^20])", line_no, out);
     }
+    if (record.lba > INT64_MAX - blocks64) {
+      return Fail(error, "out-of-range lba + blocks (end overflows int64)", line_no, out);
+    }
     if (client64 < 0 || client64 > INT32_MAX) {
       return Fail(error, "out-of-range client id", line_no, out);
     }
@@ -189,22 +224,71 @@ bool ParseTrace(const std::string& bytes, ParsedTrace* out, std::string* error) 
 }
 
 bool ReadTraceFile(const std::string& path, ParsedTrace* out, std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (error != nullptr) {
-      *error = "cannot open " + path;
+  return ParseFile(path, error,
+                   [&](const std::string& bytes) { return ParseTrace(bytes, out, error); });
+}
+
+bool ImportTrace(const std::string& bytes, int devno, ParsedTrace* out, std::string* error) {
+  // Latest arrival accepted; keeps MsToUs inside int64.
+  constexpr TimeMs kMaxArrivalMs = 9e15;
+  out->records.clear();
+  out->version = kTraceVersion;
+  std::istringstream in(bytes);
+  std::string line;
+  int64_t line_no = 0;
+  size_t width = 0;  // fields per record: 5 DiskSim, 4 old mstk ASCII
+  int64_t last_timestamp_us = -1;
+  while (std::getline(in, line)) {
+    ++line_no;
+    std::istringstream tokens(line);
+    const std::vector<std::string> f{std::istream_iterator<std::string>(tokens), {}};
+    if (f.empty() || f[0][0] == '#') {
+      continue;
     }
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!ParseTrace(buffer.str(), out, error)) {
-    if (error != nullptr) {
-      *error = path + ": " + *error;
+    if (width == 0) {
+      width = f.size();
+      if (width != 4 && width != 5) {
+        return Fail(error, "unrecognized record (expected DiskSim or old mstk ASCII)", line_no,
+                    out);
+      }
     }
-    return false;
+    const bool disksim = width == 5;
+    TraceRecord record;
+    double arrival = 0.0;  // seconds (DiskSim) or ms (ASCII)
+    int64_t dev = 0;
+    int64_t blocks = 0;
+    int64_t flags = 0;
+    // Both formats hold the arrival, address and length in fields 0, 2 and 3.
+    const bool parsed = f.size() == width && ParseToken(f[0], &arrival) &&
+                        ParseToken(f[2], &record.lba) && ParseToken(f[3], &blocks) &&
+                        (disksim ? ParseToken(f[1], &dev) && ParseToken(f[4], &flags)
+                                 : f[1] == "R" || f[1] == "W");
+    if (!parsed) {
+      return Fail(error, disksim ? "malformed DiskSim record" : "malformed old mstk ASCII record",
+                  line_no, out);
+    }
+    const TimeMs arrival_ms = disksim ? SecondsToMs(arrival) : arrival;
+    if (!(arrival_ms >= 0.0 && arrival_ms <= kMaxArrivalMs)) {  // also rejects NaN
+      return Fail(error, "out-of-range arrival time", line_no, out);
+    }
+    record.timestamp_us = MsToUs(arrival_ms);
+    record.op = (disksim ? (flags & 1) != 0 : f[1] == "R") ? IoType::kRead : IoType::kWrite;
+    // Saturate rather than wrap, so RecordError sees out-of-int32 lengths.
+    record.blocks = static_cast<int32_t>(std::clamp<int64_t>(blocks, 0, INT32_MAX));
+    if (const char* reason = RecordError(record, last_timestamp_us)) {
+      return Fail(error, reason, line_no, out);
+    }
+    last_timestamp_us = record.timestamp_us;
+    if (!disksim || devno < 0 || dev == devno) {
+      out->records.push_back(record);
+    }
   }
   return true;
+}
+
+bool ImportTraceFile(const std::string& path, int devno, ParsedTrace* out, std::string* error) {
+  return ParseFile(path, error,
+                   [&](const std::string& bytes) { return ImportTrace(bytes, devno, out, error); });
 }
 
 std::vector<Request> ToRequests(const ParsedTrace& trace) {

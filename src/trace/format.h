@@ -16,8 +16,9 @@
 //
 //     timestamp_us  int64  arrival time in integer microseconds of virtual
 //                          time; must be >= 0 and non-decreasing
-//     lba           int64  first 512 B logical block of the access; >= 0
-//     blocks        int32  access length in blocks; > 0
+//     lba           int64  first 512 B logical block of the access; >= 0,
+//                          and lba + blocks must fit in int64
+//     blocks        int32  access length in blocks; in [1, 2^20]
 //     op            char   'R' (read) or 'W' (write)
 //     client        int32  issuing-client id (fan-in multiplication and
 //                          per-stream analysis); >= 0
@@ -67,6 +68,12 @@ struct ParsedTrace {
   std::vector<TraceRecord> records;
 };
 
+// Returns nullptr when `record` may follow a record stamped
+// `last_timestamp_us` in a v1 document (pass -1 for the first record), else
+// the parser's message for the rule it breaks. TraceWriter and
+// ImportTrace check every record with it.
+const char* RecordError(const TraceRecord& record, int64_t last_timestamp_us);
+
 // Serializes records into canonical v1 bytes. The writer enforces the same
 // invariants the parser checks (monotonic timestamps, in-range fields):
 // Append returns false and drops the record when it would produce an
@@ -83,9 +90,6 @@ class TraceWriter {
 
   // The canonical bytes of the document so far.
   const std::string& bytes() const { return out_; }
-
-  // Writes bytes() to `path`. Returns false on I/O failure.
-  bool WriteFile(const std::string& path) const;
 
  private:
   std::string out_;
@@ -105,6 +109,22 @@ bool ParseTrace(const std::string& bytes, ParsedTrace* out, std::string* error);
 
 // File wrapper around ParseTrace.
 bool ReadTraceFile(const std::string& path, ParsedTrace* out, std::string* error);
+
+// Importer for traces recorded in other ASCII formats (`mstk_trace
+// convert`). The first record's field count picks the format; blank lines
+// and '#' comments are skipped:
+//   5 fields: DiskSim [GWP98], the paper's input format, with flags bit 0
+//             meaning read: <arrival_s> <devno> <blkno> <blocks> <flags>
+//   4 fields: old mstk ASCII: <arrival_ms> <R|W> <lbn> <blocks>
+// Arrivals round half-up to whole microseconds; records carry client 0.
+// Every record, of any device, must pass RecordError, so an unsorted trace
+// fails rather than being reordered. `devno` >= 0 keeps only that device's
+// DiskSim records; -1 keeps all. Fails like ParseTrace: false, a
+// line-numbered `*error`, `out` empty.
+bool ImportTrace(const std::string& bytes, int devno, ParsedTrace* out, std::string* error);
+
+// File wrapper around ImportTrace.
+bool ImportTraceFile(const std::string& path, int devno, ParsedTrace* out, std::string* error);
 
 // Converts records to simulator requests: timestamps become arrival_ms, ids
 // are assigned in stream order. Client ids do not survive the conversion

@@ -25,8 +25,9 @@ std::vector<TraceRecord> TimeWarp(const std::vector<TraceRecord>& records, doubl
   std::vector<TraceRecord> warped = records;
   for (TraceRecord& r : warped) {
     // Round half-up; x/factor is monotone in x, so order survives warping.
-    r.timestamp_us =
-        static_cast<int64_t>(std::floor(static_cast<double>(r.timestamp_us) / factor + 0.5));
+    // Saturating below 2^63 keeps a huge timestamp from overflowing the cast.
+    r.timestamp_us = static_cast<int64_t>(
+        std::min(std::floor(static_cast<double>(r.timestamp_us) / factor + 0.5), 9.2e18));
   }
   return warped;
 }

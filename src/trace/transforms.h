@@ -19,7 +19,7 @@ namespace trace {
 // Time-warp (the paper's §4.3 scaling): divides every timestamp by `factor`,
 // so factor 2 halves all interarrival gaps (doubling the offered load) and
 // factor 0.5 slows the trace down. Integer microsecond timestamps round
-// half-up; order is preserved. Requires factor > 0.
+// half-up and saturate at 9.2e18; order is preserved. Requires factor > 0.
 std::vector<TraceRecord> TimeWarp(const std::vector<TraceRecord>& records, double factor);
 
 // How RemapToCapacity fits a trace's address footprint onto a device.

@@ -71,24 +71,6 @@ TEST(EventQueueTest, CancelAfterFireReturnsFalse) {
   EXPECT_FALSE(q.Cancel(id));
 }
 
-TEST(EventQueueTest, CancelChurnKeepsHeapBounded) {
-  // Timer re-arming pattern: push a replacement and cancel the old event,
-  // thousands of times. Lazy cancellation alone would grow the heap to one
-  // entry per push; compaction must keep it within a constant factor of the
-  // live count.
-  EventQueue q;
-  int64_t pending = q.Push(1.0, [] {});
-  for (int i = 0; i < 10000; ++i) {
-    const int64_t next = q.Push(static_cast<double>(i + 2), [] {});
-    EXPECT_TRUE(q.Cancel(pending));
-    pending = next;
-  }
-  EXPECT_EQ(q.size(), 1);
-  EXPECT_LE(q.heap_entries(), 64 + 2);
-  EXPECT_DOUBLE_EQ(q.Pop().time_ms, 10001.0);
-  EXPECT_TRUE(q.Empty());
-}
-
 TEST(EventQueueTest, CompactionPreservesPopOrder) {
   EventQueue q;
   std::vector<int64_t> ids;

@@ -1,7 +1,8 @@
-// v1 trace front-end: format parser/writer rejection suite, scaling
-// transforms, arrival-control replay, scenario zoo, and the fidelity
-// reporter (including the oltp_burst-vs-tpcc "differs" demonstration the CI
-// gate relies on).
+// v1 trace front-end: format parser/writer rejection suite, the DiskSim and
+// old-ASCII importer, scaling transforms, arrival-control replay, scenario
+// zoo, and the fidelity reporter (including the oltp_burst-vs-tpcc
+// "differs" demonstration the CI gate relies on).
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -95,6 +96,7 @@ TEST(TraceFormatTest, ParserRejectionSuite) {
       {"oversized blocks", "MSTKTRACE 1\n0 8 1048577 R 0\n", "out-of-range blocks"},
       {"bad op", "MSTKTRACE 1\n0 8 4 X 0\n", "malformed op"},
       {"negative client", "MSTKTRACE 1\n0 8 4 R -1\n", "out-of-range client"},
+      {"end overflows int64", "MSTKTRACE 1\n0 9223372036854775807 8 R 0\n", "end overflows"},
   };
   for (const RejectCase& c : kCases) {
     ParsedTrace parsed;
@@ -120,6 +122,7 @@ TEST(TraceFormatTest, WriterRejectsWhatTheParserRejects) {
   EXPECT_FALSE(writer.Append(Rec(0, -1, 1, IoType::kRead, 0)));
   EXPECT_FALSE(writer.Append(Rec(0, 0, 0, IoType::kRead, 0)));
   EXPECT_FALSE(writer.Append(Rec(0, 0, 1, IoType::kRead, -1)));
+  EXPECT_FALSE(writer.Append(Rec(0, INT64_MAX, 8, IoType::kRead, 0)));  // end overflows
   ASSERT_TRUE(writer.Append(Rec(100, 0, 1, IoType::kRead, 0)));
   EXPECT_FALSE(writer.Append(Rec(99, 0, 1, IoType::kRead, 0)));  // runs backwards
   EXPECT_EQ(writer.records_written(), 1);
@@ -145,14 +148,93 @@ TEST(TraceFormatTest, RequestConversionRoundTrips) {
   }
 }
 
+TEST(TraceTest, MissingFileReportsError) {
+  ParsedTrace parsed;
+  std::string error;
+  EXPECT_FALSE(ReadTraceFile("/nonexistent/mstk.trace", &parsed, &error));
+  EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
+}
+
+TEST(TraceTest, WriteReadRoundTrip) {
+  // An old mstk ASCII trace imports to the same records, rounded to whole
+  // microseconds. devno filters DiskSim records only, so all are kept.
+  ParsedTrace parsed;
+  std::string error;
+  ASSERT_TRUE(ImportTrace("# arrival_ms R|W lbn block_count\n0.0004 R 100 8\n0.25 W 98304 16\n"
+                          "0.25 R 0 1\n0.9996 R 4096 256\n",
+                          /*devno=*/3, &parsed, &error))
+      << error;
+  std::vector<TraceRecord> expected = SampleRecords();
+  for (TraceRecord& r : expected) {
+    r.client = 0;
+  }
+  EXPECT_EQ(parsed.records, expected);
+}
+
+TEST(TraceTest, ReadRejectsBadRecords) {
+  // The last line of each document is bad; the old readers accepted the
+  // unsorted, oversized and overflowing ones.
+  const RejectCase kCases[] = {
+      {"bad op", "# header\n1.0 R 100 8\n2.0 X 100 8\n", "line 3: malformed old mstk ASCII"},
+      {"MSTKTRACE header", "MSTKTRACE 1\n", "line 1: unrecognized record"},
+      {"MSTKTRACE record", "0 8 4 R 0\n", "line 1: malformed DiskSim"},
+      {"mixed formats", "0 R 8 4\n0.1 0 8 4 1\n", "line 2: malformed old mstk ASCII"},
+      {"DiskSim runs backwards", "0.2 0 8 4 1\n0.1 0 8 4 1\n", "line 2: timestamp_us runs back"},
+      {"filtered device runs backwards", "0.2 0 8 4 1\n0.1 1 8 4 1\n", "line 2: timestamp_us"},
+      {"ASCII runs backwards", "5 R 8 4\n4.9 W 8 4\n", "line 2: timestamp_us runs backwards"},
+      {"oversized blocks", "0 R 8 1048577\n", "line 1: out-of-range blocks"},
+      {"int32-overflowing blocks", "0 R 8 4294967297\n", "line 1: out-of-range blocks"},
+      {"end overflows int64", "0 R 9223372036854775807 8\n", "line 1: out-of-range lba + blocks"},
+      {"negative arrival", "-1 R 8 4\n", "line 1: out-of-range arrival"},
+      {"non-finite arrival", "nan R 8 4\n", "line 1: out-of-range arrival"},
+  };
+  for (const RejectCase& c : kCases) {
+    ParsedTrace parsed;
+    std::string error;
+    EXPECT_FALSE(ImportTrace(c.doc, /*devno=*/0, &parsed, &error)) << c.label;
+    EXPECT_NE(error.find(c.want_error), std::string::npos)
+        << c.label << ": got error '" << error << "'";
+    EXPECT_TRUE(parsed.records.empty()) << c.label << ": partial document survived";
+  }
+}
+
+TEST(TraceTest, DiskSimFormatParses) {
+  const std::string disksim =
+      "# DiskSim ascii trace\n0.000000 0 1000 8 1\n0.015000 0 2000 16 0\n"
+      "0.020000 1 3000 8 1\n0.031000 0 64 4 3\n";
+  ParsedTrace all;
+  std::string error;
+  ASSERT_TRUE(ImportTrace(disksim, -1, &all, &error)) << error;
+  // Seconds become microseconds; flags bit 0 means read.
+  EXPECT_EQ(all.records, std::vector<TraceRecord>({Rec(0, 1000, 8, IoType::kRead, 0),
+                                                   Rec(15000, 2000, 16, IoType::kWrite, 0),
+                                                   Rec(20000, 3000, 8, IoType::kRead, 0),
+                                                   Rec(31000, 64, 4, IoType::kRead, 0)}));
+  ParsedTrace dev0;
+  ASSERT_TRUE(ImportTrace(disksim, 0, &dev0, &error)) << error;
+  EXPECT_EQ(dev0.records.size(), 3u);
+  ParsedTrace dev1;
+  ASSERT_TRUE(ImportTrace(disksim, 1, &dev1, &error)) << error;
+  EXPECT_EQ(dev1.records, std::vector<TraceRecord>({all.records[2]}));
+}
+
+TEST(TraceTest, DiskSimFormatRejectsGarbage) {
+  ParsedTrace parsed;
+  std::string error;
+  EXPECT_FALSE(ImportTrace("0.0 0 1000 8 1\n0.1 0 -5 8 1\n", -1, &parsed, &error));
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+}
+
 TEST(TraceTransformTest, TimeWarpCompressesGaps) {
   const std::vector<TraceRecord> warped = TimeWarp(SampleRecords(), 2.0);
   ASSERT_EQ(warped.size(), 4u);
   EXPECT_EQ(warped[0].timestamp_us, 0);
   EXPECT_EQ(warped[1].timestamp_us, 125);
   EXPECT_EQ(warped[3].timestamp_us, 500);
-  // Slowing down doubles timestamps.
+  // Slowing down doubles timestamps, saturating instead of overflowing.
   EXPECT_EQ(TimeWarp(SampleRecords(), 0.5)[3].timestamp_us, 2000);
+  EXPECT_EQ(TimeWarp({Rec(INT64_MAX, 0, 1, IoType::kRead, 0)}, 0.5)[0].timestamp_us,
+            int64_t{9200000000000000000});
 }
 
 TEST(TraceTransformTest, RemapScaleFitsFootprintOnDevice) {

@@ -1,12 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
+#include <algorithm>
+#include <cstdlib>
 
 #include "src/workload/cello_like.h"
 #include "src/workload/random_workload.h"
 #include "src/workload/tpcc_like.h"
-#include "src/workload/trace.h"
 
 namespace mstk {
 namespace {
@@ -55,121 +54,6 @@ TEST(RandomWorkloadTest, DeterministicGivenSeed) {
     EXPECT_EQ(r1[i].lbn, r2[i].lbn);
     EXPECT_EQ(r1[i].arrival_ms, r2[i].arrival_ms);
   }
-}
-
-TEST(TraceTest, WriteReadRoundTrip) {
-  RandomWorkloadConfig config;
-  config.request_count = 500;
-  config.capacity_blocks = kCapacity;
-  Rng rng(2);
-  const auto original = GenerateRandomWorkload(config, rng);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "mstk_trace_test.txt").string();
-  ASSERT_TRUE(WriteTraceFile(path, original));
-  std::string error;
-  const auto loaded = ReadTraceFile(path, &error);
-  ASSERT_EQ(loaded.size(), original.size()) << error;
-  for (size_t i = 0; i < loaded.size(); ++i) {
-    EXPECT_EQ(loaded[i].lbn, original[i].lbn);
-    EXPECT_EQ(loaded[i].block_count, original[i].block_count);
-    EXPECT_EQ(loaded[i].type, original[i].type);
-    EXPECT_NEAR(loaded[i].arrival_ms, original[i].arrival_ms, 1e-3);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(TraceTest, ReadRejectsBadRecords) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "mstk_trace_bad.txt").string();
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("# header\n1.0 R 100 8\n2.0 X 100 8\n", f);
-    std::fclose(f);
-  }
-  std::string error;
-  EXPECT_TRUE(ReadTraceFile(path, &error).empty());
-  EXPECT_NE(error.find("line 3"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(TraceTest, MissingFileReportsError) {
-  std::string error;
-  EXPECT_TRUE(ReadTraceFile("/nonexistent/mstk.trace", &error).empty());
-  EXPECT_FALSE(error.empty());
-}
-
-TEST(TraceTest, DiskSimFormatParses) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "mstk_disksim.trace").string();
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("# DiskSim ascii trace\n"
-               "0.000000 0 1000 8 1\n"
-               "0.015000 0 2000 16 0\n"
-               "0.020000 1 3000 8 1\n"
-               "0.031000 0 64 4 3\n",
-               f);
-    std::fclose(f);
-  }
-  std::string error;
-  const auto all = ReadDiskSimTrace(path, -1, &error);
-  ASSERT_EQ(all.size(), 4u) << error;
-  EXPECT_DOUBLE_EQ(all[0].arrival_ms, 0.0);
-  EXPECT_EQ(all[0].lbn, 1000);
-  EXPECT_EQ(all[0].block_count, 8);
-  EXPECT_TRUE(all[0].is_read());
-  EXPECT_FALSE(all[1].is_read());
-  EXPECT_DOUBLE_EQ(all[1].arrival_ms, 15.0);
-  EXPECT_TRUE(all[3].is_read());  // flags bit 0
-
-  const auto dev0 = ReadDiskSimTrace(path, 0, &error);
-  EXPECT_EQ(dev0.size(), 3u);
-  const auto dev1 = ReadDiskSimTrace(path, 1, &error);
-  EXPECT_EQ(dev1.size(), 1u);
-  EXPECT_EQ(dev1[0].lbn, 3000);
-  std::remove(path.c_str());
-}
-
-TEST(TraceTest, DiskSimFormatRejectsGarbage) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "mstk_disksim_bad.trace").string();
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("0.0 0 1000 8 1\n0.1 0 -5 8 1\n", f);
-    std::fclose(f);
-  }
-  std::string error;
-  EXPECT_TRUE(ReadDiskSimTrace(path, -1, &error).empty());
-  EXPECT_NE(error.find("line 2"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(TraceTest, ScaleDoublesArrivalRate) {
-  std::vector<Request> reqs(3);
-  reqs[0].arrival_ms = 10.0;
-  reqs[1].arrival_ms = 20.0;
-  reqs[2].arrival_ms = 40.0;
-  const auto scaled = ScaleTrace(reqs, 2.0);
-  EXPECT_DOUBLE_EQ(scaled[0].arrival_ms, 5.0);
-  EXPECT_DOUBLE_EQ(scaled[1].arrival_ms, 10.0);
-  EXPECT_DOUBLE_EQ(scaled[2].arrival_ms, 20.0);
-}
-
-TEST(TraceTest, ClampToCapacityDropsAndTruncates) {
-  std::vector<Request> reqs(3);
-  reqs[0].lbn = 10;
-  reqs[0].block_count = 8;
-  reqs[1].lbn = 95;
-  reqs[1].block_count = 10;  // runs past 100
-  reqs[2].lbn = 200;
-  reqs[2].block_count = 4;  // fully beyond
-  const auto clamped = ClampTraceToCapacity(reqs, 100);
-  ASSERT_EQ(clamped.size(), 2u);
-  EXPECT_EQ(clamped[1].block_count, 5);
-  EXPECT_EQ(clamped[1].last_lbn(), 99);
 }
 
 TEST(CelloLikeTest, MatchesAdvertisedCharacter) {

@@ -31,7 +31,6 @@
 
 #include "bench/bench_util.h"
 #include "src/array/array_experiment.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/thread_pool.h"
 
 namespace {
@@ -326,7 +325,7 @@ int Usage(const char* argv0) {
   }
   std::fprintf(stderr,
                "usage: %s [SWEEP] [--trials N] [--jobs N] [--seed S] [--json PATH]\n"
-               "          [--trace PATH] [--queue-backend calendar|heap]\n"
+               "          [--trace PATH]\n"
                "       %s --list\n"
                "       %s [SWEEP] --selfcheck   (compare --jobs 1 vs parallel run)\n"
                "sweeps: %s\n",
@@ -382,17 +381,6 @@ int main(int argc, char** argv) {
       trace_path = next();
     } else if (std::strcmp(arg, "--selfcheck") == 0) {
       selfcheck = true;
-    } else if (std::strcmp(arg, "--queue-backend") == 0) {
-      // A/B escape hatch: results must be byte-identical under either
-      // backend, so the flag is deliberately absent from the JSON.
-      const char* backend = next();
-      if (std::strcmp(backend, "heap") == 0) {
-        EventQueue::SetDefaultBackend(EventQueue::Backend::kHeap);
-      } else if (std::strcmp(backend, "calendar") == 0) {
-        EventQueue::SetDefaultBackend(EventQueue::Backend::kCalendar);
-      } else {
-        return Usage(argv[0]);
-      }
     } else if (arg[0] != '-') {
       sweep = arg;
     } else {

@@ -1,17 +1,17 @@
-// mstk_trace — command-line trace tooling.
+// mstk_trace — command-line trace tooling. Every trace file it reads or
+// writes is MSTKTRACE (src/trace/format.h).
 //
 //   mstk_trace gen <random|cello|tpcc> <out.trace> [count] [rate] [seed]
-//       Generate a synthetic workload and write it as an ASCII trace.
+//       Generate a synthetic workload and write it as a trace.
 //   mstk_trace stats <in.trace>
 //       Print arrival/size/locality statistics for a trace.
 //   mstk_trace replay <in.trace> <mems|disk> <fcfs|sstf|clook|look|sptf>
 //              [scale] [open|closed|hybrid] [window]
 //       Replay a trace against a device model under a scheduler and print
-//       the paper's metrics (mean response, sigma^2/mu^2, tail). Traces in
-//       the v1 MSTKTRACE format are detected by their magic and remapped
-//       onto the device's capacity; anything else parses as a legacy ASCII
-//       trace. The optional arrival mode (default open) drives the replay
-//       through the run harness's arrival control (src/core/experiment.h).
+//       the paper's metrics (mean response, sigma^2/mu^2, tail). As in the
+//       `traces` sweep, the trace is remapped onto the device's capacity,
+//       then time-warped by `scale` (2 doubles the arrival rate). The
+//       arrival mode (default open) is the run harness's arrival control.
 //   mstk_trace fidelity <lhs> <rhs> [--json PATH] [--require-differs]
 //              [--count N] [--seed S]
 //       Compare two workload streams on the arrival-interval, request-size,
@@ -21,6 +21,15 @@
 //       marginal differs — CI uses it to prove the reporter detects the gap
 //       between the replayed oltp_burst scenario and the steady tpcc
 //       synthetic.
+//   mstk_trace convert <in> <out.trace> [devno]
+//       Import a DiskSim or old mstk ASCII trace (trace::ImportTrace);
+//       `devno` keeps one device's DiskSim records.
+//
+// Counts, rates, scales and windows must be positive numbers (counts and
+// windows whole), else the tool prints its usage and exits 2.
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -45,7 +54,6 @@
 #include "src/workload/cello_like.h"
 #include "src/workload/random_workload.h"
 #include "src/workload/tpcc_like.h"
-#include "src/workload/trace.h"
 
 namespace {
 
@@ -61,20 +69,23 @@ int Usage() {
                "             [open|closed|hybrid] [window]\n"
                "  mstk_trace fidelity <lhs> <rhs> [--json PATH] [--require-differs]\n"
                "             [--count N] [--seed S]   (lhs/rhs: file or random|cello|tpcc)\n"
-               "  mstk_trace convert <in.disksim> <out.trace> [devno]\n");
+               "  mstk_trace convert <in.disksim|in.ascii> <out.trace> [devno]\n");
   return 2;
 }
 
-// True when `path` starts with the v1 trace magic.
-bool HasV1Magic(const char* path) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) {
-    return false;
-  }
-  char buf[sizeof(trace::kTraceMagic)] = {};
-  const size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-  std::fclose(f);
-  return n == sizeof(buf) - 1 && std::memcmp(buf, trace::kTraceMagic, n) == 0;
+// Strict numeric arguments: the whole argument must parse, and out-of-range
+// values fail rather than wrap or reach a library precondition.
+bool ParseWhole(const char* arg, int64_t lo, int64_t hi, int64_t* value) {
+  char* end = nullptr;
+  errno = 0;
+  *value = std::strtoll(arg, &end, 10);
+  return end != arg && *end == '\0' && errno != ERANGE && *value >= lo && *value <= hi;
+}
+
+bool ParsePositive(const char* arg, double* value) {
+  char* end = nullptr;
+  *value = std::strtod(arg, &end);
+  return end != arg && *end == '\0' && std::isfinite(*value) && *value > 0.0;
 }
 
 // Generates one of the synthetic comparison streams by name. Returns an
@@ -113,61 +124,55 @@ std::vector<Request> GenerateSynthetic(const std::string& kind, int64_t count, d
   return {};
 }
 
-// Loads a fidelity comparison stream: a synthetic generator name, a v1
-// MSTKTRACE document, or a legacy ASCII trace.
+// Loads a comparison stream: a synthetic generator name or a trace file.
 std::vector<Request> LoadStream(const std::string& spec, int64_t count, uint64_t seed,
                                 std::string* error) {
   std::vector<Request> synthetic = GenerateSynthetic(spec, count, 0.0, seed);
   if (!synthetic.empty()) {
     return synthetic;
   }
-  if (HasV1Magic(spec.c_str())) {
-    trace::ParsedTrace parsed;
-    if (!trace::ReadTraceFile(spec, &parsed, error)) {
-      return {};
-    }
-    return trace::ToRequests(parsed);
+  trace::ParsedTrace parsed;
+  if (!trace::ReadTraceFile(spec, &parsed, error)) {
+    return {};
   }
-  return ReadTraceFile(spec, error);
+  return trace::ToRequests(parsed);
 }
 
 int CmdConvert(int argc, char** argv) {
-  if (argc < 4) {
+  int64_t devno = -1;
+  if (argc < 4 || (argc > 4 && !ParseWhole(argv[4], 0, INT_MAX, &devno))) {
     return Usage();
   }
-  const int devno = argc > 4 ? std::atoi(argv[4]) : -1;
+  trace::ParsedTrace parsed;
   std::string error;
-  const auto requests = ReadDiskSimTrace(argv[2], devno, &error);
-  if (requests.empty()) {
-    std::fprintf(stderr, "error: %s\n",
-                 error.empty() ? "no matching records" : error.c_str());
+  if (!trace::ImportTraceFile(argv[2], static_cast<int>(devno), &parsed, &error) ||
+      parsed.records.empty()) {
+    std::fprintf(stderr, "error: %s\n", error.empty() ? "no matching records" : error.c_str());
     return 1;
   }
-  if (!WriteTraceFile(argv[3], requests)) {
-    std::fprintf(stderr, "error: cannot write %s\n", argv[3]);
+  if (!WriteFileOrReport(argv[3], trace::SerializeTrace(parsed.records))) {
     return 1;
   }
-  std::printf("converted %zu requests (devno %d) to %s\n", requests.size(), devno,
-              argv[3]);
+  std::printf("converted %zu records to %s\n", parsed.records.size(), argv[3]);
   return 0;
 }
 
 int CmdGen(int argc, char** argv) {
-  if (argc < 4) {
+  int64_t count = 20000;
+  double rate = 0.0;  // 0: the generator's default rate
+  if (argc < 4 || (argc > 4 && !ParseWhole(argv[4], 1, INT64_MAX, &count)) ||
+      (argc > 5 && !ParsePositive(argv[5], &rate))) {
     return Usage();
   }
   const std::string kind = argv[2];
   const std::string path = argv[3];
-  const int64_t count = argc > 4 ? std::atoll(argv[4]) : 20000;
-  const double rate = argc > 5 ? std::atof(argv[5]) : 0.0;
   const uint64_t seed = argc > 6 ? static_cast<uint64_t>(std::atoll(argv[6])) : 1;
 
   const std::vector<Request> requests = GenerateSynthetic(kind, count, rate, seed);
   if (requests.empty()) {
     return Usage();
   }
-  if (!WriteTraceFile(path, requests)) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+  if (!WriteFileOrReport(path, trace::SerializeTrace(trace::FromRequests(requests)))) {
     return 1;
   }
   std::printf("wrote %zu requests to %s\n", requests.size(), path.c_str());
@@ -179,8 +184,6 @@ int CmdStats(int argc, char** argv) {
     return Usage();
   }
   std::string error;
-  // LoadStream understands all three spellings: v1 MSTKTRACE documents,
-  // legacy ASCII traces, and synthetic generator names.
   const auto requests = LoadStream(argv[2], 4000, 1, &error);
   if (requests.empty()) {
     std::fprintf(stderr, "error: %s\n", error.empty() ? "empty trace" : error.c_str());
@@ -190,21 +193,26 @@ int CmdStats(int argc, char** argv) {
   return 0;
 }
 
+// The scheduler named `name` over `device`, or null for an unknown name.
+std::unique_ptr<IoScheduler> MakeScheduler(const std::string& name, StorageDevice* device) {
+  if (name == "fcfs") return std::make_unique<FcfsScheduler>();
+  if (name == "sstf") return std::make_unique<SstfLbnScheduler>();
+  if (name == "clook") return std::make_unique<ClookScheduler>();
+  if (name == "look") return std::make_unique<LookScheduler>();
+  if (name == "sptf") return std::make_unique<SptfScheduler>(device);
+  return nullptr;
+}
+
 int CmdReplay(int argc, char** argv) {
-  if (argc < 5) {
-    return Usage();
-  }
-  const double scale = argc > 5 ? std::atof(argv[5]) : 1.0;
+  double scale = 1.0;
   RunConfig replay;
-  if (argc > 6 && !ParseArrivalMode(argv[6], &replay.mode)) {
+  int64_t window = replay.window;
+  if (argc < 5 || (argc > 5 && !ParsePositive(argv[5], &scale)) ||
+      (argc > 6 && !ParseArrivalMode(argv[6], &replay.mode)) ||
+      (argc > 7 && !ParseWhole(argv[7], 1, INT_MAX, &window))) {
     return Usage();
   }
-  if (argc > 7) {
-    replay.window = std::atoi(argv[7]);
-    if (replay.window < 1) {
-      return Usage();
-    }
-  }
+  replay.window = static_cast<int>(window);
 
   std::unique_ptr<StorageDevice> device;
   if (std::strcmp(argv[3], "mems") == 0) {
@@ -214,50 +222,25 @@ int CmdReplay(int argc, char** argv) {
   } else {
     return Usage();
   }
-
-  std::string error;
-  std::vector<Request> requests;
-  if (HasV1Magic(argv[2])) {
-    trace::ParsedTrace parsed;
-    if (!trace::ReadTraceFile(argv[2], &parsed, &error)) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
-    }
-    // Locality-preserving remap: the scenario's footprint rescales onto the
-    // device instead of dropping everything past the end.
-    parsed.records = trace::RemapToCapacity(parsed.records, device->CapacityBlocks(),
-                                            trace::RemapMode::kScale);
-    requests = trace::ToRequests(parsed);
-    if (scale != 1.0) {
-      requests = ScaleTrace(requests, scale);
-    }
-  } else {
-    requests = ReadTraceFile(argv[2], &error);
-    if (requests.empty()) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
-    }
-    if (scale != 1.0) {
-      requests = ScaleTrace(requests, scale);
-    }
-    requests = ClampTraceToCapacity(requests, device->CapacityBlocks());
-  }
-
-  std::unique_ptr<IoScheduler> scheduler;
-  const std::string sched_name = argv[4];
-  if (sched_name == "fcfs") {
-    scheduler = std::make_unique<FcfsScheduler>();
-  } else if (sched_name == "sstf") {
-    scheduler = std::make_unique<SstfLbnScheduler>();
-  } else if (sched_name == "clook") {
-    scheduler = std::make_unique<ClookScheduler>();
-  } else if (sched_name == "look") {
-    scheduler = std::make_unique<LookScheduler>();
-  } else if (sched_name == "sptf") {
-    scheduler = std::make_unique<SptfScheduler>(device.get());
-  } else {
+  const std::unique_ptr<IoScheduler> scheduler = MakeScheduler(argv[4], device.get());
+  if (scheduler == nullptr) {
     return Usage();
   }
+
+  trace::ParsedTrace parsed;
+  std::string error;
+  if (!trace::ReadTraceFile(argv[2], &parsed, &error) || parsed.records.empty()) {
+    std::fprintf(stderr, "error: %s\n", error.empty() ? "empty trace" : error.c_str());
+    return 1;
+  }
+  // Locality-preserving remap: the trace's footprint rescales onto the
+  // device instead of dropping everything past the end.
+  parsed.records = trace::RemapToCapacity(parsed.records, device->CapacityBlocks(),
+                                          trace::RemapMode::kScale);
+  if (scale != 1.0) {
+    parsed.records = trace::TimeWarp(parsed.records, scale);
+  }
+  const std::vector<Request> requests = trace::ToRequests(parsed);
 
   ExperimentResult result = Run(device.get(), scheduler.get(), requests, replay);
   std::printf("device=%s scheduler=%s scale=%.1f mode=%s requests=%zu\n", device->name(),
@@ -290,7 +273,9 @@ int CmdFidelity(int argc, char** argv) {
     } else if (std::strcmp(arg, "--require-differs") == 0) {
       require_differs = true;
     } else if (std::strcmp(arg, "--count") == 0) {
-      count = std::atoll(next());
+      if (!ParseWhole(next(), 1, INT64_MAX, &count)) {
+        return Usage();
+      }
     } else if (std::strcmp(arg, "--seed") == 0) {
       seed = std::strtoull(next(), nullptr, 10);
     } else {
