@@ -74,8 +74,6 @@ class FixedLatencyDevice final : public StorageDevice {
     return 0.0;
   }
 
-  bool PositioningIsTimeFree() const override { return true; }
-
   void Reset() override { activity_ = DeviceActivity{}; }
 
  private:

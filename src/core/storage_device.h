@@ -114,7 +114,7 @@ class StorageDevice {
 
   // Positioning-delay estimate for greedy scheduling (SPTF): time until the
   // media transfer for `req` could begin if it were dispatched at `at_ms`.
-  // Const: must not change device state.
+  // Const: must not change device state (a model may fill a mutable memo).
   [[nodiscard]] virtual TimeMs EstimatePositioningMs(const Request& req, TimeMs at_ms) const = 0;
 
   // Batched form of EstimatePositioningMs with identical semantics and
@@ -129,7 +129,10 @@ class StorageDevice {
 
   // Monotone counter bumped whenever the mechanical state changes. When
   // PositioningIsTimeFree() holds, positioning estimates stay valid for as
-  // long as the epoch is unchanged, so schedulers may cache them.
+  // long as the epoch is unchanged. No scheduler or harness reads this or
+  // PositioningIsTimeFree() since SPTF stopped caching estimates; both stay
+  // while the benchmark's TimedDevice (perfbench/decorators.h) overrides
+  // them.
   virtual uint64_t StateEpoch() const { return state_epoch_; }
 
   // True when EstimatePositioningMs ignores `at_ms` — the MEMS model has no

@@ -42,10 +42,11 @@ class MemsDevice : public StorageDevice {
   int64_t CapacityBlocks() const override { return geometry_.capacity_blocks(); }
   [[nodiscard]] double ServiceRequest(const Request& req, TimeMs start_ms,
                         ServiceBreakdown* breakdown = nullptr) override;
+  // Computes every leg directly: the reference the memoized paths must
+  // match bit for bit.
   [[nodiscard]] TimeMs EstimatePositioningMs(const Request& req, TimeMs at_ms) const override;
-  // Shares the per-cylinder X-seek time across the batch (the X component
-  // depends only on the target cylinder while the sled is at rest between
-  // requests). Bit-identical to the scalar estimate.
+  // Bit-identical to the scalar estimate; takes the Y legs from the Y-leg
+  // table (see below).
   void EstimatePositioningBatch(const Request* reqs, int64_t count, TimeMs at_ms,
                                 TimeMs* out_ms) const override;
   // No rotation: estimates depend only on the sled state, never on time.
@@ -66,6 +67,7 @@ class MemsDevice : public StorageDevice {
   const SledState& sled() const { return sled_; }
   void set_sled(const SledState& state) {
     sled_ = state;
+    sled_y_state_ = kOffBoundary;
     ++state_epoch_;
   }
 
@@ -86,26 +88,68 @@ class MemsDevice : public StorageDevice {
     int32_t track;
     int32_t row_first;
     int32_t row_last;
+    int64_t last_lbn;  // last LBN the segment reads
   };
 
-  std::vector<Segment> SplitIntoSegments(int64_t lbn, int32_t block_count) const;
+  // Aborts unless `req` names at least one block, all on the device.
+  void CheckRequest(const Request& req) const;
 
-  // First segment only (all the positioning estimate needs).
-  Segment FirstSegment(const Request& req) const;
+  // The segment that reads from `lbn` to the end of its track, or to
+  // `last_lbn` if that comes first.
+  Segment SegmentAt(int64_t lbn, int64_t last_lbn) const;
 
   // Positioning time (seconds) from `state` to reading segment `seg` in
   // direction `dir` (+1 ascending rows, -1 descending). Tx/Ty overlap.
   double PositioningSeconds(const SledState& state, const Segment& seg, int dir) const;
 
-  // Entry/exit Y offsets for reading `seg` in direction `dir`.
-  double EntryY(const Segment& seg, int dir) const;
-  double ExitY(const Segment& seg, int dir) const;
+  // Row boundaries where reading `seg` in direction `dir` enters and leaves
+  // the segment, and their Y offsets.
+  static int32_t EntryBoundary(const Segment& seg, int dir) {
+    return dir > 0 ? seg.row_first : seg.row_last + 1;
+  }
+  static int32_t ExitBoundary(const Segment& seg, int dir) {
+    return dir > 0 ? seg.row_last + 1 : seg.row_first;
+  }
+  double EntryY(const Segment& seg, int dir) const {
+    return geometry_.RowBoundaryY(EntryBoundary(seg, dir));
+  }
+  double ExitY(const Segment& seg, int dir) const {
+    return geometry_.RowBoundaryY(ExitBoundary(seg, dir));
+  }
+
+  // Y-leg table. Between requests the sled rests in Y on a row boundary
+  // (where it left the last row it read) moving at +/- the access velocity,
+  // and every Y target is a row boundary entered at +/- the access
+  // velocity. So once the sled has serviced a request, every Y leg (both
+  // candidate directions of an estimate, and every segment of a service)
+  // is TravelSeconds between two of 2 * (rows_per_track + 1) states: 56 on
+  // the Table 1 device. Each state's (y, vy) comes from the same expressions
+  // every time, so the call's arguments, and hence its result, are the same
+  // bits on every visit: the table returns exactly what the call would. It
+  // holds 56 x 56 doubles, about 25 KB per device, each entry filled on
+  // first use. The sled is off every boundary on a fresh device, after
+  // Reset() and after set_sled(); legs from there are computed directly.
+  //
+  // The const estimate methods fill this mutable table, so one device must
+  // not be estimated from two threads at once.
+  static constexpr int32_t kOffBoundary = -1;
+  // Table index of the state "at row boundary `boundary`, moving in `dir`".
+  static int32_t YState(int32_t boundary, int dir) {
+    return 2 * boundary + (dir > 0 ? 1 : 0);
+  }
+  // Y leg from `from` (whose table index is `from_state`, or kOffBoundary)
+  // to entering row boundary `to_boundary` moving in direction `dir`.
+  double YLegSeconds(int32_t from_state, const SledState& from, int32_t to_boundary,
+                     int dir) const;
 
   MemsGeometry geometry_;
   SledKinematics kinematics_;
   SledState sled_;
+  int32_t sled_y_state_ = kOffBoundary;  // table index of sled_'s Y state
   double v_access_;     // m/s
   double row_pass_s_;   // s
+  int32_t y_states_;    // 2 * (rows_per_track + 1)
+  mutable std::vector<double> y_leg_s_;  // y_states_^2 legs; < 0 until computed
   double seek_error_rate_ = 0.0;
   uint64_t seek_error_seed_ = 0;
   Rng seek_error_rng_{seek_error_seed_};

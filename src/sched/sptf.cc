@@ -6,58 +6,33 @@
 
 namespace mstk {
 
-void SptfScheduler::RefreshEstimates(TimeMs now_ms) {
-  // Cached estimates are reusable only when the device's estimate ignores
-  // time; then the epoch pins the mechanical state it was computed against.
-  const bool cacheable = device_->PositioningIsTimeFree();
-  const uint64_t epoch = device_->StateEpoch();
-  stale_reqs_.clear();
-  stale_idx_.clear();
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    const Pending& entry = pending_[i];
-    if (!cacheable || !entry.cached || entry.epoch != epoch) {
-      stale_idx_.push_back(i);
-      stale_reqs_.push_back(entry.req);
-    }
-  }
-  if (stale_idx_.empty()) {
-    return;
-  }
-  stale_pos_.resize(stale_reqs_.size());
-  device_->EstimatePositioningBatch(stale_reqs_.data(),
-                                    static_cast<int64_t>(stale_reqs_.size()), now_ms,
-                                    stale_pos_.data());
-  for (std::size_t j = 0; j < stale_idx_.size(); ++j) {
-    Pending& entry = pending_[stale_idx_[j]];
-    entry.pos_ms = stale_pos_[j];
-    entry.epoch = epoch;
-    entry.cached = true;
-  }
-}
-
 Request SptfScheduler::Pop(TimeMs now_ms) {
   assert(!pending_.empty());
-  RefreshEstimates(now_ms);
   std::size_t best = 0;
-  double best_cost = EffectiveCost(pending_[0], now_ms);
-  for (std::size_t i = 1; i < pending_.size(); ++i) {
-    const double cost = EffectiveCost(pending_[i], now_ms);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = i;
+  if (pending_.size() > 1) {
+    pos_ms_.resize(pending_.size());
+    device_->EstimatePositioningBatch(pending_.data(), size(), now_ms, pos_ms_.data());
+    double best_cost = EffectiveCost(pending_[0], pos_ms_[0], now_ms);
+    for (std::size_t i = 1; i < pending_.size(); ++i) {
+      const double cost = EffectiveCost(pending_[i], pos_ms_[i], now_ms);
+      if (cost < best_cost) {
+        best_cost = cost;
+        best = i;
+      }
     }
   }
-  Request req = pending_[best].req;
-  pending_.erase(pending_.begin() + static_cast<int64_t>(best));
+  Request req = pending_[best];
+  pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(best));
   return req;
 }
 
-double AgedSptfScheduler::EffectiveCost(const Pending& entry, TimeMs now_ms) const {
+double AgedSptfScheduler::EffectiveCost(const Request& req, TimeMs pos_ms,
+                                        TimeMs now_ms) const {
   // Clamped at zero: unbounded negative aging would let one starved request
   // (and then every request, as they all age) swing the comparison by
   // arbitrary amounts; at the floor, selection falls back to FIFO among the
   // starved (first index wins ties), which is the starvation bound we want.
-  return std::max(entry.pos_ms - age_weight_ * (now_ms - entry.req.arrival_ms), 0.0);
+  return std::max(pos_ms - age_weight_ * (now_ms - req.arrival_ms), 0.0);
 }
 
 }  // namespace mstk

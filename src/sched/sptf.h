@@ -3,14 +3,14 @@
 // model — seek + rotational latency on disks, max(X seek + settle, Y seek)
 // on MEMS-based storage.
 //
-// Positioning estimates are cached per pending request, keyed on the
-// device's StateEpoch(): for devices whose estimates are time-free (MEMS —
-// no rotation), an estimate stays valid until the mechanical state actually
-// changes, so repeated Pops against a stationary device re-scan cached
-// costs instead of re-querying the model. Stale entries are refreshed
-// through EstimatePositioningBatch, which lets the device share per-state
-// work (per-cylinder X-seek times) across the whole scan. Selection order
-// is identical to the naive per-request scan.
+// Each Pop estimates the whole queue with one EstimatePositioningBatch
+// call, which lets the device share per-state work across the scan, and
+// returns the first index of the minimum cost. Nothing is kept between
+// Pops: the device services the popped request before the next Pop, which
+// moves the mechanism every estimate depends on (and disk estimates also
+// depend on the time), so an earlier estimate is never valid again. With
+// one request pending there is nothing to choose, and Pop estimates
+// nothing.
 //
 // AgedSptfScheduler adds the aging term of [WGP94]: effective cost =
 // max(positioning - age_weight * queue_time, 0), trading a little
@@ -21,7 +21,6 @@
 #ifndef MSTK_SRC_SCHED_SPTF_H_
 #define MSTK_SRC_SCHED_SPTF_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -37,7 +36,7 @@ class SptfScheduler : public IoScheduler {
   explicit SptfScheduler(const StorageDevice* device) : device_(device) {}
 
   const char* name() const override { return "SPTF"; }
-  void Add(const Request& req) override { pending_.push_back(Pending{req, 0.0, 0, false}); }
+  void Add(const Request& req) override { pending_.push_back(req); }
   bool Empty() const override { return pending_.empty(); }
   int64_t size() const override { return static_cast<int64_t>(pending_.size()); }
   Request Pop(TimeMs now_ms) override;
@@ -45,31 +44,18 @@ class SptfScheduler : public IoScheduler {
   void Reset() override { pending_.clear(); }
 
  protected:
-  struct Pending {
-    Request req;
-    TimeMs pos_ms = 0.0;  // cached positioning estimate
-    uint64_t epoch = 0;   // device StateEpoch() the estimate was taken at
-    bool cached = false;
-  };
-
-  // Selection cost given a fresh positioning estimate; subclasses refine it.
-  virtual double EffectiveCost(const Pending& entry, TimeMs now_ms) const {
+  // Selection cost of `req` given its positioning estimate; subclasses
+  // refine it.
+  virtual double EffectiveCost(const Request& req, TimeMs pos_ms, TimeMs now_ms) const {
+    (void)req;
     (void)now_ms;
-    return entry.pos_ms;
+    return pos_ms;
   }
 
-  // Re-estimates entries whose cached positioning is stale (or all of them,
-  // for devices with time-dependent estimates).
-  void RefreshEstimates(TimeMs now_ms);
-
-  const StorageDevice* device_;
-  std::vector<Pending> pending_;  // arrival order (erase preserves it)
-
  private:
-  // Scratch for RefreshEstimates, kept to avoid per-Pop allocation.
-  std::vector<Request> stale_reqs_;
-  std::vector<std::size_t> stale_idx_;
-  std::vector<double> stale_pos_;
+  const StorageDevice* device_;
+  std::vector<Request> pending_;  // arrival order (erase preserves it)
+  std::vector<TimeMs> pos_ms_;    // Pop's estimates, kept to avoid per-Pop allocation
 };
 
 class AgedSptfScheduler : public SptfScheduler {
@@ -80,7 +66,7 @@ class AgedSptfScheduler : public SptfScheduler {
   const char* name() const override { return "ASPTF"; }
 
  protected:
-  double EffectiveCost(const Pending& entry, TimeMs now_ms) const override;
+  double EffectiveCost(const Request& req, TimeMs pos_ms, TimeMs now_ms) const override;
 
  private:
   double age_weight_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "src/sim/rng.h"
 
@@ -73,15 +74,58 @@ TEST(MemsDeviceTest, PositioningIsMaxOfXAndY) {
 }
 
 TEST(MemsDeviceTest, EstimateMatchesServiceBreakdown) {
+  // The scalar estimate computes every leg directly; ServiceRequest and the
+  // batch estimate take their Y legs from the device's Y-leg table. All
+  // three must agree bit for bit, from row-boundary states (after a
+  // service) and from states off every boundary (after Reset or set_sled).
+  // Requests of up to 600 blocks cross tracks (540 blocks fill one), so
+  // later segments fill the table too.
   MemsDevice device;
+  const MemsParams& params = device.params();
+  const double y_span = params.rows_per_track() * params.row_height_m() / 2.0;
+  const double v_access = params.access_velocity();
   Rng rng(7);
+  auto random_request = [&] {
+    const int32_t blocks = static_cast<int32_t>(1 + rng.UniformInt(600));
+    return MakeRead(rng.UniformInt(device.CapacityBlocks() - blocks + 1), blocks);
+  };
+  std::vector<Request> batch(32);
+  std::vector<double> batch_ms(batch.size());
   for (int i = 0; i < 500; ++i) {
-    const Request req = MakeRead(rng.UniformInt(device.CapacityBlocks() - 8), 8);
+    if (i % 100 == 40) {
+      device.Reset();
+    } else if (i % 100 == 70) {
+      const double vy = (rng.UniformInt(3) - 1) * v_access;
+      device.set_sled(SledState{params.cylinder_x_m(static_cast<int>(
+                                    rng.UniformInt(params.cylinders()))),
+                                rng.Uniform(-y_span, y_span), vy});
+    }
+    for (Request& req : batch) {
+      req = random_request();
+    }
+    device.EstimatePositioningBatch(batch.data(), static_cast<int64_t>(batch.size()), 0.0,
+                                    batch_ms.data());
+    for (size_t j = 0; j < batch.size(); ++j) {
+      ASSERT_EQ(batch_ms[j], device.EstimatePositioningMs(batch[j], 0.0))
+          << "step " << i << " request " << j;
+    }
+    const Request req = random_request();
     const double estimate = device.EstimatePositioningMs(req, 0.0);
     ServiceBreakdown breakdown;
     (void)device.ServiceRequest(req, 0.0, &breakdown);
-    EXPECT_NEAR(estimate, breakdown.positioning_ms, 1e-9);
+    ASSERT_EQ(estimate, breakdown.positioning_ms) << "step " << i;
   }
+}
+
+TEST(MemsDeviceTest, ZeroBlockRequestDies) {
+  // last_lbn() of a zero-block request is lbn - 1, which passes a bare
+  // capacity check, but there is no segment to position to.
+  MemsDevice device;
+  const Request empty = MakeRead(1000, 0);
+  double out_ms = 0.0;
+  EXPECT_DEATH((void)device.ServiceRequest(empty, 0.0), "no blocks");
+  EXPECT_DEATH((void)device.EstimatePositioningMs(empty, 0.0), "no blocks");
+  EXPECT_DEATH(device.EstimatePositioningBatch(&empty, 1, 0.0, &out_ms), "no blocks");
 }
 
 TEST(MemsDeviceTest, TrackCrossingChargesTurnaround) {

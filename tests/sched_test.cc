@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "src/core/experiment.h"
@@ -121,43 +122,81 @@ TEST(SptfTest, BeatsLbnProxyWhenYDominates) {
   EXPECT_EQ(first.lbn, cost_a <= cost_b ? same_cyl_far_y : near_x_same_y);
 }
 
-TEST(SptfTest, CachedScanMatchesNaiveReference) {
-  // The epoch-keyed estimate cache and batched refresh must reproduce the
-  // naive rescan's pick order exactly — same estimates, same first-strict-min
-  // tie-breaking — across interleaved adds, pops, and device motion.
-  MemsDevice device;
-  SptfScheduler sched(&device);
+// Drives `sched` (built on `device`) in lockstep with a naive scan of the
+// scalar estimator: every Pop must return the first pending request of
+// minimum `cost(req, positioning_ms, now_ms)`. Adds, pops, service and idle
+// gaps interleave at random. `min_ties` counts the Pops whose minimum was
+// shared by several requests, where only the first-index rule decides.
+void ExpectMatchesNaiveScan(
+    SptfScheduler* sched, MemsDevice* device,
+    const std::function<double(const Request&, double, double)>& cost, int64_t* min_ties) {
   std::vector<Request> naive;
   Rng rng(77);
   int64_t next_id = 0;
   double now = 0.0;
   for (int step = 0; step < 500; ++step) {
+    if (rng.Bernoulli(0.2)) {
+      now += rng.Uniform(0.0, 30.0);  // idle gap: every pending request ages
+    }
     if (naive.size() < 4 || rng.Bernoulli(0.45)) {
-      Request req = MakeReq(next_id++, rng.UniformInt(device.CapacityBlocks() - 8));
+      Request req = MakeReq(next_id++, rng.UniformInt(device->CapacityBlocks() - 8));
       req.arrival_ms = now;
-      sched.Add(req);
+      sched->Add(req);
       naive.push_back(req);
     } else {
-      // Naive reference: first strict minimum of the scalar estimator.
       size_t best = 0;
-      double best_cost = device.EstimatePositioningMs(naive[0], now);
+      double best_cost = cost(naive[0], device->EstimatePositioningMs(naive[0], now), now);
+      int ties = 0;
       for (size_t i = 1; i < naive.size(); ++i) {
-        const double cost = device.EstimatePositioningMs(naive[i], now);
-        if (cost < best_cost) {
-          best_cost = cost;
+        const double c = cost(naive[i], device->EstimatePositioningMs(naive[i], now), now);
+        if (c < best_cost) {
+          best_cost = c;
           best = i;
+          ties = 0;
+        } else if (c == best_cost) {
+          ++ties;
         }
       }
+      *min_ties += ties > 0 ? 1 : 0;
       const Request expected = naive[best];
       naive.erase(naive.begin() + static_cast<int64_t>(best));
-      const Request got = sched.Pop(now);
+      const Request got = sched->Pop(now);
       ASSERT_EQ(got.id, expected.id) << "step " << step;
-      // Usually the head moves (invalidating the cache); sometimes it does
-      // not, exercising the pure cache-hit path across consecutive Pops.
+      // Usually the sled moves; sometimes it does not, so consecutive Pops
+      // also run against one sled state.
       if (rng.Bernoulli(0.7)) {
-        now += device.ServiceRequest(got, now);
+        now += device->ServiceRequest(got, now);
       }
     }
+  }
+}
+
+TEST(SptfTest, CachedScanMatchesNaiveReference) {
+  // Pop estimates the queue with EstimatePositioningBatch, which reads the
+  // device's Y-leg table; the reference scans with the un-memoized scalar
+  // estimate. Picks must match exactly, ties included. Aged SPTF clamps its
+  // cost at zero: at weight 1.0 a request clamps after about a millisecond
+  // of waiting, at 0.01 only after tens of milliseconds, so both weights
+  // reach ties that only the first-index rule resolves.
+  {
+    MemsDevice device;
+    SptfScheduler sched(&device);
+    int64_t ties = 0;
+    ExpectMatchesNaiveScan(
+        &sched, &device, [](const Request&, double pos_ms, double) { return pos_ms; }, &ties);
+  }
+  for (const double weight : {0.01, 1.0}) {
+    SCOPED_TRACE(weight);
+    MemsDevice device;
+    AgedSptfScheduler sched(&device, weight);
+    int64_t ties = 0;
+    ExpectMatchesNaiveScan(
+        &sched, &device,
+        [weight](const Request& req, double pos_ms, double now_ms) {
+          return std::max(pos_ms - weight * (now_ms - req.arrival_ms), 0.0);
+        },
+        &ties);
+    EXPECT_GT(ties, 0);
   }
 }
 
