@@ -2,22 +2,16 @@
 # Runs mstk-lint over the tree (the blocking CI `lint` job).
 #
 # Usage:
-#   scripts/run_lint.sh [--engine auto|ast|tokens] [--json OUT.json] [--timings]
+#   scripts/run_lint.sh [--json OUT.json] [--timings]
 #   scripts/run_lint.sh --selftest          run the linter's fixture suite
 #
 # Exit codes (mirrors tools/lint/mstk_lint.py):
 #   0  clean
 #   1  findings present
-#   2  usage error / selftest failure
-#   3  --engine=ast requested but the AST engine is unavailable (libclang
-#      bindings or the compile database are missing). CI treats 3 as a hard
-#      failure in the required AST pass; locally, the default --engine=auto
-#      falls back to the dependency-free token engine with a note instead.
+#   2  usage error
+# --selftest exits 0 when every fixture check passes and 1 otherwise.
 #
-# The linter picks up build/compile_commands.json automatically when CMake
-# has been configured (CMAKE_EXPORT_COMPILE_COMMANDS is ON by default in this
-# repo), which feeds real include paths/flags to the AST engine where
-# libclang is available; the token engine covers every rule otherwise.
+# The linter is stdlib-only python3; it needs no build tree.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -30,10 +24,6 @@ fi
 EXTRA_ARGS=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
-    --engine)
-      EXTRA_ARGS+=(--engine "${2:?--engine needs auto|ast|tokens}")
-      shift 2
-      ;;
     --json)
       EXTRA_ARGS+=(--json "${2:?--json needs a path}")
       shift 2
@@ -48,12 +38,5 @@ while [[ $# -gt 0 ]]; do
       ;;
   esac
 done
-
-# Best effort: export a compile database so AST rules see real flags. The
-# linter runs fine without one (token engine), so configure failures —
-# e.g. missing GTest in a minimal container — are not fatal here.
-if [[ ! -f build/compile_commands.json ]]; then
-  cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null 2>&1 || true
-fi
 
 exec python3 tools/lint/mstk_lint.py "${EXTRA_ARGS[@]}" src tools bench examples

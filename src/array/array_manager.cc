@@ -2,12 +2,53 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "src/sched/fcfs.h"
 #include "src/sched/sptf.h"
 #include "src/sim/check.h"
 
 namespace mstk {
+namespace {
+
+// Checks every field of a superblock before a manager adopts it, so a
+// corrupt one dies here with the field named, rather than indexing past a
+// device table or tripping a rebuild invariant mid-run.
+void CheckRestorable(const ArraySuperblock& sb, int active_members, int device_count,
+                     int64_t member_extent) {
+  const size_t slots = static_cast<size_t>(active_members);
+  MSTK_CHECK(sb.version >= 1, "restored superblock was never written");
+  MSTK_CHECK(sb.slot_to_device.size() == slots, "restored superblock has the wrong slot count");
+  MSTK_CHECK(sb.slot_failed.size() == slots, "restored superblock has the wrong slot_failed size");
+  MSTK_CHECK(sb.device_failed.size() == static_cast<size_t>(device_count),
+             "restored superblock has the wrong device count");
+  // A device has at most one role: active slot, pooled spare or rebuild
+  // target.
+  std::vector<bool> taken(static_cast<size_t>(device_count), false);
+  const auto take = [&](int d) {
+    MSTK_CHECK(d >= 0 && d < device_count, "restored superblock names a device out of range");
+    MSTK_CHECK(!taken[static_cast<size_t>(d)], "restored superblock gives a device two roles");
+    taken[static_cast<size_t>(d)] = true;
+  };
+  for (const int d : sb.slot_to_device) take(d);
+  for (const int d : sb.spare_pool) take(d);
+  if (sb.state != ArrayState::kRebuilding) {
+    MSTK_CHECK(sb.rebuild_slot == -1 && sb.rebuild_device == -1,
+               "restored superblock has a rebuild target outside kRebuilding");
+    return;
+  }
+  take(sb.rebuild_device);
+  MSTK_CHECK(sb.rebuild_slot >= 0 && sb.rebuild_slot < active_members,
+             "restored superblock's rebuild slot is out of range");
+  MSTK_CHECK(sb.slot_failed[static_cast<size_t>(sb.rebuild_slot)],
+             "restored superblock rebuilds a healthy slot");
+  // A cursor at the extent never persists: the last chunk's commit ends the
+  // rebuild.
+  MSTK_CHECK(sb.rebuild_cursor_blocks >= 0 && sb.rebuild_cursor_blocks < member_extent,
+             "restored superblock's rebuild cursor is out of range");
+}
+
+}  // namespace
 
 const char* ArrayStateName(ArrayState state) {
   switch (state) {
@@ -75,10 +116,7 @@ ArrayManager::ArrayManager(Simulator* sim, const ArrayManagerConfig& config,
       devices_(std::move(devices)),
       planner_(config.raid, config.active_members) {
   Init(scheduler_factory);
-  MSTK_CHECK(static_cast<int>(restored.slot_to_device.size()) == config_.active_members,
-             "restored superblock has the wrong slot count");
-  MSTK_CHECK(restored.device_failed.size() == devices_.size(),
-             "restored superblock has the wrong device count");
+  CheckRestorable(restored, config_.active_members, device_count(), member_extent_);
   super_ = restored;
   transitions_.push_back(Transition{super_.state, sim_->NowMs(), super_.version});
   ResumeFromSuperblock();
@@ -120,8 +158,6 @@ void ArrayManager::Init(const SchedulerFactory& scheduler_factory) {
 void ArrayManager::ResumeFromSuperblock() {
   switch (super_.state) {
     case ArrayState::kRebuilding:
-      MSTK_CHECK(super_.rebuild_slot >= 0 && super_.rebuild_device >= 0,
-                 "rebuilding superblock without a rebuild target");
       StartNextChunk(sim_->NowMs());
       break;
     case ArrayState::kDegraded:

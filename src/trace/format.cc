@@ -71,6 +71,23 @@ bool ParseToken(const std::string& token, double* value) {
   return end != token.c_str() && *end == '\0';
 }
 
+// A DiskSim flags field: an unsigned hex bitfield such as "1a". Tokens hold
+// no spaces, so a sign is the only prefix strtoll would wrongly accept.
+bool ParseHexToken(const std::string& token, int64_t* value) {
+  if (token[0] == '-' || token[0] == '+') {
+    return false;
+  }
+  const char* begin = token.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(begin, &end, 16);
+  if (end == begin || *end != '\0' || errno == ERANGE) {
+    return false;
+  }
+  *value = static_cast<int64_t>(v);
+  return true;
+}
+
 // Reads the file at `path` and hands its bytes to `parse`; errors gain the
 // path as a prefix.
 template <typename Parse>
@@ -254,20 +271,19 @@ bool ImportTrace(const std::string& bytes, int devno, ParsedTrace* out, std::str
     }
     const bool disksim = width == 5;
     TraceRecord record;
-    double arrival = 0.0;  // seconds (DiskSim) or ms (ASCII)
+    TimeMs arrival_ms = 0.0;
     int64_t dev = 0;
     int64_t blocks = 0;
     int64_t flags = 0;
-    // Both formats hold the arrival, address and length in fields 0, 2 and 3.
-    const bool parsed = f.size() == width && ParseToken(f[0], &arrival) &&
+    // Both formats hold the arrival (ms), address and length in fields 0, 2 and 3.
+    const bool parsed = f.size() == width && ParseToken(f[0], &arrival_ms) &&
                         ParseToken(f[2], &record.lba) && ParseToken(f[3], &blocks) &&
-                        (disksim ? ParseToken(f[1], &dev) && ParseToken(f[4], &flags)
+                        (disksim ? ParseToken(f[1], &dev) && ParseHexToken(f[4], &flags)
                                  : f[1] == "R" || f[1] == "W");
     if (!parsed) {
       return Fail(error, disksim ? "malformed DiskSim record" : "malformed old mstk ASCII record",
                   line_no, out);
     }
-    const TimeMs arrival_ms = disksim ? SecondsToMs(arrival) : arrival;
     if (!(arrival_ms >= 0.0 && arrival_ms <= kMaxArrivalMs)) {  // also rejects NaN
       return Fail(error, "out-of-range arrival time", line_no, out);
     }

@@ -113,10 +113,13 @@ bool ReadTraceFile(const std::string& path, ParsedTrace* out, std::string* error
 // Importer for traces recorded in other ASCII formats (`mstk_trace
 // convert`). The first record's field count picks the format; blank lines
 // and '#' comments are skipped:
-//   5 fields: DiskSim [GWP98], the paper's input format, with flags bit 0
-//             meaning read: <arrival_s> <devno> <blkno> <blocks> <flags>
+//   5 fields: DiskSim [GWP98], the paper's input format:
+//             <arrival_ms> <devno> <blkno> <blocks> <flags>, where flags is
+//             a hex bitfield whose bit 0 means read (DiskSim 4.0 manual,
+//             CMU-PDL-08-101)
 //   4 fields: old mstk ASCII: <arrival_ms> <R|W> <lbn> <blocks>
-// Arrivals round half-up to whole microseconds; records carry client 0.
+// Both give arrivals in milliseconds, rounded half-up to whole microseconds;
+// records carry client 0.
 // Every record, of any device, must pass RecordError, so an unsorted trace
 // fails rather than being reordered. `devno` >= 0 keeps only that device's
 // DiskSim records; -1 keeps all. Fails like ParseTrace: false, a

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -226,6 +227,53 @@ TEST(ArrayManagerTest, RestoredSuperblockResumesRebuildFromCursor) {
   EXPECT_EQ(restored.rebuild_chunks_committed(), (kExtent - cursor) / kChunk);
   // Only the remaining extent was copied onto the new rig's spare.
   EXPECT_EQ(rig2.devices[4]->activity().blocks_written, kExtent - cursor);
+}
+
+TEST(ArrayManagerTest, CorruptSuperblockDiesOnRestore) {
+  // A valid mid-rebuild superblock: 4 slots plus 1 spare, slot 0 failed and
+  // being copied onto device 4.
+  ArrayManagerConfig config = SmallArrayConfig();
+  Rig rig(config, /*device_count=*/5);
+  rig.manager->FailDevice(0, 0.0);
+  ASSERT_TRUE(
+      rig.RunUntil([&rig] { return rig.manager->rebuild_chunks_committed() >= 1; }));
+  const ArraySuperblock saved = rig.manager->superblock();
+  ASSERT_EQ(saved.state, ArrayState::kRebuilding);
+  ASSERT_EQ(saved.slot_to_device, std::vector<int>({0, 1, 2, 3}));
+  ASSERT_EQ(saved.rebuild_device, 4);
+
+  // Each case corrupts one field and names the check that must catch it.
+  struct Case {
+    void (*corrupt)(ArraySuperblock*);
+    const char* want_death;
+  };
+  const Case kCases[] = {
+      {[](ArraySuperblock* b) { b->version = 0; }, "never written"},
+      {[](ArraySuperblock* b) { b->slot_to_device.pop_back(); }, "wrong slot count"},
+      {[](ArraySuperblock* b) { b->slot_failed.resize(1); }, "wrong slot_failed size"},
+      {[](ArraySuperblock* b) { b->device_failed.pop_back(); }, "wrong device count"},
+      {[](ArraySuperblock* b) { b->slot_to_device[3] = 9; }, "device out of range"},
+      {[](ArraySuperblock* b) { b->slot_to_device[1] = -1; }, "device out of range"},
+      {[](ArraySuperblock* b) { b->slot_to_device[3] = 1; }, "two roles"},
+      {[](ArraySuperblock* b) { b->spare_pool = {5}; }, "device out of range"},
+      {[](ArraySuperblock* b) { b->spare_pool = {2}; }, "two roles"},
+      {[](ArraySuperblock* b) { b->rebuild_slot = 7; }, "rebuild slot is out of range"},
+      {[](ArraySuperblock* b) { b->rebuild_slot = 2; }, "rebuilds a healthy slot"},
+      {[](ArraySuperblock* b) { b->rebuild_device = 5; }, "device out of range"},
+      {[](ArraySuperblock* b) { b->rebuild_device = 3; }, "two roles"},
+      {[](ArraySuperblock* b) { b->rebuild_cursor_blocks = kExtent; }, "rebuild cursor"},
+      {[](ArraySuperblock* b) { b->rebuild_cursor_blocks = -1; }, "rebuild cursor"},
+      {[](ArraySuperblock* b) { b->state = ArrayState::kDegraded; }, "outside kRebuilding"},
+  };
+  for (size_t i = 0; i < std::size(kCases); ++i) {
+    ArraySuperblock bad = saved;
+    kCases[i].corrupt(&bad);
+    Rig rig2(config, /*device_count=*/5);
+    MetricsCollector metrics2;
+    EXPECT_DEATH(ArrayManager(&rig2.sim, config, rig2.devices, MakeFcfsFactory(), &metrics2, bad),
+                 kCases[i].want_death)
+        << "case " << i;
+  }
 }
 
 TEST(ArrayManagerTest, InPlaceRestartIgnoresOrphansAndFinishesRebuild) {

@@ -54,11 +54,13 @@ def check_convert(name, src, args, want_records):
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
+        # DiskSim arrivals are milliseconds and flags a hex bitfield (bit 0 =
+        # read); 4.0625 ms lands on a half microsecond and rounds up.
         disksim = write(os.path.join(tmp, "in.disksim"),
-                        "# arrival_s devno blkno blocks flags\n0.0 0 1000 8 1\n"
-                        "0.0015 1 2000 16 0\n0.002 0 3000 8 0\n0.004 0 64 4 3\n")
+                        "# arrival_ms devno blkno blocks flags\n0.0 0 1000 8 1\n"
+                        "1.5 1 2000 16 0\n2.25 0 3000 8 1a\n4.0625 0 64 4 1b\n")
         check_convert("disksim devno 0", disksim, [0],
-                      "0 1000 8 R 0\n2000 3000 8 W 0\n4000 64 4 R 0\n")
+                      "0 1000 8 R 0\n2250 3000 8 W 0\n4063 64 4 R 0\n")
         ascii = write(os.path.join(tmp, "in.ascii"), "# arrival_ms R|W lbn block_count\n"
                       "0 R 1000 8\n1.5 W 2000 16\n2.25 R 3000 8\n")
         check_convert("old ascii", ascii, [], "0 1000 8 R 0\n1500 2000 16 W 0\n2250 3000 8 R 0\n")

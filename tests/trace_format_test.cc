@@ -180,6 +180,8 @@ TEST(TraceTest, ReadRejectsBadRecords) {
       {"MSTKTRACE record", "0 8 4 R 0\n", "line 1: malformed DiskSim"},
       {"mixed formats", "0 R 8 4\n0.1 0 8 4 1\n", "line 2: malformed old mstk ASCII"},
       {"DiskSim runs backwards", "0.2 0 8 4 1\n0.1 0 8 4 1\n", "line 2: timestamp_us runs back"},
+      {"non-hex DiskSim flags", "0 0 8 4 1\n0.1 0 8 4 1g\n", "line 2: malformed DiskSim"},
+      {"signed DiskSim flags", "0 0 8 4 -1\n", "line 1: malformed DiskSim"},
       {"filtered device runs backwards", "0.2 0 8 4 1\n0.1 1 8 4 1\n", "line 2: timestamp_us"},
       {"ASCII runs backwards", "5 R 8 4\n4.9 W 8 4\n", "line 2: timestamp_us runs backwards"},
       {"oversized blocks", "0 R 8 1048577\n", "line 1: out-of-range blocks"},
@@ -201,18 +203,20 @@ TEST(TraceTest, ReadRejectsBadRecords) {
 TEST(TraceTest, DiskSimFormatParses) {
   const std::string disksim =
       "# DiskSim ascii trace\n0.000000 0 1000 8 1\n0.015000 0 2000 16 0\n"
-      "0.020000 1 3000 8 1\n0.031000 0 64 4 3\n";
+      "0.020000 1 3000 8 1\n0.031000 0 64 4 3\n0.04 0 128 8 1a\n0.05 0 256 8 1B\n";
   ParsedTrace all;
   std::string error;
   ASSERT_TRUE(ImportTrace(disksim, -1, &all, &error)) << error;
-  // Seconds become microseconds; flags bit 0 means read.
+  // Milliseconds become microseconds; flags is hex and bit 0 means read.
   EXPECT_EQ(all.records, std::vector<TraceRecord>({Rec(0, 1000, 8, IoType::kRead, 0),
-                                                   Rec(15000, 2000, 16, IoType::kWrite, 0),
-                                                   Rec(20000, 3000, 8, IoType::kRead, 0),
-                                                   Rec(31000, 64, 4, IoType::kRead, 0)}));
+                                                   Rec(15, 2000, 16, IoType::kWrite, 0),
+                                                   Rec(20, 3000, 8, IoType::kRead, 0),
+                                                   Rec(31, 64, 4, IoType::kRead, 0),
+                                                   Rec(40, 128, 8, IoType::kWrite, 0),
+                                                   Rec(50, 256, 8, IoType::kRead, 0)}));
   ParsedTrace dev0;
   ASSERT_TRUE(ImportTrace(disksim, 0, &dev0, &error)) << error;
-  EXPECT_EQ(dev0.records.size(), 3u);
+  EXPECT_EQ(dev0.records.size(), 5u);
   ParsedTrace dev1;
   ASSERT_TRUE(ImportTrace(disksim, 1, &dev1, &error)) << error;
   EXPECT_EQ(dev1.records, std::vector<TraceRecord>({all.records[2]}));

@@ -2,7 +2,7 @@
 """mstk-lint: project-specific static analysis for the MEMS storage simulator.
 
 This file is the command-line entry point; the implementation lives in the
-mstklint/ package next to it (engine, rules, cache, baseline modules). Run
+mstklint/ package next to it (file model, include graph, rules, fixers). Run
 `mstk_lint.py --list-rules` for the rule catalog, or see CONTRIBUTING.md.
 """
 

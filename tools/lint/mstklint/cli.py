@@ -1,37 +1,39 @@
-"""mstk-lint driver: argument parsing, engine selection, caching, reporting.
+"""mstk-lint command line: argument parsing, the two rule passes, reporting.
 
 Exit codes (stable contract, see also scripts/run_lint.sh):
-  0  clean (or all findings absorbed by the baseline)
+  0  clean
   1  findings present
-  2  usage error / unreadable input
-  3  --engine=ast requested but the AST engine is unavailable
+  2  usage error: unknown rule, missing path, or no input files
 """
 
 import argparse
 import json
 import os
-import subprocess
 import sys
 import time
 
-from . import (EXIT_CLEAN, EXIT_ENGINE_UNAVAILABLE, EXIT_FINDINGS,
-               EXIT_USAGE, LINT_VERSION)
-from .astengine import AST_RULES, ast_available, run_ast_engine
-from .baseline import Baseline
-from .cache import (CACHE_DIR_NAME, ResultCache, finding_from_wire,
-                    finding_to_wire)
-from .context import Context, load_compile_commands
+from . import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, LINT_VERSION
+from .context import Context
 from .fixes import FIXABLE_RULES, apply_fixes
 from .rules import RULES
 from .source import Finding, load_file
 
 _DEFAULT_PATHS = ["src", "tools", "bench", "examples"]
-_DEFAULT_BASELINE = "tools/lint/lint_baseline.json"
+# The repo root, three levels above this package. Relative paths on the
+# command line and every reported path are relative to it.
+_ROOT = os.path.normpath(os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "..", ".."))
 
 
 def collect_paths(root, args_paths):
+    """Source files under `args_paths`, or None if any path does not exist.
+
+    A missing path is an error, not a warning: a renamed directory must not
+    drop out of the gate unnoticed.
+    """
     exts = (".h", ".hpp", ".cc", ".cpp", ".cxx")
     out = []
+    missing = False
     for p in args_paths:
         ap = p if os.path.isabs(p) else os.path.join(root, p)
         if os.path.isfile(ap):
@@ -43,36 +45,9 @@ def collect_paths(root, args_paths):
                     if fn.endswith(exts):
                         out.append(os.path.join(dirpath, fn))
         else:
-            sys.stderr.write("mstk-lint: warning: no such path: %s\n" % p)
-    return out
-
-
-def _git_changed_files(root, ref):
-    """Root-relative paths changed vs `ref`, plus untracked files."""
-    changed = set()
-    for cmd in (["git", "-C", root, "diff", "--name-only", ref, "--"],
-                ["git", "-C", root, "ls-files", "--others",
-                 "--exclude-standard"]):
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode != 0:
-            sys.stderr.write("mstk-lint: error: %s failed: %s\n"
-                             % (" ".join(cmd[:4]), proc.stderr.strip()))
-            return None
-        changed.update(l.strip() for l in proc.stdout.splitlines() if l.strip())
-    return changed
-
-
-def _select_changed(ctx, files, changed):
-    """Files in the changed set, or whose include closure touches it.
-
-    A header edit must re-lint every TU that can see it (D2 reach, T2 domain
-    facts, and the cache's closure key all depend on headers).
-    """
-    keep = []
-    for sf in files:
-        if sf.rel in changed or ctx.transitive_includes(sf) & changed:
-            keep.append(sf)
-    return keep
+            sys.stderr.write("mstk-lint: error: no such path: %s\n" % p)
+            missing = True
+    return None if missing else out
 
 
 def build_parser():
@@ -81,21 +56,13 @@ def build_parser():
         description=sys.modules["mstklint"].__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("paths", nargs="*", default=None,
-                        help="files or directories to lint "
-                             "(default: %s)" % " ".join(_DEFAULT_PATHS))
-    parser.add_argument("--root", default=None,
-                        help="repo root (default: three levels above this package)")
-    parser.add_argument("--compile-commands", default=None, metavar="JSON",
-                        help="compile_commands.json for include paths / TU set "
-                             "(default: <root>/build/compile_commands.json if present)")
+                        help="files or directories to lint, relative to the "
+                             "repo root (default: %s)"
+                             % " ".join(_DEFAULT_PATHS))
     parser.add_argument("--json", default=None, metavar="OUT",
                         help="write a machine-readable report (byte-stable)")
     parser.add_argument("--rules", default=None,
                         help="comma-separated rule filter, e.g. D1,U2")
-    parser.add_argument("--engine", choices=("auto", "ast", "tokens"),
-                        default="auto",
-                        help="analysis engine (auto: ast if libclang imports; "
-                             "ast: required, exit 3 if unavailable)")
     parser.add_argument("--all-scopes", action="store_true",
                         help="apply every rule to every file regardless of its "
                              "default path scope (fixture testing)")
@@ -103,30 +70,8 @@ def build_parser():
                         help="rewrite files to repair U1 (double -> TimeMs), "
                              "N1 ([[nodiscard]]) and unambiguous T2 "
                              "(UsToMs/MsToUs) findings in place")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help="findings baseline; baselined findings are "
-                             "reported but do not fail the run (default: "
-                             "%s if present)" % _DEFAULT_BASELINE)
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the default baseline file")
-    parser.add_argument("--write-baseline", default=None, metavar="FILE",
-                        help="record current findings as the new baseline and "
-                             "exit 0")
-    parser.add_argument("--changed-only", nargs="?", const="HEAD",
-                        default=None, metavar="REF",
-                        help="lint only files changed vs REF (default HEAD), "
-                             "plus files whose include closure touches them")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel TU parses for the AST engine")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the per-file result cache")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="cache directory (default: <root>/%s)"
-                             % CACHE_DIR_NAME)
     parser.add_argument("--timings", action="store_true",
                         help="print a per-rule timing table")
-    parser.add_argument("--summary-store", default=None, metavar="OUT",
-                        help="write the cross-TU summary store as JSON")
     parser.add_argument("--list-rules", action="store_true")
     parser.add_argument("-q", "--quiet", action="store_true",
                         help="suppress per-finding output; summary only")
@@ -141,11 +86,6 @@ def main(argv=None):
             print("%s  %s" % (rid, RULES[rid].summary))
         return EXIT_CLEAN
 
-    root = args.root or os.path.normpath(
-        os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                     "..", "..", ".."))
-    root = os.path.abspath(root)
-
     selected = sorted(RULES)
     if args.rules:
         selected = [r.strip() for r in args.rules.split(",") if r.strip()]
@@ -155,51 +95,14 @@ def main(argv=None):
                              % ", ".join(unknown))
             return EXIT_USAGE
 
-    paths = collect_paths(root, args.paths or _DEFAULT_PATHS)
+    paths = collect_paths(_ROOT, args.paths or _DEFAULT_PATHS)
+    if paths is None:
+        return EXIT_USAGE
     if not paths:
         sys.stderr.write("mstk-lint: no input files\n")
         return EXIT_USAGE
-    files = [load_file(root, p) for p in paths]
-
-    cc_path = args.compile_commands
-    if cc_path is None:
-        candidate = os.path.join(root, "build", "compile_commands.json")
-        cc_path = candidate if os.path.isfile(candidate) else None
-    compile_commands = load_compile_commands(cc_path) if cc_path else []
-    ctx = Context(root, files, compile_commands)
-
-    if args.changed_only is not None:
-        changed = _git_changed_files(root, args.changed_only)
-        if changed is None:
-            return EXIT_USAGE
-        files = _select_changed(ctx, files, changed)
-
-    # -- engine selection ---------------------------------------------------
-    engine = "tokens"
-    ast_results = None
-    want_ast = args.engine in ("auto", "ast")
-    if want_ast:
-        ok, reason = ast_available(ctx)
-        if not ok:
-            if args.engine == "ast":
-                sys.stderr.write("mstk-lint: error: --engine=ast requested "
-                                 "but the AST engine is unavailable: %s\n"
-                                 % reason)
-                return EXIT_ENGINE_UNAVAILABLE
-            if not args.quiet:
-                sys.stderr.write("mstk-lint: note: AST engine unavailable "
-                                 "(%s); falling back to token engine\n"
-                                 % reason)
-            want_ast = False
-
-    # -- cache --------------------------------------------------------------
-    cache = None
-    if not args.no_cache:
-        cache_dir = args.cache_dir or os.path.join(root, CACHE_DIR_NAME)
-        engine_tag = "ast" if want_ast else "tokens"
-        rules_sig = ",".join(selected) + (";all-scopes" if args.all_scopes
-                                          else "")
-        cache = ResultCache(cache_dir, engine_tag, rules_sig)
+    files = [load_file(_ROOT, p) for p in paths]
+    ctx = Context(_ROOT, files)
 
     timings = {}
 
@@ -210,17 +113,7 @@ def main(argv=None):
         finally:
             timings[rid] = timings.get(rid, 0.0) + (time.perf_counter() - t0)
 
-    if want_ast:
-        ast_results = timed("ast-parse", lambda: run_ast_engine(
-            ctx, files, selected, jobs=max(1, args.jobs), cache=cache))
-        if ast_results is not None:
-            engine = "ast"
-        elif args.engine == "ast":
-            sys.stderr.write("mstk-lint: error: --engine=ast requested but "
-                             "the AST engine failed to start\n")
-            return EXIT_ENGINE_UNAVAILABLE
-
-    # -- first pass: token rules, per-file, cache-aware ---------------------
+    # -- first pass: every in-scope rule, before suppression ----------------
     raw_by_file = {}      # rel -> [Finding] (pre-suppression)
     checked_by_file = {}  # rel -> set(rule ids actually evaluated)
     first_pass = [rid for rid in selected if not RULES[rid].post]
@@ -229,45 +122,14 @@ def main(argv=None):
     for sf in files:
         in_scope = [rid for rid in first_pass
                     if args.all_scopes or RULES[rid].scope(sf.rel)]
-        # AST engine owns U1/N1 when active; token rules cover the rest.
-        token_rids = [rid for rid in in_scope
-                      if not (ast_results is not None and rid in AST_RULES)]
         checked_by_file[sf.rel] = set(in_scope)
-        raw = None
-        closure = extra = None
-        if cache is not None:
-            closure = ctx.closure_hash(sf)
-            extra = ctx.extra_dependency_hash(sf)
-            wire = cache.get(sf.rel, closure, extra)
-            if wire is not None:
-                raw = [finding_from_wire(rec, sf) for rec in wire]
-        if raw is None:
-            raw = []
-            for rid in token_rids:
-                raw.extend(timed(rid, lambda r=rid: list(
-                    RULES[r].check(sf, ctx))))
-            if cache is not None:
-                cache.put(sf.rel, closure,
-                          [finding_to_wire(f) for f in raw], extra)
+        raw = []
+        for rid in in_scope:
+            raw.extend(timed(rid, lambda r=rid: list(RULES[r].check(sf, ctx))))
         raw_by_file[sf.rel] = raw
 
-    # Merge AST-owned findings into the raw per-file map.
-    if ast_results is not None:
-        by_rel = {sf.rel: sf for sf in files}
-        for rid, fs in ast_results.items():
-            if rid not in selected:
-                continue
-            for f in fs:
-                if f.path in by_rel:
-                    raw_by_file.setdefault(f.path, []).append(f)
-
-    # -- suppression filter -------------------------------------------------
-    by_rel = {sf.rel: sf for sf in files}
-    findings = []
-    for sf in files:
-        for f in raw_by_file.get(sf.rel, []):
-            if not sf.suppressed(f.rule, f.line):
-                findings.append(f)
+    findings = [f for sf in files for f in raw_by_file[sf.rel]
+                if not sf.suppressed(f.rule, f.line)]
 
     # -- post pass (W1 consumes the raw findings) ---------------------------
     ctx.raw_findings_by_file = raw_by_file
@@ -283,9 +145,6 @@ def main(argv=None):
 
     findings.sort(key=Finding.key)
 
-    if cache is not None:
-        cache.save()
-
     # -- fixes --------------------------------------------------------------
     if args.fix:
         fixed = apply_fixes(
@@ -293,66 +152,37 @@ def main(argv=None):
         sys.stdout.write("mstk-lint: applied %d fix(es); re-run to verify\n"
                          % fixed)
 
-    # -- baseline -----------------------------------------------------------
-    if args.write_baseline:
-        Baseline.write(args.write_baseline, findings)
-        sys.stdout.write("mstk-lint: wrote baseline with %d finding(s) to %s\n"
-                         % (len(findings), args.write_baseline))
-        return EXIT_CLEAN
-
-    baseline_path = args.baseline
-    if baseline_path is None and not args.no_baseline:
-        candidate = os.path.join(root, _DEFAULT_BASELINE)
-        baseline_path = candidate if os.path.isfile(candidate) else None
-    if baseline_path:
-        new_findings, baselined = Baseline.load(baseline_path).split(findings)
-    else:
-        new_findings, baselined = findings, []
-
     # -- report -------------------------------------------------------------
-    baselined_keys = {id(f) for f in baselined}
     if not args.quiet:
         for f in findings:
-            tag = " [baselined]" if id(f) in baselined_keys else ""
-            sys.stdout.write("%s:%d:%d: %s: %s%s\n"
-                             % (f.path, f.line, f.col, f.rule, f.message, tag))
+            sys.stdout.write("%s:%d:%d: %s: %s\n"
+                             % (f.path, f.line, f.col, f.rule, f.message))
     counts = {}
     for f in findings:
         counts[f.rule] = counts.get(f.rule, 0) + 1
     summary = ", ".join("%s=%d" % kv for kv in sorted(counts.items())) or "clean"
-    sys.stdout.write("mstk-lint [%s engine]: %d file(s), %d finding(s) (%s)\n"
-                     % (engine, len(files), len(findings), summary))
-    if baselined:
-        sys.stdout.write("mstk-lint: %d finding(s) absorbed by baseline %s\n"
-                         % (len(baselined), baseline_path))
-    if cache is not None and not args.quiet:
-        sys.stdout.write("mstk-lint: cache: %d hit(s), %d miss(es)\n"
-                         % (cache.hits, cache.misses))
+    sys.stdout.write("mstk-lint: %d file(s), %d finding(s) (%s)\n"
+                     % (len(files), len(findings), summary))
 
     if args.timings:
         sys.stdout.write("mstk-lint: per-rule timings:\n")
         for rid in sorted(timings):
             sys.stdout.write("  %-10s %8.1f ms\n" % (rid, timings[rid] * 1e3))
 
-    if args.summary_store:
-        ctx.write_summary_store(files, args.summary_store)
-
     if args.json:
         report = {
             "tool": "mstk-lint",
             "version": LINT_VERSION,
-            "engine": engine,
             "rules": [{"id": rid, "summary": RULES[rid].summary}
                       for rid in sorted(RULES)],
             "selected_rules": selected,
             "files_scanned": len(files),
             "counts": counts,
             "total": len(findings),
-            "baselined": len(baselined),
             "findings": [f.as_dict() for f in findings],
         }
         with open(args.json, "w", encoding="utf-8") as out:
             json.dump(report, out, indent=2, sort_keys=True)
             out.write("\n")
 
-    return EXIT_FINDINGS if new_findings else EXIT_CLEAN
+    return EXIT_FINDINGS if findings else EXIT_CLEAN

@@ -1,16 +1,13 @@
-"""Whole-program analysis context.
+"""Whole-program analysis context: the include graph.
 
-Owns the include graph (D2's fixpoint, reused by the cache's closure hash),
-the compile database, and the cross-TU summary store: one small record per
-file capturing the facts other files' rules need (includes, scheduling-sink
-call sites, RNG construction counts, serialization reach). Summaries are
-pure functions of file content, so they are cached alongside findings.
+Rules look at one file at a time, but D2 must know whether a file reaches a
+serialization sink through its quoted includes, and which containers the
+headers it includes declare. Context resolves each include against the repo
+root or the including file's directory, loads headers on demand, and
+memoizes every file's transitive include closure.
 """
 
-import hashlib
-import json
 import os
-import sys
 
 from .source import load_file
 
@@ -25,13 +22,10 @@ D2_SINKS = (
 
 
 class Context:
-    def __init__(self, root, files, compile_commands=None):
+    def __init__(self, root, files):
         self.root = root
         self._by_rel = {sf.rel: sf for sf in files}
-        self._reach_cache = {}
         self._inc_cache = {}
-        self._summary_cache = {}
-        self.compile_commands = compile_commands or []
 
     def file_by_rel(self, rel):
         sf = self._by_rel.get(rel)
@@ -73,14 +67,8 @@ class Context:
                     stack.append(nxt)
         return seen
 
-    def reaches_serialization(self, sf):
-        if sf.rel in self._reach_cache:
-            return self._reach_cache[sf.rel]
-        reach = self.first_sink(sf) is not None
-        self._reach_cache[sf.rel] = reach
-        return reach
-
     def first_sink(self, sf):
+        """The first D2 sink `sf` is or includes, or None if it reaches none."""
         if sf.rel in D2_SINKS:
             return sf.rel
         inc = self.transitive_includes(sf)
@@ -88,66 +76,3 @@ class Context:
             if sink in inc:
                 return sink
         return None
-
-    # -- cross-TU summary store ---------------------------------------------
-
-    def summary(self, sf):
-        """Per-file summary record (cheap facts other rules consume)."""
-        if sf.rel in self._summary_cache:
-            return self._summary_cache[sf.rel]
-        # Imported lazily: rules/__init__ imports context for D2_SINKS.
-        from .rules.capture import find_sink_calls
-        from .rules.seeds import rng_construction_count
-        inc = sorted(self.transitive_includes(sf))
-        rec = {
-            "sha": sf.sha,
-            "includes": inc,
-            "reaches_serialization": self.first_sink(sf) is not None,
-            "sink_calls": len(find_sink_calls(sf.clean)),
-            "rng_ctors": rng_construction_count(sf.clean),
-        }
-        self._summary_cache[sf.rel] = rec
-        return rec
-
-    def closure_hash(self, sf):
-        """Hash of this file's content plus its transitive include closure.
-
-        The per-file cache key: a change in any header a TU can see must
-        invalidate the TU's cached findings (D2's identifier harvesting reads
-        included headers; T2's domain facts can live in headers too).
-        """
-        h = hashlib.sha256()
-        h.update(sf.sha.encode())
-        for rel in sorted(self.transitive_includes(sf)):
-            inc_sf = self.file_by_rel(rel)
-            if inc_sf is not None:
-                h.update(rel.encode())
-                h.update(inc_sf.sha.encode())
-        return h.hexdigest()
-
-    def extra_dependency_hash(self, sf):
-        """Out-of-tree inputs a rule reads for this file (e.g. C1's ci.yml)."""
-        if sf.rel != "tools/mstk_sweep.cc":
-            return ""
-        wf = os.path.join(self.root, ".github", "workflows", "ci.yml")
-        try:
-            with open(wf, "rb") as f:
-                return hashlib.sha256(f.read()).hexdigest()
-        except OSError:
-            return "missing"
-
-    def write_summary_store(self, files, out_path):
-        """Persists the summary store (byte-stable JSON) for tooling/tests."""
-        store = {sf.rel: self.summary(sf) for sf in files}
-        with open(out_path, "w", encoding="utf-8") as out:
-            json.dump(store, out, indent=2, sort_keys=True)
-            out.write("\n")
-
-
-def load_compile_commands(path):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
-    except (OSError, ValueError) as e:
-        sys.stderr.write("mstk-lint: warning: cannot read %s: %s\n" % (path, e))
-        return []

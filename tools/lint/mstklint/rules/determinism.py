@@ -74,7 +74,8 @@ def unordered_idents(sf):
 @rule("D2", "no unordered-container iteration in serialization-reaching TUs",
       lambda rel: True)
 def check_d2(sf, ctx):
-    if not ctx.reaches_serialization(sf):
+    sink = ctx.first_sink(sf)
+    if sink is None:
         return
     # Identifiers visible to this TU: its own plus those of transitively
     # included repo headers (members declared in a .h, iterated in the .cc).
@@ -88,7 +89,6 @@ def check_d2(sf, ctx):
            "varies across libstdc++/libc++; this TU reaches serialization "
            "(%s) so the bytes it emits must not depend on it -- iterate a "
            "sorted copy or an ordered container instead")
-    sink = ctx.first_sink(sf)
 
     # Range-for whose range expression names an unordered container.
     for m in re.finditer(r"\bfor\s*\(", sf.clean):

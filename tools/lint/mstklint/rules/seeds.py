@@ -47,11 +47,6 @@ _DERIVE_FILE = "src/core/trial_runner.cc"
 _SPLITMIX_CONSTANTS = ("0xbf58476d1ce4e5b9", "0x94d049bb133111eb")
 
 
-def rng_construction_count(clean):
-    """Rng construction sites in a file (cross-TU summary fact)."""
-    return len(re.findall(r"\bRng\b\s*(?:[A-Za-z_]\w*\s*)?[({]", clean))
-
-
 def _s1_scope(rel):
     if not in_src(rel):
         return False

@@ -6,7 +6,6 @@ spaces instead of deleting them -- every match position maps 1:1 onto the
 bytes on disk.
 """
 
-import hashlib
 import re
 
 
@@ -63,7 +62,6 @@ class SourceFile:
         self.rel = rel            # root-relative, '/'-separated (report key)
         self.text = text
         self.clean = strip_comments_and_strings(text)
-        self.sha = hashlib.sha256(text.encode("utf-8", "replace")).hexdigest()
         # Byte offset of the start of each line, for offset->line:col mapping.
         self.line_starts = [0]
         for m in re.finditer(r"\n", text):
