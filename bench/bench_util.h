@@ -16,6 +16,9 @@
 #ifndef MSTK_BENCH_BENCH_UTIL_H_
 #define MSTK_BENCH_BENCH_UTIL_H_
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -48,6 +51,26 @@
 
 namespace mstk {
 
+// Strict numeric arguments for every CLI: the whole argument must parse, and
+// out-of-range values fail rather than wrap or reach a library precondition.
+inline bool ParseWhole(const char* arg, int64_t lo, int64_t hi, int64_t* value) {
+  char* end = nullptr;
+  errno = 0;
+  *value = std::strtoll(arg, &end, 10);
+  return end != arg && *end == '\0' && errno != ERANGE && *value >= lo && *value <= hi;
+}
+
+// A finite real in [lo, hi].
+inline bool ParseReal(const char* arg, double lo, double hi, double* value) {
+  char* end = nullptr;
+  *value = std::strtod(arg, &end);
+  return end != arg && *end == '\0' && std::isfinite(*value) && *value >= lo && *value <= hi;
+}
+
+inline bool ParsePositive(const char* arg, double* value) {
+  return ParseReal(arg, 0.0, HUGE_VAL, value) && *value > 0.0;
+}
+
 struct BenchOptions {
   bool csv = false;
   bool fast = false;
@@ -70,29 +93,32 @@ struct BenchOptions {
   std::string json_path;
   std::string trace_path;
 
+  // An unknown flag, a missing value, or a malformed or out-of-range number
+  // prints the usage and exits 2.
   static BenchOptions Parse(int argc, char** argv) {
     BenchOptions opts;
+    int64_t whole = 0;
     for (int i = 1; i < argc; ++i) {
       const char* arg = argv[i];
       auto next = [&]() -> const char* {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "%s: %s needs a value\n", argv[0], arg);
-          std::exit(2);
-        }
+        if (i + 1 >= argc) Usage(argv[0]);
         return argv[++i];
       };
+      bool ok = true;
       if (std::strcmp(arg, "--csv") == 0) {
         opts.csv = true;
       } else if (std::strcmp(arg, "--fast") == 0) {
         opts.fast = true;
       } else if (std::strcmp(arg, "--trials") == 0) {
-        opts.trials = std::atoll(next());
+        ok = ParseWhole(next(), 1, INT64_MAX, &opts.trials);
       } else if (std::strcmp(arg, "--jobs") == 0) {
-        opts.jobs = std::atoi(next());
+        ok = ParseWhole(next(), 0, INT_MAX, &whole);
+        opts.jobs = static_cast<int>(whole);
       } else if (std::strcmp(arg, "--seed") == 0) {
-        opts.seed = std::strtoull(next(), nullptr, 10);
+        ok = ParseWhole(next(), 0, INT64_MAX, &whole);
+        opts.seed = static_cast<uint64_t>(whole);
       } else if (std::strcmp(arg, "--fault-rate") == 0) {
-        opts.fault_rate = std::atof(next());
+        ok = ParseReal(next(), 0.0, 1.0, &opts.fault_rate);
       } else if (std::strcmp(arg, "--layouts") == 0) {
         opts.layouts = next();
       } else if (std::strcmp(arg, "--trace-file") == 0) {
@@ -100,23 +126,28 @@ struct BenchOptions {
       } else if (std::strcmp(arg, "--arrival-mode") == 0) {
         opts.arrival_mode = next();
       } else if (std::strcmp(arg, "--clients") == 0) {
-        opts.clients = std::atoi(next());
+        ok = ParseWhole(next(), 1, INT_MAX, &whole);
+        opts.clients = static_cast<int>(whole);
       } else if (std::strcmp(arg, "--json") == 0) {
         opts.json_path = next();
       } else if (std::strcmp(arg, "--trace") == 0) {
         opts.trace_path = next();
       } else {
-        std::fprintf(stderr,
-                     "usage: %s [--csv] [--fast] [--trials N] [--jobs N] "
-                     "[--seed S] [--fault-rate P] [--layouts L] [--json PATH] "
-                     "[--trace PATH] [--trace-file PATH] "
-                     "[--arrival-mode open|closed|hybrid] [--clients N]\n",
-                     argv[0]);
-        std::exit(2);
+        ok = false;
       }
+      if (!ok) Usage(argv[0]);
     }
-    if (opts.trials < 1) opts.trials = 1;
     return opts;
+  }
+
+  [[noreturn]] static void Usage(const char* argv0) {
+    std::fprintf(stderr,
+                 "usage: %s [--csv] [--fast] [--trials N] [--jobs N] "
+                 "[--seed S] [--fault-rate P] [--layouts L] [--json PATH] "
+                 "[--trace PATH] [--trace-file PATH] "
+                 "[--arrival-mode open|closed|hybrid] [--clients N]\n",
+                 argv0);
+    std::exit(2);
   }
 
   int64_t Scale(int64_t full) const { return fast ? full / 5 : full; }

@@ -20,6 +20,7 @@
 //   events_per_sec [--repeat N] [--scale X] [--json PATH]
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -27,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/core/experiment.h"
 #include "src/core/request.h"
 #include "src/core/storage_device.h"
@@ -161,17 +163,17 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (std::strcmp(arg, "--repeat") == 0) {
-      repeat = std::atoi(next());
+      int64_t whole = 0;
+      if (!ParseWhole(next(), 1, INT_MAX, &whole)) return Usage(argv[0]);
+      repeat = static_cast<int>(whole);
     } else if (std::strcmp(arg, "--scale") == 0) {
-      scale = std::atof(next());
+      if (!ParsePositive(next(), &scale)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--json") == 0) {
       json_path = next();
     } else {
       return Usage(argv[0]);
     }
   }
-  if (repeat < 1) repeat = 1;
-  if (scale <= 0.0) scale = 1.0;
 
   const auto n = [scale](int64_t full) {
     return std::max<int64_t>(static_cast<int64_t>(static_cast<double>(full) * scale), 1);

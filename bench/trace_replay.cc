@@ -41,10 +41,6 @@ int main(int argc, char** argv) {
                  opts.arrival_mode.c_str());
     return 2;
   }
-  if (opts.clients < 1) {
-    std::fprintf(stderr, "--clients must be >= 1\n");
-    return 2;
-  }
 
   const TableWriter table(opts.csv);
   BenchJson json("trace_replay", opts);

@@ -1,133 +1,23 @@
 #!/usr/bin/env python3
-"""Perf-smoke tolerance gate over mstk_sweep JSON documents.
-
-The simulator runs in virtual time, so sweep metrics are machine-independent:
-on an unchanged model the deltas below are exactly zero, and any nonzero
-delta is a real model/timing change. The tolerance exists so intentional
-model changes inside the band don't require a lockstep baseline update;
-anything past it fails CI until the baseline is regenerated on purpose.
+"""Wall-clock throughput gate over bench/events_per_sec JSON documents.
+(Simulated outputs are pinned exactly by scripts/goldens.py.)
 
 Usage:
-  check_bench_tolerance.py write BASELINE SWEEP_JSON...
-      Record/refresh the baseline from sweep documents (merges by sweep name).
-  check_bench_tolerance.py check BASELINE SWEEP_JSON... [--tolerance 0.15]
-      [--report PATH]
-      Compare each sweep's mean_*_ms metric means against the baseline.
-      Exit 1 if any relative delta exceeds the tolerance, or if a baseline
-      cell/metric disappeared from the measurement.
   check_bench_tolerance.py bench-write BASELINE BENCH_JSON
       Record/refresh the events/sec throughput baseline (bench/events_per_sec
       --json output) under the baseline's "bench" key.
   check_bench_tolerance.py bench-check BASELINE BENCH_JSON [--floor 0.45]
       [--win-notice 0.15]
-      Wall-clock gate: unlike sweep metrics, events/sec depends on the
-      machine, so the gate is a one-sided ratio floor, not a tight band.
-      Exit 1 if any config's measured/baseline events_per_sec falls below
-      the floor (a real throughput regression survives machine noise); a
-      win beyond --win-notice just prints a reminder to refresh the
-      baseline so the floor keeps teeth.
+      Events/sec depends on the machine, so the gate is a one-sided ratio
+      floor, not a tight band. Exit 1 if any config's measured/baseline
+      events_per_sec falls below the floor (a real throughput regression
+      survives machine noise); a win beyond --win-notice just prints a
+      reminder to refresh the baseline so the floor keeps teeth.
 """
 
 import argparse
 import json
-import re
 import sys
-
-METRIC_RE = re.compile(r"^mean_.*_ms$")
-
-
-def extract(doc):
-    """{cell_name: {metric_name: mean}} for the gated metrics of one sweep."""
-    cells = {}
-    for cell in doc["cells"]:
-        metrics = cell["result"]["metrics"]
-        cells[cell["name"]] = {
-            name: m["mean"] for name, m in metrics.items() if METRIC_RE.match(name)
-        }
-    return cells
-
-
-def load_sweeps(paths):
-    sweeps = {}
-    for path in paths:
-        with open(path) as f:
-            doc = json.load(f)
-        sweeps[doc["sweep"]] = extract(doc)
-    return sweeps
-
-
-def write_baseline(baseline_path, sweep_paths):
-    try:
-        with open(baseline_path) as f:
-            baseline = json.load(f)
-    except FileNotFoundError:
-        baseline = {"sweeps": {}}
-    baseline["sweeps"].update(load_sweeps(sweep_paths))
-    with open(baseline_path, "w") as f:
-        json.dump(baseline, f, indent=1, sort_keys=True)
-        f.write("\n")
-    print(f"baseline written: {baseline_path} ({len(baseline['sweeps'])} sweeps)")
-    return 0
-
-
-def check(baseline_path, sweep_paths, tolerance, report_path):
-    with open(baseline_path) as f:
-        baseline = json.load(f)["sweeps"]
-    measured = load_sweeps(sweep_paths)
-
-    rows = []  # (sweep, cell, metric, base, now, rel_delta, ok)
-    failures = []
-    for sweep, cells in measured.items():
-        base_cells = baseline.get(sweep)
-        if base_cells is None:
-            print(f"note: sweep '{sweep}' not in baseline, skipping")
-            continue
-        for cell, base_metrics in base_cells.items():
-            now_metrics = cells.get(cell)
-            if now_metrics is None:
-                failures.append(f"{sweep}/{cell}: cell missing from measurement")
-                continue
-            for metric, base in base_metrics.items():
-                if metric not in now_metrics:
-                    failures.append(f"{sweep}/{cell}/{metric}: metric missing")
-                    continue
-                now = now_metrics[metric]
-                if base == 0.0:
-                    rel = 0.0 if now == 0.0 else float("inf")
-                else:
-                    rel = abs(now - base) / abs(base)
-                ok = rel <= tolerance
-                rows.append((sweep, cell, metric, base, now, rel, ok))
-                if not ok:
-                    failures.append(
-                        f"{sweep}/{cell}/{metric}: {base:.6g} -> {now:.6g} "
-                        f"({rel:+.1%} > ±{tolerance:.0%})"
-                    )
-
-    if report_path:
-        with open(report_path, "w") as f:
-            f.write(f"# Perf-smoke delta report (tolerance ±{tolerance:.0%})\n\n")
-            f.write("| sweep | cell | metric | baseline | measured | delta | ok |\n")
-            f.write("|---|---|---|---|---|---|---|\n")
-            for sweep, cell, metric, base, now, rel, ok in rows:
-                mark = "✓" if ok else "✗ FAIL"
-                f.write(
-                    f"| {sweep} | {cell} | {metric} | {base:.6g} | {now:.6g} "
-                    f"| {rel:+.2%} | {mark} |\n"
-                )
-            if failures:
-                f.write("\n## Failures\n\n")
-                for line in failures:
-                    f.write(f"- {line}\n")
-
-    checked = len(rows)
-    if failures:
-        print(f"TOLERANCE FAILURE: {len(failures)} of {checked} checks out of band")
-        for line in failures:
-            print(f"  {line}")
-        return 1
-    print(f"tolerance ok: {checked} metric means within ±{tolerance:.0%}")
-    return 0
 
 
 def load_bench(path):
@@ -138,12 +28,7 @@ def load_bench(path):
 
 
 def bench_write(baseline_path, bench_path):
-    try:
-        with open(baseline_path) as f:
-            baseline = json.load(f)
-    except FileNotFoundError:
-        baseline = {"sweeps": {}}
-    baseline["bench"] = load_bench(bench_path)
+    baseline = {"bench": load_bench(bench_path)}
     with open(baseline_path, "w") as f:
         json.dump(baseline, f, indent=1, sort_keys=True)
         f.write("\n")
@@ -195,22 +80,16 @@ def bench_check(baseline_path, bench_path, floor, win_notice):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("mode", choices=["write", "check", "bench-write", "bench-check"])
+    parser.add_argument("mode", choices=["bench-write", "bench-check"])
     parser.add_argument("baseline")
-    parser.add_argument("sweeps", nargs="+", help="mstk_sweep or events_per_sec --json documents")
-    parser.add_argument("--tolerance", type=float, default=0.15)
-    parser.add_argument("--report", default="")
+    parser.add_argument("bench", help="an events_per_sec --json document")
     parser.add_argument("--floor", type=float, default=0.45)
     parser.add_argument("--win-notice", type=float, default=0.15)
     args = parser.parse_args()
 
-    if args.mode == "write":
-        return write_baseline(args.baseline, args.sweeps)
     if args.mode == "bench-write":
-        return bench_write(args.baseline, args.sweeps[0])
-    if args.mode == "bench-check":
-        return bench_check(args.baseline, args.sweeps[0], args.floor, args.win_notice)
-    return check(args.baseline, args.sweeps, args.tolerance, args.report)
+        return bench_write(args.baseline, args.bench)
+    return bench_check(args.baseline, args.bench, args.floor, args.win_notice)
 
 
 if __name__ == "__main__":

@@ -1,30 +1,25 @@
 #!/usr/bin/env bash
-# Regenerate BENCH_baseline.json in place: the virtual-time sweep metrics
-# (machine-independent, gated at ±15%) and the events/sec throughput numbers
-# (machine-dependent, gated by a one-sided ratio floor).
+# Regenerate the `bench` section of BENCH_baseline.json in place: the
+# events/sec throughput numbers (machine-dependent, gated by a one-sided
+# ratio floor). Simulated outputs are pinned by scripts/goldens.py instead.
 #
-# Run this on purpose, in the same PR as the model or performance change
-# that moved the numbers, and say why in the commit message — the CI gates
-# are only as honest as the baseline they compare against. See
-# CONTRIBUTING.md ("Benchmark baseline policy").
+# Run this on purpose, together with the performance change that moved the
+# numbers, and say why in the commit message — the CI gate is only as honest
+# as the baseline it compares against. See CONTRIBUTING.md ("Benchmark
+# baseline policy").
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD=${BUILD:-build}
+SCRATCH=$(mktemp -d)
+trap 'rm -rf "$SCRATCH"' EXIT
 
 cmake -B "$BUILD" -S . >/dev/null
-cmake --build "$BUILD" -j --target mstk_sweep events_per_sec
+cmake --build "$BUILD" -j --target events_per_sec
 
-# Sweep metrics: virtual-time, so one run at any --jobs is exact.
-./"$BUILD"/tools/mstk_sweep smoke  --trials 4 --jobs 2 --seed 1 --json /tmp/refresh_smoke.json
-./"$BUILD"/tools/mstk_sweep faults --trials 4 --jobs 2 --seed 1 --json /tmp/refresh_faults.json
-python3 scripts/check_bench_tolerance.py write BENCH_baseline.json \
-  /tmp/refresh_smoke.json /tmp/refresh_faults.json
-
-# Throughput: wall-clock — take the best of several repeats to shave noise.
-./"$BUILD"/bench/events_per_sec --repeat 5 --json /tmp/refresh_bench.json
-python3 scripts/check_bench_tolerance.py bench-write BENCH_baseline.json \
-  /tmp/refresh_bench.json
+# Wall-clock: take the best of several repeats to shave noise.
+./"$BUILD"/bench/events_per_sec --repeat 5 --json "$SCRATCH/bench.json"
+python3 scripts/check_bench_tolerance.py bench-write BENCH_baseline.json "$SCRATCH/bench.json"
 
 echo
 git --no-pager diff --stat BENCH_baseline.json || true

@@ -34,7 +34,6 @@ EventQueue::EventQueue() {
 
 int64_t EventQueue::Push(TimeMs at_ms, Callback cb) {
   const uint32_t slot = pool_.Acquire();
-  assert(slot != SlabPool<Node>::kInvalidSlot);
   Node& node = pool_[slot];
   node.cb = std::move(cb);
   node.time_ms = at_ms;

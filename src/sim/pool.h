@@ -22,8 +22,7 @@ namespace mstk {
 // indices. Acquire() returns a slot index (reusing the most recently
 // released slot first); Release() returns it to the free list. `T` is
 // constructed once per slot and reused in place — callers reset whatever
-// state they need between uses. An optional `max_slots` cap makes the pool
-// report exhaustion instead of growing (Acquire returns kInvalidSlot).
+// state they need between uses.
 template <typename T>
 class SlabPool {
  public:
@@ -31,14 +30,10 @@ class SlabPool {
   static constexpr Slot kInvalidSlot = UINT32_MAX;
   static constexpr uint32_t kSlabSize = 256;  // objects per slab
 
-  explicit SlabPool(uint64_t max_slots = 0) : max_slots_(max_slots) {}
-
   // Takes a slot from the free list, growing by one slab when empty.
-  // Returns kInvalidSlot only when a `max_slots` cap is configured and
-  // every slot is live.
   Slot Acquire() {
-    if (free_head_ == kInvalidSlot && !Grow()) {
-      return kInvalidSlot;
+    if (free_head_ == kInvalidSlot) {
+      Grow();
     }
     const Slot slot = free_head_;
     free_head_ = next_free_[slot];
@@ -66,11 +61,8 @@ class SlabPool {
   uint64_t Size() const { return static_cast<uint64_t>(slabs_.size()) * kSlabSize; }
 
  private:
-  bool Grow() {
+  void Grow() {
     const uint64_t base = Size();
-    if (max_slots_ != 0 && base >= max_slots_) {
-      return false;
-    }
     slabs_.push_back(std::make_unique<T[]>(kSlabSize));
     next_free_.resize(base + kSlabSize);
     // Thread the new slab onto the free list in ascending order so freshly
@@ -79,14 +71,12 @@ class SlabPool {
       next_free_[base + i] = free_head_;
       free_head_ = static_cast<Slot>(base + i);
     }
-    return true;
   }
 
   std::vector<std::unique_ptr<T[]>> slabs_;
   std::vector<Slot> next_free_;  // parallel to slots: intrusive free list
   Slot free_head_ = kInvalidSlot;
   uint64_t live_ = 0;
-  uint64_t max_slots_;
 };
 
 }  // namespace mstk

@@ -56,7 +56,7 @@ def findings_of(stdout, rule):
 def test_list_rules():
     rc, out, _ = run("--list-rules")
     check("list-rules exits 0", rc == 0)
-    for rid in ("D1", "D2", "U1", "U2", "N1", "C1", "L1", "T2", "S1", "W1"):
+    for rid in ("D1", "D2", "U1", "U2", "N1", "L1", "T2", "S1", "W1"):
         check("list-rules mentions %s" % rid, rid in out)
 
 
@@ -212,7 +212,6 @@ def main():
     test_rule("U1", "u1_bad.h", ["u1_good.h"], expect_bad=4)
     test_rule("U2", "u2_bad.cc", ["u2_good.cc"], expect_bad=3)
     test_rule("N1", "n1_bad.h", ["n1_good.h"], expect_bad=5)
-    test_rule("C1", "c1_bad.cc", ["c1_good.cc"], expect_bad=1)
     test_rule("L1", "l1_bad.cc", ["l1_good.cc"], expect_bad=5)
     test_rule("T2", "t2_bad.cc", ["t2_good.cc"], expect_bad=4)
     test_rule("S1", "s1_bad.cc", ["s1_good.cc"], expect_bad=4)

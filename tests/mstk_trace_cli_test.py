@@ -83,9 +83,12 @@ def main():
         bad = os.path.join(tmp, "bad.trace")
         for args in (["gen", "random", bad, "-5"], ["gen", "random", bad, "0"],
                      ["gen", "random", bad, "12x"], ["gen", "random", bad, "10", "0"],
-                     ["gen", "random", bad, "10", "abc"],
+                     ["gen", "random", bad, "10", "abc"], ["gen", "random", bad, "10", "5", "-5"],
+                     ["gen", "random", bad, "10", "5", "7x"],
                      ["fidelity", "random", "tpcc", "--count", "-3"],
                      ["fidelity", "random", "tpcc", "--count", "0"],
+                     ["fidelity", "random", "tpcc", "--seed", "-5"],
+                     ["fidelity", "random", "tpcc", "--seed", "1.5"],
                      ["replay", trace, "mems", "fcfs", "0"],
                      ["replay", trace, "mems", "fcfs", "abc"],
                      ["replay", trace, "mems", "fcfs", "-1"],

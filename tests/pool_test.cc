@@ -63,23 +63,6 @@ TEST(SlabPoolTest, PointersStableAcrossGrowth) {
   EXPECT_EQ(p->value, 7);
 }
 
-TEST(SlabPoolTest, CapReportsExhaustionAndRecovers) {
-  SlabPool<Payload> pool(/*max_slots=*/SlabPool<Payload>::kSlabSize);
-  std::vector<uint32_t> slots;
-  for (uint32_t i = 0; i < SlabPool<Payload>::kSlabSize; ++i) {
-    const auto slot = pool.Acquire();
-    ASSERT_NE(slot, SlabPool<Payload>::kInvalidSlot);
-    slots.push_back(slot);
-  }
-  // Full: the cap turns growth into a reported failure, not an abort.
-  EXPECT_EQ(pool.Acquire(), SlabPool<Payload>::kInvalidSlot);
-  EXPECT_EQ(pool.live(), SlabPool<Payload>::kSlabSize);
-  // Releasing any slot makes Acquire succeed again.
-  pool.Release(slots.back());
-  EXPECT_EQ(pool.Acquire(), slots.back());
-  EXPECT_EQ(pool.Acquire(), SlabPool<Payload>::kInvalidSlot);
-}
-
 TEST(SlabPoolTest, LiveCountTracksChurn) {
   SlabPool<Payload> pool;
   std::vector<uint32_t> slots;

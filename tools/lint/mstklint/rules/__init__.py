@@ -38,7 +38,6 @@ def is_header(rel):
 from . import determinism  # noqa: E402,F401
 from . import units        # noqa: E402,F401
 from . import nodiscard    # noqa: E402,F401
-from . import ci           # noqa: E402,F401
 from . import capture      # noqa: E402,F401
 from . import seeds        # noqa: E402,F401
 from . import suppress     # noqa: E402,F401

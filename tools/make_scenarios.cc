@@ -2,24 +2,22 @@
 // library under traces/.
 //
 //   make_scenarios --out DIR    regenerate every scenario into DIR
-//   make_scenarios --check DIR  regenerate in memory and byte-compare
-//                               against DIR (the CI regeneration gate)
 //   make_scenarios --list       print the scenario names
 //
 // Generation is a pure function of (scenario, --count, --seed): the same
-// invocation yields byte-identical files on any platform. CI regenerates the
-// library with the defaults and `cmp`s each file against the repo copy, so a
-// generator change that alters the traces must land together with the
-// regenerated files (and shows up in the diff as trace-file churn).
+// invocation yields byte-identical files on any platform. scripts/goldens.py
+// regenerates the library with the defaults and compares the directory with
+// traces/ file by file, so a generator change that alters the traces must
+// land together with the regenerated files (and shows up in the diff as
+// trace-file churn).
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 
+#include "bench/bench_util.h"
 #include "src/sim/json_writer.h"
 #include "src/trace/scenarios.h"
 
@@ -30,28 +28,15 @@ using namespace mstk;
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --out DIR [--count N] [--seed S]\n"
-               "       %s --check DIR [--count N] [--seed S]\n"
                "       %s --list\n",
-               argv0, argv0, argv0);
+               argv0, argv0);
   return 2;
-}
-
-bool ReadFileBytes(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  *out = buf.str();
-  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string out_dir;
-  std::string check_dir;
   trace::ScenarioConfig config;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -66,59 +51,33 @@ int main(int argc, char** argv) {
       return 0;
     } else if (std::strcmp(arg, "--out") == 0) {
       out_dir = next();
-    } else if (std::strcmp(arg, "--check") == 0) {
-      check_dir = next();
     } else if (std::strcmp(arg, "--count") == 0) {
-      config.request_count = std::atoll(next());
+      if (!ParseWhole(next(), 1, INT64_MAX, &config.request_count)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--seed") == 0) {
-      config.seed = std::strtoull(next(), nullptr, 10);
+      int64_t seed = 0;
+      if (!ParseWhole(next(), 0, INT64_MAX, &seed)) return Usage(argv[0]);
+      config.seed = static_cast<uint64_t>(seed);
     } else {
       return Usage(argv[0]);
     }
   }
-  if ((out_dir.empty() == check_dir.empty()) || config.request_count < 1) {
+  if (out_dir.empty()) {
     return Usage(argv[0]);
   }
 
-  if (!out_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(out_dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "error: cannot create %s: %s\n", out_dir.c_str(),
-                   ec.message().c_str());
-      return 1;
-    }
+  std::error_code ec;
+  std::filesystem::create_directories(out_dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "error: cannot create %s: %s\n", out_dir.c_str(), ec.message().c_str());
+    return 1;
   }
-
-  int mismatches = 0;
   for (const std::string& name : trace::ScenarioNames()) {
     const std::string bytes = trace::ScenarioTraceBytes(name, config);
-    const std::string path =
-        (out_dir.empty() ? check_dir : out_dir) + "/" + name + ".trace";
-    if (!out_dir.empty()) {
-      if (!WriteFileOrReport(path, bytes)) {
-        return 1;
-      }
-      std::printf("wrote %s (%zu bytes)\n", path.c_str(), bytes.size());
-      continue;
+    const std::string path = out_dir + "/" + name + ".trace";
+    if (!WriteFileOrReport(path, bytes)) {
+      return 1;
     }
-    std::string on_disk;
-    if (!ReadFileBytes(path, &on_disk)) {
-      std::fprintf(stderr, "MISSING %s\n", path.c_str());
-      ++mismatches;
-    } else if (on_disk != bytes) {
-      std::fprintf(stderr, "STALE   %s (%zu bytes on disk, %zu regenerated)\n", path.c_str(),
-                   on_disk.size(), bytes.size());
-      ++mismatches;
-    } else {
-      std::printf("ok      %s\n", path.c_str());
-    }
-  }
-  if (mismatches > 0) {
-    std::fprintf(stderr,
-                 "%d stale trace file(s): regenerate with `make_scenarios --out %s` and commit\n",
-                 mismatches, check_dir.c_str());
-    return 1;
+    std::printf("wrote %s (%zu bytes)\n", path.c_str(), bytes.size());
   }
   return 0;
 }

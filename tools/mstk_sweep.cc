@@ -3,23 +3,23 @@
 //
 //   mstk_sweep smoke --trials 4 --jobs 2 --json BENCH_smoke.json
 //   mstk_sweep sched_random --trials 8 --json BENCH_sched_random.json
-//   mstk_sweep smoke --selfcheck          # determinism gate (CI)
+//   mstk_sweep smoke --selfcheck          # --jobs 1 vs parallel, in process
 //   mstk_sweep smoke --trace trace.json   # Chrome trace of trial 0 per cell
 //   mstk_sweep --list
 //
 // The JSON deliberately records no wall-clock time and no job count, so the
 // same (sweep, seed, trials) invocation is byte-identical at any --jobs
-// value — CI compares a --jobs 1 reference against a parallel run with cmp.
-// --trace re-runs trial 0 of each cell serially after the sweep with a
-// recording track attached (one lane per cell, per-request phase slices for
-// chrome://tracing / Perfetto), so the sweep JSON itself stays byte-identical
-// with and without tracing.
+// value. --trace re-runs trial 0 of each cell serially after the sweep with
+// a recording track attached (one lane per cell, per-request phase slices
+// for chrome://tracing / Perfetto), so the sweep JSON itself stays
+// byte-identical with and without tracing. scripts/goldens.py pins the JSON
+// of every listed sweep exactly.
 //
 // Every sweep lives in the kSweeps registry below: one row per matrix, with
-// its CI class (kGated sweeps are run by .github/workflows/ci.yml — lint
-// rule C1 checks the wiring) and a one-line summary. --list and the usage
-// string are generated from the registry, so adding a sweep is one build
-// function plus one table row.
+// a one-line summary. --list and the usage string are generated from the
+// registry, so adding a sweep is one build function plus one table row (and
+// a refreshed golden manifest).
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -249,35 +249,21 @@ std::vector<SweepCell> BuildTraces() {
   return cells;
 }
 
-// Whether a sweep is wired into CI. Lint rule C1 enforces that the name of
-// every kGated row below appears in .github/workflows/ci.yml, so a sweep
-// can't silently drop out of the gate set when the workflow is edited.
-enum class SweepCi { kGated, kLocal };
-
 struct SweepInfo {
   const char* name;
-  SweepCi ci;
   const char* summary;
   std::vector<SweepCell> (*build)();
 };
 
 constexpr SweepInfo kSweeps[] = {
-    {"smoke", SweepCi::kGated, "2 schedulers x 2 rates, 2000 requests (CI gate, ~seconds)",
-     BuildSmoke},
-    {"sched_random", SweepCi::kLocal, "Fig 6 matrix: 4 schedulers x 10 arrival rates",
-     BuildSchedRandom},
-    {"sched_cello", SweepCi::kLocal, "Fig 7(a) matrix: 4 schedulers x 7 trace time scales",
-     BuildSchedCello},
-    {"sched_tpcc", SweepCi::kLocal, "Fig 7(b) matrix: 4 schedulers x 7 trace time scales",
-     BuildSchedTpcc},
-    {"faults", SweepCi::kGated, "§6 online fault injection & recovery matrix (CI gate)",
-     BuildFaults},
-    {"layouts", SweepCi::kGated,
-     "layout cube: every LayoutPolicy x 2 workloads x 2 schedulers (CI gate)", BuildLayouts},
-    {"arrays", SweepCi::kGated,
-     "managed-array lifecycle: width x rebuild policy x fault rate (CI gate)", BuildArrays},
-    {"traces", SweepCi::kGated,
-     "scenario zoo replay: 4 scenarios x 2 schedulers x 2 layouts + arrival modes (CI gate)",
+    {"smoke", "2 schedulers x 2 rates, 2000 requests (~seconds)", BuildSmoke},
+    {"sched_random", "Fig 6 matrix: 4 schedulers x 10 arrival rates", BuildSchedRandom},
+    {"sched_cello", "Fig 7(a) matrix: 4 schedulers x 7 trace time scales", BuildSchedCello},
+    {"sched_tpcc", "Fig 7(b) matrix: 4 schedulers x 7 trace time scales", BuildSchedTpcc},
+    {"faults", "§6 online fault injection & recovery matrix", BuildFaults},
+    {"layouts", "layout cube: every LayoutPolicy x 2 workloads x 2 schedulers", BuildLayouts},
+    {"arrays", "managed-array lifecycle: width x rebuild policy x fault rate", BuildArrays},
+    {"traces", "scenario zoo replay: 4 scenarios x 2 schedulers x 2 layouts + arrival modes",
      BuildTraces},
 };
 
@@ -364,17 +350,20 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) std::exit(Usage(argv[0]));
       return argv[++i];
     };
+    int64_t whole = 0;
     if (std::strcmp(arg, "--list") == 0) {
       for (const SweepInfo& info : kSweeps) {
         std::printf("%s\n", info.name);
       }
       return 0;
     } else if (std::strcmp(arg, "--trials") == 0) {
-      trials = std::atoll(next());
+      if (!ParseWhole(next(), 1, INT64_MAX, &trials)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--jobs") == 0) {
-      jobs = std::atoi(next());
+      if (!ParseWhole(next(), 0, INT_MAX, &whole)) return Usage(argv[0]);
+      jobs = static_cast<int>(whole);
     } else if (std::strcmp(arg, "--seed") == 0) {
-      base_seed = std::strtoull(next(), nullptr, 10);
+      if (!ParseWhole(next(), 0, INT64_MAX, &whole)) return Usage(argv[0]);
+      base_seed = static_cast<uint64_t>(whole);
     } else if (std::strcmp(arg, "--json") == 0) {
       json_path = next();
     } else if (std::strcmp(arg, "--trace") == 0) {
@@ -387,7 +376,6 @@ int main(int argc, char** argv) {
       return Usage(argv[0]);
     }
   }
-  if (trials < 1) trials = 1;
 
   const SweepInfo* info = FindSweep(sweep);
   if (info == nullptr) {

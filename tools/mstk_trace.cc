@@ -18,24 +18,24 @@
 //       and spatial-locality marginals. <lhs>/<rhs> are trace files, or one
 //       of the synthetic generator names random|cello|tpcc (generated at
 //       --count/--seed). --require-differs exits nonzero unless at least one
-//       marginal differs — CI uses it to prove the reporter detects the gap
-//       between the replayed oltp_burst scenario and the steady tpcc
-//       synthetic.
+//       marginal differs — the golden check uses it to prove the reporter
+//       detects the gap between the replayed oltp_burst scenario and the
+//       steady tpcc synthetic.
 //   mstk_trace convert <in> <out.trace> [devno]
 //       Import a DiskSim or old mstk ASCII trace (trace::ImportTrace);
 //       `devno` keeps one device's DiskSim records.
 //
 // Counts, rates, scales and windows must be positive numbers (counts and
-// windows whole), else the tool prints its usage and exits 2.
-#include <cerrno>
+// windows whole) and seeds whole numbers in [0, 2^63), else the tool prints
+// its usage and exits 2.
 #include <climits>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 
+#include "bench/bench_util.h"
 #include "src/core/experiment.h"
 #include "src/disk/disk_device.h"
 #include "src/mems/mems_device.h"
@@ -71,21 +71,6 @@ int Usage() {
                "             [--count N] [--seed S]   (lhs/rhs: file or random|cello|tpcc)\n"
                "  mstk_trace convert <in.disksim|in.ascii> <out.trace> [devno]\n");
   return 2;
-}
-
-// Strict numeric arguments: the whole argument must parse, and out-of-range
-// values fail rather than wrap or reach a library precondition.
-bool ParseWhole(const char* arg, int64_t lo, int64_t hi, int64_t* value) {
-  char* end = nullptr;
-  errno = 0;
-  *value = std::strtoll(arg, &end, 10);
-  return end != arg && *end == '\0' && errno != ERANGE && *value >= lo && *value <= hi;
-}
-
-bool ParsePositive(const char* arg, double* value) {
-  char* end = nullptr;
-  *value = std::strtod(arg, &end);
-  return end != arg && *end == '\0' && std::isfinite(*value) && *value > 0.0;
 }
 
 // Generates one of the synthetic comparison streams by name. Returns an
@@ -160,15 +145,17 @@ int CmdConvert(int argc, char** argv) {
 int CmdGen(int argc, char** argv) {
   int64_t count = 20000;
   double rate = 0.0;  // 0: the generator's default rate
+  int64_t seed = 1;
   if (argc < 4 || (argc > 4 && !ParseWhole(argv[4], 1, INT64_MAX, &count)) ||
-      (argc > 5 && !ParsePositive(argv[5], &rate))) {
+      (argc > 5 && !ParsePositive(argv[5], &rate)) ||
+      (argc > 6 && !ParseWhole(argv[6], 0, INT64_MAX, &seed))) {
     return Usage();
   }
   const std::string kind = argv[2];
   const std::string path = argv[3];
-  const uint64_t seed = argc > 6 ? static_cast<uint64_t>(std::atoll(argv[6])) : 1;
 
-  const std::vector<Request> requests = GenerateSynthetic(kind, count, rate, seed);
+  const std::vector<Request> requests =
+      GenerateSynthetic(kind, count, rate, static_cast<uint64_t>(seed));
   if (requests.empty()) {
     return Usage();
   }
@@ -261,7 +248,7 @@ int CmdFidelity(int argc, char** argv) {
   std::string json_path;
   bool require_differs = false;
   int64_t count = 4000;
-  uint64_t seed = 1;
+  int64_t seed = 1;
   for (int i = 4; i < argc; ++i) {
     const char* arg = argv[i];
     auto next = [&]() -> const char* {
@@ -277,19 +264,21 @@ int CmdFidelity(int argc, char** argv) {
         return Usage();
       }
     } else if (std::strcmp(arg, "--seed") == 0) {
-      seed = std::strtoull(next(), nullptr, 10);
+      if (!ParseWhole(next(), 0, INT64_MAX, &seed)) {
+        return Usage();
+      }
     } else {
       return Usage();
     }
   }
 
   std::string error;
-  const std::vector<Request> lhs = LoadStream(argv[2], count, seed, &error);
+  const std::vector<Request> lhs = LoadStream(argv[2], count, static_cast<uint64_t>(seed), &error);
   if (lhs.empty()) {
     std::fprintf(stderr, "error: %s: %s\n", argv[2], error.empty() ? "empty" : error.c_str());
     return 1;
   }
-  const std::vector<Request> rhs = LoadStream(argv[3], count, seed, &error);
+  const std::vector<Request> rhs = LoadStream(argv[3], count, static_cast<uint64_t>(seed), &error);
   if (rhs.empty()) {
     std::fprintf(stderr, "error: %s: %s\n", argv[3], error.empty() ? "empty" : error.c_str());
     return 1;
