@@ -16,7 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace mstk;
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  const BenchOptions opts = BenchOptions::Parse(argc, argv, kCsv | kFast);
   const TableWriter table(opts.csv);
 
   std::printf("Active-tip throttling (6400 total tips, 1 mW/tip media draw)\n");

@@ -15,7 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace mstk;
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  const BenchOptions opts = BenchOptions::Parse(argc, argv, kCsv | kFast);
   const TableWriter table(opts.csv);
 
   std::printf("Settling-time ablation: SPTF vs SSTF_LBN at matched load\n");

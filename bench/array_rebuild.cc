@@ -29,7 +29,7 @@ double Metric(const TrialMetrics& metrics, const char* name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  const BenchOptions opts = BenchOptions::Parse(argc, argv, kCsv | kFast | kSeed);
   const TableWriter table(opts.csv);
   const int64_t requests = opts.fast ? 300 : 1200;
 

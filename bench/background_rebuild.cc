@@ -39,7 +39,7 @@ std::vector<Request> RebuildStream(int64_t total_blocks, int32_t chunk) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  const BenchOptions opts = BenchOptions::Parse(argc, argv, kCsv | kFast | kSeed);
   const TableWriter table(opts.csv);
   const int64_t fg_count = opts.Scale(20000);
   const int64_t rebuild_blocks = opts.Scale(260000);  // ~130 MB of stripe reads

@@ -13,7 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace mstk;
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  const BenchOptions opts = BenchOptions::Parse(argc, argv, kCsv);
   const TableWriter table(opts.csv);
 
   MemsDevice mems;
@@ -43,6 +43,5 @@ int main(int argc, char** argv) {
     table.Row({Fmt("%.0f%%", decile * 10.0), Fmt("%.1f", measure(mems)),
                Fmt("%.1f", measure(disk))});
   }
-  (void)opts;
   return 0;
 }

@@ -1,18 +1,21 @@
 // Shared helpers for the experiment benches.
 //
-// Every bench prints an aligned text table by default; the shared flag
-// surface is:
+// Every bench prints an aligned text table by default and accepts only the
+// flags it reads (BenchFlag); anything else prints its usage and exits 2:
 //   --csv          machine-readable output
 //   --fast         quicker, lower-resolution run (fewer requests)
 //   --trials N     independent trials per cell (default 1); tables then show
 //                  "mean±ci95" and JSON carries the full aggregate
 //   --jobs N       worker threads for the trial fan-out (0 = all cores)
-//   --json PATH    write a JSON document of every cell's aggregate
-//   --seed S       base seed for the per-trial seed derivation
+//   --seed S       base seed of the bench's random streams (per-trial seeds
+//                  derive from it)
+//   --json PATH    write a JSON document of the bench's results
 //   --trace PATH   write a Chrome trace-event JSON of trial 0 of each cell
 //                  (one track per cell; per-request phase slices). The trace
 //                  comes from a separate serial re-run, so measured results
 //                  are byte-identical with and without it.
+// plus --fault-rate, --layouts, --trace-file, --arrival-mode and --clients,
+// each read by one bench.
 #ifndef MSTK_BENCH_BENCH_UTIL_H_
 #define MSTK_BENCH_BENCH_UTIL_H_
 
@@ -71,6 +74,24 @@ inline bool ParsePositive(const char* arg, double* value) {
   return ParseReal(arg, 0.0, HUGE_VAL, value) && *value > 0.0;
 }
 
+// One bit per command-line flag; a bench passes the flags it reads.
+enum BenchFlag : unsigned {
+  kCsv = 1u << 0,
+  kFast = 1u << 1,
+  kTrials = 1u << 2,
+  kJobs = 1u << 3,
+  kSeed = 1u << 4,
+  kFaultRate = 1u << 5,
+  kLayouts = 1u << 6,
+  kJson = 1u << 7,
+  kTrace = 1u << 8,
+  kTraceFile = 1u << 9,
+  kArrivalMode = 1u << 10,
+  kClients = 1u << 11,
+  // What TrialOptions() reads.
+  kTrialFlags = kTrials | kJobs | kSeed,
+};
+
 struct BenchOptions {
   bool csv = false;
   bool fast = false;
@@ -93,61 +114,50 @@ struct BenchOptions {
   std::string json_path;
   std::string trace_path;
 
-  // An unknown flag, a missing value, or a malformed or out-of-range number
-  // prints the usage and exits 2.
-  static BenchOptions Parse(int argc, char** argv) {
+  // Parses the flags in `accepted` (a BenchFlag mask). Any other flag, a
+  // missing value, or a malformed or out-of-range number prints the usage
+  // and exits 2.
+  static BenchOptions Parse(int argc, char** argv, unsigned accepted) {
     BenchOptions opts;
     int64_t whole = 0;
     for (int i = 1; i < argc; ++i) {
-      const char* arg = argv[i];
-      auto next = [&]() -> const char* {
-        if (i + 1 >= argc) Usage(argv[0]);
-        return argv[++i];
-      };
-      bool ok = true;
-      if (std::strcmp(arg, "--csv") == 0) {
-        opts.csv = true;
-      } else if (std::strcmp(arg, "--fast") == 0) {
-        opts.fast = true;
-      } else if (std::strcmp(arg, "--trials") == 0) {
-        ok = ParseWhole(next(), 1, INT64_MAX, &opts.trials);
-      } else if (std::strcmp(arg, "--jobs") == 0) {
-        ok = ParseWhole(next(), 0, INT_MAX, &whole);
-        opts.jobs = static_cast<int>(whole);
-      } else if (std::strcmp(arg, "--seed") == 0) {
-        ok = ParseWhole(next(), 0, INT64_MAX, &whole);
-        opts.seed = static_cast<uint64_t>(whole);
-      } else if (std::strcmp(arg, "--fault-rate") == 0) {
-        ok = ParseReal(next(), 0.0, 1.0, &opts.fault_rate);
-      } else if (std::strcmp(arg, "--layouts") == 0) {
-        opts.layouts = next();
-      } else if (std::strcmp(arg, "--trace-file") == 0) {
-        opts.trace_file = next();
-      } else if (std::strcmp(arg, "--arrival-mode") == 0) {
-        opts.arrival_mode = next();
-      } else if (std::strcmp(arg, "--clients") == 0) {
-        ok = ParseWhole(next(), 1, INT_MAX, &whole);
-        opts.clients = static_cast<int>(whole);
-      } else if (std::strcmp(arg, "--json") == 0) {
-        opts.json_path = next();
-      } else if (std::strcmp(arg, "--trace") == 0) {
-        opts.trace_path = next();
-      } else {
-        ok = false;
+      const FlagInfo* flag = nullptr;
+      for (const FlagInfo& f : kFlags) {
+        if ((accepted & f.bit) != 0 && std::strcmp(argv[i], f.name) == 0) flag = &f;
       }
-      if (!ok) Usage(argv[0]);
+      if (flag == nullptr) Usage(argv[0], accepted);
+      const char* value = nullptr;
+      if (flag->value != nullptr) {
+        if (i + 1 >= argc) Usage(argv[0], accepted);
+        value = argv[++i];
+      }
+      bool ok = true;
+      switch (flag->bit) {
+        case kCsv: opts.csv = true; break;
+        case kFast: opts.fast = true; break;
+        case kTrials: ok = ParseWhole(value, 1, INT64_MAX, &opts.trials); break;
+        case kJobs:
+          ok = ParseWhole(value, 0, INT_MAX, &whole);
+          opts.jobs = static_cast<int>(whole);
+          break;
+        case kSeed:
+          ok = ParseWhole(value, 0, INT64_MAX, &whole);
+          opts.seed = static_cast<uint64_t>(whole);
+          break;
+        case kFaultRate: ok = ParseReal(value, 0.0, 1.0, &opts.fault_rate); break;
+        case kLayouts: opts.layouts = value; break;
+        case kJson: opts.json_path = value; break;
+        case kTrace: opts.trace_path = value; break;
+        case kTraceFile: opts.trace_file = value; break;
+        case kArrivalMode: opts.arrival_mode = value; break;
+        case kClients:
+          ok = ParseWhole(value, 1, INT_MAX, &whole);
+          opts.clients = static_cast<int>(whole);
+          break;
+      }
+      if (!ok) Usage(argv[0], accepted);
     }
     return opts;
-  }
-
-  [[noreturn]] static void Usage(const char* argv0) {
-    std::fprintf(stderr,
-                 "usage: %s [--csv] [--fast] [--trials N] [--jobs N] "
-                 "[--seed S] [--fault-rate P] [--layouts L] [--json PATH] "
-                 "[--trace PATH] [--trace-file PATH] "
-                 "[--arrival-mode open|closed|hybrid] [--clients N]\n",
-                 argv0);
-    std::exit(2);
   }
 
   int64_t Scale(int64_t full) const { return fast ? full / 5 : full; }
@@ -158,6 +168,36 @@ struct BenchOptions {
     t.jobs = jobs;
     t.base_seed = seed;
     return t;
+  }
+
+ private:
+  struct FlagInfo {
+    unsigned bit;
+    const char* name;
+    const char* value;  // metavariable in the usage line; nullptr = no value
+  };
+  // Usage-line order.
+  static constexpr FlagInfo kFlags[] = {
+      {kCsv, "--csv", nullptr},          {kFast, "--fast", nullptr},
+      {kTrials, "--trials", "N"},        {kJobs, "--jobs", "N"},
+      {kSeed, "--seed", "S"},            {kFaultRate, "--fault-rate", "P"},
+      {kLayouts, "--layouts", "L"},      {kJson, "--json", "PATH"},
+      {kTrace, "--trace", "PATH"},       {kTraceFile, "--trace-file", "PATH"},
+      {kArrivalMode, "--arrival-mode", "open|closed|hybrid"},
+      {kClients, "--clients", "N"},
+  };
+
+  // Prints the accepted flags only.
+  [[noreturn]] static void Usage(const char* argv0, unsigned accepted) {
+    std::string line = std::string("usage: ") + argv0;
+    for (const FlagInfo& f : kFlags) {
+      if ((accepted & f.bit) == 0) continue;
+      line += std::string(" [") + f.name;
+      if (f.value != nullptr) line += std::string(" ") + f.value;
+      line += "]";
+    }
+    std::fprintf(stderr, "%s\n", line.c_str());
+    std::exit(2);
   }
 };
 

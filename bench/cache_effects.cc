@@ -17,7 +17,7 @@
 
 int main(int argc, char** argv) {
   using namespace mstk;
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  const BenchOptions opts = BenchOptions::Parse(argc, argv, kCsv | kFast);
   const TableWriter table(opts.csv);
 
   std::printf("(a) sequential 4 KB reads: mean per-request latency (ms)\n");

@@ -37,7 +37,7 @@ std::vector<Request> RandomReads(int64_t capacity, int64_t count, uint64_t seed)
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  const BenchOptions opts = BenchOptions::Parse(argc, argv, kCsv | kFast);
   const TableWriter table(opts.csv);
   const int64_t count = opts.Scale(8000);
 

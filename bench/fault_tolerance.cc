@@ -19,7 +19,7 @@
 
 int main(int argc, char** argv) {
   using namespace mstk;
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  const BenchOptions opts = BenchOptions::Parse(argc, argv, kCsv | kFast | kSeed | kFaultRate);
   const TableWriter table(opts.csv);
 
   std::printf("(a) 5-year data-loss probability vs ECC tips and spare pool\n");

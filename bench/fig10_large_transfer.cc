@@ -13,7 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace mstk;
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  const BenchOptions opts = BenchOptions::Parse(argc, argv, kCsv);
   const TableWriter table(opts.csv);
 
   MemsDevice mems;

@@ -228,7 +228,8 @@ std::vector<std::string> SelectLayoutNames(const std::string& flag, const char* 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  const BenchOptions opts = BenchOptions::Parse(
+      argc, argv, kCsv | kFast | kTrialFlags | kLayouts | kJson);
   const TableWriter table(opts.csv);
   BenchJson json("fig11_layout_comparison", opts);
   const int64_t count = opts.Scale(10000);

@@ -17,7 +17,8 @@
 
 int main(int argc, char** argv) {
   using namespace mstk;
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  const BenchOptions opts = BenchOptions::Parse(
+      argc, argv, kCsv | kFast | kTrialFlags | kJson | kTrace);
   const TableWriter table(opts.csv);
   BenchJson json("fig6_mems_scheduling", opts);
 

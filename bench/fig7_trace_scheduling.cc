@@ -19,7 +19,7 @@
 
 int main(int argc, char** argv) {
   using namespace mstk;
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  const BenchOptions opts = BenchOptions::Parse(argc, argv, kCsv | kFast | kTrialFlags | kJson);
   const TableWriter table(opts.csv);
   BenchJson json("fig7_trace_scheduling", opts);
 

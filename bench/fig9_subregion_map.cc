@@ -111,7 +111,7 @@ std::vector<Footprint> MakeFootprints(const MemsGeometry& geometry) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  const BenchOptions opts = BenchOptions::Parse(argc, argv, kCsv | kFast | kJson);
   const int64_t count = opts.Scale(10000);
   const int offsets[] = {-800, -400, 0, 400, 800};
 

@@ -134,7 +134,7 @@ AgingResult RunAging(StorageDevice& device, const AllocatorConfig& allocator,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  const BenchOptions opts = BenchOptions::Parse(argc, argv, kCsv | kFast);
   const TableWriter table(opts.csv);
   const int64_t churn = opts.Scale(20000);
 

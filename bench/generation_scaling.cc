@@ -54,7 +54,7 @@ GenResult Measure(const MemsParams& params, int64_t samples) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  const BenchOptions opts = BenchOptions::Parse(argc, argv, kCsv | kFast);
   const TableWriter table(opts.csv);
   const int64_t samples = opts.Scale(10000);
 

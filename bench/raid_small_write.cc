@@ -60,7 +60,7 @@ double MeanServiceMs(StorageDevice* device, IoType type, int32_t blocks, int64_t
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  const BenchOptions opts = BenchOptions::Parse(argc, argv, kCsv | kFast);
   const TableWriter table(opts.csv);
   const int64_t count = opts.Scale(2000);
 

@@ -20,7 +20,7 @@
 
 int main(int argc, char** argv) {
   using namespace mstk;
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  const BenchOptions opts = BenchOptions::Parse(argc, argv, kCsv | kFast);
   const TableWriter table(opts.csv);
   const int64_t count = opts.Scale(15000);
 

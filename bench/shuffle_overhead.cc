@@ -38,7 +38,7 @@ double MeanAccess(StorageDevice& device, const std::vector<int64_t>& base_of,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  const BenchOptions opts = BenchOptions::Parse(argc, argv, kCsv | kFast);
   const TableWriter table(opts.csv);
   const int64_t probes = opts.Scale(10000);
 

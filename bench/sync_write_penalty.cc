@@ -65,7 +65,7 @@ JournalResult JournalRun(StorageDevice& device, int batch, int64_t ops, uint64_t
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  const BenchOptions opts = BenchOptions::Parse(argc, argv, kCsv | kFast);
   const TableWriter table(opts.csv);
   const int64_t ops = opts.Scale(8000);
 

@@ -54,7 +54,7 @@ RmwResult MeasureRmw(StorageDevice* device, int64_t lbn, int32_t sectors) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  const BenchOptions opts = BenchOptions::Parse(argc, argv, kCsv);
   const TableWriter table(opts.csv);
 
   DiskDevice atlas;
@@ -104,6 +104,5 @@ int main(int argc, char** argv) {
   std::printf("\nMEMS turnaround over sled positions: min %.3f ms, mean %.3f ms, "
               "max %.3f ms\n(paper caption: 0.036-1.11 ms, 0.063 ms average)\n",
               min_t, sum / n, max_t);
-  (void)opts;
   return 0;
 }

@@ -34,7 +34,8 @@ void AddRow(const TableWriter& table, BenchJson& json, const std::string& label,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions opts = BenchOptions::Parse(argc, argv);
+  const BenchOptions opts = BenchOptions::Parse(
+      argc, argv, kCsv | kFast | kTrialFlags | kJson | kTraceFile | kArrivalMode | kClients);
   ArrivalMode mode = ArrivalMode::kOpen;
   if (!ParseArrivalMode(opts.arrival_mode.c_str(), &mode)) {
     std::fprintf(stderr, "unknown --arrival-mode %s (open|closed|hybrid)\n",

@@ -7,7 +7,7 @@
 // Run: ./build/examples/media_server_layout
 #include <cstdio>
 
-#include "src/layout/placements.h"
+#include "src/layout/layout_policy.h"
 #include "src/mems/mems_device.h"
 #include "src/sim/rng.h"
 
@@ -38,9 +38,13 @@ int main() {
       simple.Append(s * stride, kStreamBlocks);
     }
   }
-  const ExtentLayout organ = MakeOrganPipeLayout(geom.capacity_blocks(), kMeta, kLarge);
-  const ExtentLayout subregioned = MakeSubregionedBipartiteLayout(geom, kMeta, kLarge);
-  const ExtentLayout columnar = MakeColumnarBipartiteLayout(geom, kMeta, kLarge);
+  LayoutSpec spec;
+  spec.geometry = &geom;
+  spec.hot_blocks = kMeta;
+  spec.cold_blocks = kLarge;
+  const ExtentLayout organ = FindLayoutPolicy("organ-pipe")->Build(spec);
+  const ExtentLayout subregioned = FindLayoutPolicy("subregioned")->Build(spec);
+  const ExtentLayout columnar = FindLayoutPolicy("columnar")->Build(spec);
 
   std::printf("Media server on MEMS-based storage (90%% metadata lookups, 10%% stream reads)\n\n");
   std::printf("%-14s %14s %14s %16s\n", "layout", "metadata_ms", "stream_ms",

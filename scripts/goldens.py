@@ -6,6 +6,8 @@
 
 The outputs are listed in produce(); tests/golden/outputs.sha256 holds one
 sha256 per output, and make_scenarios --out must equal traces/ file by file.
+Every example runs too; each one's stdout is pinned except trace_pipeline's,
+which prints the path of its temporary file.
 `refresh` rewrites the manifest from a --jobs 1 untraced run, and traces/
 from make_scenarios; run it only in a change that moves outputs. `check`
 runs at --jobs 4 with --trace on smoke and faults (those Chrome traces must
@@ -25,6 +27,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MANIFEST = os.path.join(ROOT, "tests", "golden", "outputs.sha256")
 TRACES = os.path.join(ROOT, "traces")
+# Examples whose stdout is pinned; trace_pipeline runs unpinned.
+EXAMPLES = ("quickstart", "oltp_scheduling", "media_server_layout", "mobile_power",
+            "failure_injection", "storage_stack", "device_explorer")
 
 
 def run(cmd, stdout_path=None):
@@ -39,10 +44,10 @@ def run(cmd, stdout_path=None):
 
 def produce(build, out, refresh):
     """Writes every pinned output to out/outputs: each `mstk_sweep --list`
-    matrix, fig11 and fig9 at --fast, and mstk_trace stats, replay and
-    fidelity on traces/. A check also writes Chrome traces to out/chrome and
-    the scenario zoo to out/traces; a refresh regenerates traces/ itself,
-    before the trace tools read it."""
+    matrix, fig11 and fig9 at --fast, the examples' stdout, and mstk_trace
+    stats, replay and fidelity on traces/. A check also writes Chrome traces
+    to out/chrome and the scenario zoo to out/traces; a refresh regenerates
+    traces/ itself, before the trace tools read it."""
     shutil.rmtree(out, ignore_errors=True)
     outputs, chrome = os.path.join(out, "outputs"), os.path.join(out, "chrome")
     os.makedirs(outputs)
@@ -61,6 +66,9 @@ def produce(build, out, refresh):
          "--jobs", jobs, "--json", os.path.join(outputs, "fig11_fast.json")])
     run([tool("bench/fig9_subregion_map"), "--fast", "--csv"],
         os.path.join(outputs, "fig9_fast.csv"))
+    for name in EXAMPLES:
+        run([tool("examples/" + name)], os.path.join(outputs, "example_%s.txt" % name))
+    run([tool("examples/trace_pipeline")])
     if refresh:
         for path in glob.glob(os.path.join(TRACES, "*.trace")):
             os.remove(path)

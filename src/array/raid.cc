@@ -6,18 +6,6 @@
 
 namespace mstk {
 
-const char* ArrayHealthName(ArrayHealth health) {
-  switch (health) {
-    case ArrayHealth::kHealthy:
-      return "healthy";
-    case ArrayHealth::kDegraded:
-      return "degraded";
-    case ArrayHealth::kFailed:
-      return "failed";
-  }
-  return "?";
-}
-
 RaidPlanner::RaidPlanner(const RaidConfig& config, int member_count)
     : config_(config), member_count_(member_count) {
   MSTK_CHECK(member_count_ >= 1, "array needs at least one member");
@@ -38,19 +26,6 @@ int64_t RaidPlanner::CapacityBlocks(int64_t member_capacity_blocks) const {
       return per_member;
     case RaidLevel::kRaid5:
       return per_member * (n - 1);
-  }
-  return 0;
-}
-
-int64_t RaidPlanner::MemberBlocksFor(int64_t capacity_blocks) const {
-  const int64_t n = member_count_;
-  switch (config_.level) {
-    case RaidLevel::kRaid0:
-      return capacity_blocks / n;
-    case RaidLevel::kRaid1:
-      return capacity_blocks;
-    case RaidLevel::kRaid5:
-      return capacity_blocks / (n - 1);
   }
   return 0;
 }

@@ -51,8 +51,6 @@ enum class ArrayHealth {
   kFailed     // unrecoverable: more failures than the level tolerates
 };
 
-const char* ArrayHealthName(ArrayHealth health);
-
 // Address math result: an array block's home on one member.
 struct MemberBlock {
   int member;
@@ -87,9 +85,6 @@ class RaidPlanner {
   // Usable array capacity with every member truncated to
   // `member_capacity_blocks` (rounded down to whole stripe units).
   [[nodiscard]] int64_t CapacityBlocks(int64_t member_capacity_blocks) const;
-  // Member capacity consumed by an array of `capacity_blocks` (the inverse
-  // of CapacityBlocks for stripe-unit-aligned sizes).
-  [[nodiscard]] int64_t MemberBlocksFor(int64_t capacity_blocks) const;
 
   // Health implied by a failed-member bitmap — the fault-tolerance
   // validation for every failure transition.

@@ -1,7 +1,5 @@
 #include "src/core/metrics.h"
 
-#include <string>
-
 namespace mstk {
 
 void MetricsCollector::RecordDispatch(const Request& req, TimeMs now_ms, int64_t queue_depth) {
@@ -78,28 +76,6 @@ void MetricsCollector::Flush() const {
     }
     pending_phase_rows_ = 0;
   }
-}
-
-void MetricsCollector::ExportTo(MetricsRegistry* registry) const {
-  Flush();
-  registry->Count("requests_completed", completed());
-  registry->Summary("response_ms").Merge(response_time_);
-  registry->Summary("service_ms").Merge(service_time_);
-  registry->Summary("queue_ms").Merge(queue_time_);
-  registry->Summary("queue_depth").Merge(queue_depth_);
-  for (int i = 0; i < kPhaseCount; ++i) {
-    registry->Summary(std::string("phase_") + PhaseName(static_cast<Phase>(i)) + "_ms")
-        .Merge(phase_stats_[i]);
-  }
-  registry->Count("fault_transient_errors", fault_.transient_errors);
-  registry->Count("fault_timeouts", fault_.timeouts);
-  registry->Count("fault_retries", fault_.retries);
-  registry->Count("fault_permanent", fault_.permanent_faults);
-  registry->Count("fault_remaps", fault_.remaps);
-  registry->Count("fault_failed_requests", fault_.failed_requests);
-  registry->Count("fault_rebuild_ios", fault_.rebuild_ios);
-  registry->Summary("fault_rebuild_ms").Add(fault_.rebuild_ms);
-  registry->Summary("fault_degraded_ms").Add(fault_.degraded_ms);
 }
 
 }  // namespace mstk

@@ -14,7 +14,6 @@
 
 #include "src/core/request.h"
 #include "src/core/storage_device.h"
-#include "src/sim/metrics_registry.h"
 #include "src/sim/stats.h"
 #include "src/sim/units.h"
 
@@ -101,11 +100,6 @@ class MetricsCollector {
   // so fault experiments report foreground latency. Off by default: plain
   // harnesses keep counting everything, as they always did.
   void set_exclude_background(bool exclude) { exclude_background_ = exclude; }
-
-  // Merges this run's metrics into a registry under stable names
-  // ("response_ms", "phase_seek_x_ms", ...), so multi-trial harnesses can
-  // aggregate with MetricsRegistry::Merge.
-  void ExportTo(MetricsRegistry* registry) const;
 
  private:
   // Records buffered per column before a drain. The columns are fixed

@@ -95,8 +95,6 @@ struct DeviceActivity {
   int64_t requests = 0;
   int64_t blocks_read = 0;
   int64_t blocks_written = 0;
-
-  int64_t bytes_moved() const { return (blocks_read + blocks_written) * kBlockBytes; }
 };
 
 class StorageDevice {

@@ -95,10 +95,6 @@ int DiskGeometry::SectorsPerTrack(int32_t cylinder) const {
   return ZoneForCylinder(cylinder).sectors_per_track;
 }
 
-int DiskGeometry::ZoneOf(int32_t cylinder) const {
-  return static_cast<int>(&ZoneForCylinder(cylinder) - zones_.data());
-}
-
 double DiskGeometry::Track0Phase(int32_t cylinder, int32_t head) const {
   // Sequential track order is (c,0)..(c,H-1),(c+1,0)...; head switches within
   // a cylinder get track skew, cylinder boundaries get cylinder skew.

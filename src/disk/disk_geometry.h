@@ -29,8 +29,6 @@ class DiskGeometry {
   int64_t Encode(const DiskAddress& addr) const;
 
   int SectorsPerTrack(int32_t cylinder) const;
-  // Zone index for a cylinder.
-  int ZoneOf(int32_t cylinder) const;
 
   // Rotational phase (fraction of a revolution in [0,1)) at which sector 0
   // of the given track passes under the head, implementing track and
@@ -39,11 +37,6 @@ class DiskGeometry {
 
   // Phase at which `sector` begins on its track.
   double SectorPhase(const DiskAddress& addr) const;
-
-  // Cylinder containing a given LBN without full decode (for LBN-distance
-  // schedulers' seek estimation this is not needed — they use raw LBNs —
-  // but tests and layout heuristics use it).
-  int32_t CylinderOf(int64_t lbn) const { return Decode(lbn).cylinder; }
 
  private:
   struct Zone {

@@ -45,7 +45,6 @@ class FaultInjector : public FaultModel {
   bool degraded() const override { return degraded_; }
 
   int64_t spares_left() const { return spares_left_; }
-  const DefectRemapper& remapper() const { return remapper_; }
 
  private:
   FaultInjectorConfig config_;

@@ -140,23 +140,6 @@ TimeMs MiniFs::ReadAt(FileId id, int64_t offset_blocks, int32_t blocks, TimeMs n
   return cost + data_cost;
 }
 
-double MiniFs::Overwrite(FileId id, TimeMs now_ms) {
-  auto it = files_.find(id);
-  if (it == files_.end()) {
-    return -1.0;
-  }
-  const File& file = it->second;
-  double cost = JournalAppend(now_ms);
-  double data_cost = 0.0;
-  for (const PhysExtent& e : file.extents) {
-    data_cost += Io(IoType::kWrite, e.lbn, e.blocks, now_ms + cost + data_cost);
-  }
-  stats_.metadata_ms += cost;
-  stats_.data_ms += data_cost;
-  ++stats_.writes;
-  return cost + data_cost;
-}
-
 TimeMs MiniFs::Append(FileId id, int64_t size_bytes, TimeMs now_ms) {
   auto it = files_.find(id);
   if (it == files_.end()) {

@@ -52,7 +52,6 @@ class MiniFs {
   double Create(FileId id, int64_t size_bytes, TimeMs now_ms);
   double Read(FileId id, TimeMs now_ms);              // whole-file read
   double ReadAt(FileId id, int64_t offset_blocks, int32_t blocks, TimeMs now_ms);
-  double Overwrite(FileId id, TimeMs now_ms);         // rewrite in place
   double Append(FileId id, int64_t size_bytes, TimeMs now_ms);
   double Remove(FileId id, TimeMs now_ms);
 

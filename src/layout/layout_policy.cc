@@ -11,9 +11,7 @@ constexpr int32_t kGrid = 5;      // 5x5 subregion grid (Fig 9, KAIST strategies
 constexpr int32_t kColumns = 25;  // columnar division
 
 // ---------------------------------------------------------------------------
-// Paper layouts (§5.3). Mappings are extent-identical to the frozen
-// factories in src/layout/placements.h; tests/layout_property_test.cc gates
-// the equivalence.
+// Paper layouts (§5.3).
 
 class SimplePolicy final : public LayoutPolicy {
  public:

@@ -16,8 +16,8 @@
 //                [VC90, RW91] (any device)
 //   columnar     25 cylinder columns; hot center column, cold outer 20
 //   subregioned  Fig 9's 5x5 grid; hot centermost cell, cold outer X bands
-// These reproduce the frozen factories in src/layout/placements.h extent-
-// for-extent (tests/layout_property_test.cc holds the equivalence).
+// tests/layout_property_test.cc pins every policy's extents at four pool
+// sizes, so a change to any mapping fails it.
 //
 // The KAIST logical-model strategies (arXiv:0807.4580) extend the family:
 //   region-seq   region-interleaved sequential: the logical space walks the

@@ -76,13 +76,6 @@ std::vector<PhysExtent> LogicalRegionModel::RegionRuns(int32_t region) const {
                                   blocks, std::numeric_limits<int32_t>::max())));
 }
 
-double LogicalRegionModel::CenterDistance(int32_t region) const {
-  const RegionCoord c = Coord(region);
-  const double cx = (x_regions_ - 1) / 2.0;
-  const double cy = (y_regions_ - 1) / 2.0;
-  return std::max(std::abs(c.x - cx), std::abs(c.y - cy));
-}
-
 std::vector<int32_t> LogicalRegionModel::RegionsByCenterDistance() const {
   const double cx = (x_regions_ - 1) / 2.0;
   const double cy = (y_regions_ - 1) / 2.0;
@@ -123,26 +116,6 @@ std::vector<int32_t> LogicalRegionModel::SerpentineOrder() const {
     }
   }
   return order;
-}
-
-std::vector<int32_t> LogicalRegionModel::Neighbors(int32_t region) const {
-  MSTK_CHECK(region >= 0 && region < region_count(), "region out of range");
-  const RegionCoord c = Coord(region);
-  std::vector<int32_t> out;
-  out.reserve(4);
-  if (c.x > 0) {
-    out.push_back(RegionId(RegionCoord{c.x - 1, c.y}));
-  }
-  if (c.x + 1 < x_regions_) {
-    out.push_back(RegionId(RegionCoord{c.x + 1, c.y}));
-  }
-  if (c.y > 0) {
-    out.push_back(RegionId(RegionCoord{c.x, c.y - 1}));
-  }
-  if (c.y + 1 < y_regions_) {
-    out.push_back(RegionId(RegionCoord{c.x, c.y + 1}));
-  }
-  return out;
 }
 
 }  // namespace mstk

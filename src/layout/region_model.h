@@ -70,10 +70,6 @@ class LogicalRegionModel {
   // coalesced). Used to seed region-local allocator pools.
   [[nodiscard]] std::vector<PhysExtent> RegionRuns(int32_t region) const;
 
-  // Chebyshev distance of a region's center from the grid center, in region
-  // units (fractional for even grid dimensions).
-  [[nodiscard]] double CenterDistance(int32_t region) const;
-
   // Every region ordered by (Chebyshev distance, squared Euclidean distance,
   // y, x) — the deterministic center-out "hot first" order.
   [[nodiscard]] std::vector<int32_t> RegionsByCenterDistance() const;
@@ -82,10 +78,6 @@ class LogicalRegionModel {
   // on odd rows): consecutive regions are always 4-adjacent, so data laid
   // out along this order crosses region boundaries with a one-region stroke.
   [[nodiscard]] std::vector<int32_t> SerpentineOrder() const;
-
-  // 4-neighborhood of a region in deterministic (-x, +x, -y, +y) order,
-  // omitting off-grid neighbors.
-  [[nodiscard]] std::vector<int32_t> Neighbors(int32_t region) const;
 
  private:
   // Row-band boundary j (inclusive start of band j; band j is

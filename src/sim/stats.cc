@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <sstream>
 
 namespace mstk {
 
@@ -33,76 +32,6 @@ void SummaryStats::Merge(const SummaryStats& other) {
   count_ += other.count_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-}
-
-Histogram::Histogram(double lo, double hi, int bins) : lo_(lo), hi_(hi) {
-  assert(hi > lo && bins > 0);
-  counts_.assign(static_cast<size_t>(bins), 0);
-  bin_width_ = (hi - lo) / bins;
-}
-
-void Histogram::Add(double x) {
-  ++count_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  // Top bin is closed: x == hi_ belongs to the last bin (the clamp below),
-  // so the maximum observed value stays visible to Quantile().
-  if (x > hi_) {
-    ++overflow_;
-    return;
-  }
-  const int bin = static_cast<int>((x - lo_) / bin_width_);
-  ++counts_[static_cast<size_t>(std::min(bin, bins() - 1))];
-}
-
-void Histogram::Merge(const Histogram& other) {
-  assert(lo_ == other.lo_ && hi_ == other.hi_ && counts_.size() == other.counts_.size());
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  underflow_ += other.underflow_;
-  overflow_ += other.overflow_;
-  count_ += other.count_;
-}
-
-double Histogram::bin_lo(int i) const { return lo_ + bin_width_ * i; }
-
-double Histogram::Quantile(double q) const {
-  if (count_ == 0) {
-    return lo_;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count_);
-  double cumulative = static_cast<double>(underflow_);
-  if (target <= cumulative) {
-    return lo_;
-  }
-  for (int i = 0; i < bins(); ++i) {
-    const double next = cumulative + static_cast<double>(counts_[static_cast<size_t>(i)]);
-    if (target <= next && counts_[static_cast<size_t>(i)] > 0) {
-      const double frac = (target - cumulative) / static_cast<double>(counts_[static_cast<size_t>(i)]);
-      return bin_lo(i) + frac * bin_width_;
-    }
-    cumulative = next;
-  }
-  return hi_;
-}
-
-std::string Histogram::ToString(int width) const {
-  int64_t peak = 1;
-  for (const int64_t c : counts_) {
-    peak = std::max(peak, c);
-  }
-  std::ostringstream out;
-  for (int i = 0; i < bins(); ++i) {
-    const int64_t c = counts_[static_cast<size_t>(i)];
-    const int bar = static_cast<int>(static_cast<double>(c) / static_cast<double>(peak) * width);
-    out << "[" << bin_lo(i) << ", " << bin_hi(i) << ") " << std::string(static_cast<size_t>(bar), '#')
-        << " " << c << "\n";
-  }
-  return out.str();
 }
 
 double SampleSet::Quantile(double q) {

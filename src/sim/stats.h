@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace mstk {
@@ -58,44 +57,6 @@ class SummaryStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-// Fixed-width histogram over [lo, hi] with overflow/underflow buckets.
-// The top bin is closed — a sample exactly at `hi` lands in the last bin,
-// not in overflow — so Quantile(1.0) covers the maximum observed value.
-class Histogram {
- public:
-  Histogram(double lo, double hi, int bins);
-
-  void Add(double x);
-
-  // Merges another histogram with identical (lo, hi, bins) shape
-  // (parallel/partitioned collection, like SummaryStats::Merge).
-  void Merge(const Histogram& other);
-
-  int64_t count() const { return count_; }
-  int bins() const { return static_cast<int>(counts_.size()); }
-  int64_t bin_count(int i) const { return counts_[static_cast<size_t>(i)]; }
-  double bin_lo(int i) const;
-  double bin_hi(int i) const { return bin_lo(i + 1); }
-  int64_t underflow() const { return underflow_; }
-  int64_t overflow() const { return overflow_; }
-
-  // Linear-interpolated quantile estimate, q in [0, 1]. Values in the
-  // under/overflow buckets clamp to the histogram range.
-  double Quantile(double q) const;
-
-  // Multi-line ASCII rendering (for example programs).
-  std::string ToString(int width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  double bin_width_;
-  std::vector<int64_t> counts_;
-  int64_t underflow_ = 0;
-  int64_t overflow_ = 0;
-  int64_t count_ = 0;
-};
-
 // Exact-quantile helper that stores samples. Fine for <= a few million values.
 class SampleSet {
  public:
@@ -111,8 +72,6 @@ class SampleSet {
 
   // Exact quantile (nearest-rank with interpolation). Sorts lazily.
   double Quantile(double q);
-
-  void Clear() { samples_.clear(); }
 
  private:
   std::vector<double> samples_;

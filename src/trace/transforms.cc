@@ -33,32 +33,25 @@ std::vector<TraceRecord> TimeWarp(const std::vector<TraceRecord>& records, doubl
 }
 
 std::vector<TraceRecord> RemapToCapacity(const std::vector<TraceRecord>& records,
-                                         int64_t capacity_blocks, RemapMode mode) {
+                                         int64_t capacity_blocks, RemapMode /*mode*/) {
   MSTK_CHECK(capacity_blocks > 0, "RemapToCapacity needs a positive capacity");
   std::vector<TraceRecord> out;
   out.reserve(records.size());
   const int64_t footprint = Footprint(records);
   for (TraceRecord r : records) {
-    if (mode == RemapMode::kScale && footprint > capacity_blocks) {
+    if (footprint > capacity_blocks) {
       // Linear rescale preserves relative distances; __int128 avoids the
       // lba * capacity overflow for large traces.
       r.lba = static_cast<int64_t>(static_cast<__int128>(r.lba) * capacity_blocks / footprint);
     }
     if (r.lba >= capacity_blocks) {
-      if (mode == RemapMode::kClamp) {
-        continue;  // starts beyond the device: drop
-      }
       r.lba = capacity_blocks - 1;
     }
     if (r.blocks > capacity_blocks) {
       r.blocks = static_cast<int32_t>(std::min<int64_t>(capacity_blocks, INT32_MAX));
     }
     if (r.lba + r.blocks > capacity_blocks) {
-      if (mode == RemapMode::kClamp) {
-        r.blocks = static_cast<int32_t>(capacity_blocks - r.lba);  // truncate at the edge
-      } else {
-        r.lba = capacity_blocks - r.blocks;  // slide back inside, keep the length
-      }
+      r.lba = capacity_blocks - r.blocks;  // slide back inside, keep the length
     }
     out.push_back(r);
   }

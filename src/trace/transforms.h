@@ -29,13 +29,12 @@ enum class RemapMode {
   // request lands on the device. The natural choice when replaying a trace
   // captured on a different-sized device.
   kScale,
-  // Keep addresses as captured; drop requests starting beyond the capacity
-  // and truncate ones running off the end (the legacy clamp semantics).
-  kClamp,
 };
 
-// Remaps record addresses onto a device of `capacity_blocks` blocks.
-// Requires capacity_blocks > 0.
+// Remaps record addresses onto a device of `capacity_blocks` blocks by
+// linear rescale (kScale, the only mode). A record that still ends past the
+// device slides back inside, keeping its length. Requires
+// capacity_blocks > 0.
 std::vector<TraceRecord> RemapToCapacity(const std::vector<TraceRecord>& records,
                                          int64_t capacity_blocks, RemapMode mode);
 

@@ -11,27 +11,9 @@
 #include "src/power/power_manager.h"
 #include "src/sched/fcfs.h"
 #include "src/sim/rng.h"
-#include "src/sim/stats.h"
 
 namespace mstk {
 namespace {
-
-TEST(HistogramEdgeTest, ToStringRendersBars) {
-  Histogram h(0.0, 10.0, 5);
-  for (int i = 0; i < 10; ++i) {
-    h.Add(1.0);
-  }
-  h.Add(7.0);
-  const std::string s = h.ToString(20);
-  EXPECT_NE(s.find("####"), std::string::npos);
-  EXPECT_NE(s.find("[0, 2)"), std::string::npos);
-  EXPECT_NE(s.find(" 10"), std::string::npos);
-}
-
-TEST(HistogramEdgeTest, QuantileOnEmptyReturnsLo) {
-  Histogram h(5.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 5.0);
-}
 
 TEST(TieredStoreEdgeTest, EstimateRoutesByResidency) {
   MemsDevice fast;

@@ -5,7 +5,7 @@
 
 #include "src/core/experiment.h"
 #include "src/disk/disk_device.h"
-#include "src/layout/placements.h"
+#include "src/layout/layout_policy.h"
 #include "src/mems/mems_device.h"
 #include "src/sched/clook.h"
 #include "src/sched/fcfs.h"
@@ -141,10 +141,12 @@ TEST(IntegrationTest, Fig11LayoutsBeatSimple) {
   const MemsGeometry& geom = mems.geometry();
   const int64_t small_pool = 100000;
   const int64_t large_pool = 400 * 800;
-  const ExtentLayout subregioned =
-      MakeSubregionedBipartiteLayout(geom, small_pool, large_pool);
-  const ExtentLayout columnar =
-      MakeColumnarBipartiteLayout(geom, small_pool, large_pool);
+  LayoutSpec spec;
+  spec.geometry = &geom;
+  spec.hot_blocks = small_pool;
+  spec.cold_blocks = large_pool;
+  const ExtentLayout subregioned = FindLayoutPolicy("subregioned")->Build(spec);
+  const ExtentLayout columnar = FindLayoutPolicy("columnar")->Build(spec);
 
   Rng rng(7);
   // Scattered "simple": random placements.

@@ -4,19 +4,19 @@
 //    single-block path cannot drift from the extent walk),
 //  * ApplyLayout round-trips: each mapped sub-request covers exactly the
 //    per-block images of its logical range,
-//  * the legacy policies reproduce the frozen placements.h factories
-//    extent-for-extent,
+//  * every policy's extents match pinned digests at four pool sizes,
 //  * the LogicalRegionModel tiles the device and its orders are honest
 //    permutations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "src/layout/layout_map.h"
 #include "src/layout/layout_policy.h"
-#include "src/layout/placements.h"
 #include "src/layout/region_model.h"
 #include "src/mems/geometry.h"
 #include "src/sim/rng.h"
@@ -123,39 +123,77 @@ TEST(LayoutPolicyPropertyTest, ApplyLayoutRoundTripsPerBlock) {
   }
 }
 
-// The legacy policies must reproduce the frozen factories extent-for-extent
-// (the pre-registry benches depended on those exact placements).
-TEST(LayoutPolicyPropertyTest, LegacyPoliciesMatchFrozenFactories) {
-  const MemsGeometry geom{MemsParams{}};
-  for (const auto& [hot, cold] : std::vector<std::pair<int64_t, int64_t>>{
-           {kHot, kCold}, {100000, 500000}, {1000, 2457600}}) {
-    SCOPED_TRACE(hot);
-    const LayoutSpec spec = MemsSpec(geom, hot, cold);
-    const struct {
-      const char* name;
-      ExtentLayout frozen;
-    } kLegacy[] = {
-        {"simple", MakeSimpleLayout(hot, cold)},
-        {"organ-pipe", MakeOrganPipeLayout(geom.capacity_blocks(), hot, cold)},
-        {"columnar", MakeColumnarBipartiteLayout(geom, hot, cold)},
-        {"subregioned", MakeSubregionedBipartiteLayout(geom, hot, cold)},
-    };
-    for (const auto& legacy : kLegacy) {
-      SCOPED_TRACE(legacy.name);
-      const LayoutPolicy* policy = FindLayoutPolicy(legacy.name);
-      ASSERT_NE(policy, nullptr);
-      const ExtentLayout built = policy->Build(spec);
-      ASSERT_EQ(built.logical_capacity(), legacy.frozen.logical_capacity());
-      const auto built_extents =
-          built.MapExtent(0, static_cast<int32_t>(built.logical_capacity()));
-      const auto frozen_extents = legacy.frozen.MapExtent(
-          0, static_cast<int32_t>(legacy.frozen.logical_capacity()));
-      ASSERT_EQ(built_extents.size(), frozen_extents.size());
-      for (size_t i = 0; i < built_extents.size(); ++i) {
-        ASSERT_EQ(built_extents[i], frozen_extents[i]) << "extent " << i;
+// FNV-1a over each extent's lbn and blocks, as 8 little-endian bytes each.
+uint64_t ExtentDigest(const std::vector<PhysExtent>& extents) {
+  uint64_t hash = 14695981039346656037ull;
+  for (const PhysExtent& e : extents) {
+    for (const int64_t value : {e.lbn, static_cast<int64_t>(e.blocks)}) {
+      for (int byte = 0; byte < 8; ++byte) {
+        hash ^= (static_cast<uint64_t>(value) >> (8 * byte)) & 0xffu;
+        hash *= 1099511628211ull;
       }
     }
   }
+  return hash;
+}
+
+// Every policy's physical extents, in logical order, at four pool sizes. The
+// four paper policies' pins were taken from the frozen pre-registry §5.3
+// factories, which the policies matched extent for extent. (1000, 4915200)
+// is the one size whose cold pool reaches past X band 1, so it alone pins
+// the order of the outer bands.
+TEST(LayoutPolicyPropertyTest, EveryPolicyMatchesPinnedExtents) {
+  const struct {
+    const char* policy;
+    int64_t hot;
+    int64_t cold;
+    size_t extents;
+    uint64_t digest;
+  } kPins[] = {
+      {"simple", 200000, 800000, 1, 0xc6c0e8007a8245e8ull},
+      {"organ-pipe", 200000, 800000, 2, 0xd9c503f25384fb45ull},
+      {"columnar", 200000, 800000, 2, 0x8a75a55559c290c3ull},
+      {"subregioned", 200000, 800000, 2001, 0x224124abf3cb4340ull},
+      {"region-seq", 200000, 800000, 5001, 0x2b475839f3e3648aull},
+      {"tiled", 200000, 800000, 9500, 0xd34e1328b48550b0ull},
+      {"hot-cold", 200000, 800000, 6001, 0xd078f8b413bd02ceull},
+      {"simple", 100000, 500000, 1, 0x345d497a34a640b9ull},
+      {"organ-pipe", 100000, 500000, 2, 0x8e855f956da3baffull},
+      {"columnar", 100000, 500000, 2, 0xa81d0d6f31cb739bull},
+      {"subregioned", 100000, 500000, 1001, 0x5b7427ad9837367dull},
+      {"region-seq", 100000, 500000, 3001, 0xa6e898a3f0cd9a60ull},
+      {"tiled", 100000, 500000, 5500, 0x7fa38819571e7dc5ull},
+      {"hot-cold", 100000, 500000, 3501, 0x75afd93f517c145dull},
+      {"simple", 1000, 2457600, 1, 0x79899ea9cbbcca31ull},
+      {"organ-pipe", 1000, 2457600, 2, 0x6562f2fb3d395aefull},
+      {"columnar", 1000, 2457600, 2, 0xd1ca98d5f50807f8ull},
+      {"subregioned", 1000, 2457600, 11, 0x1ac762c96d19ecbfull},
+      {"region-seq", 1000, 2457600, 16323, 0x97b5c9e324480c27ull},
+      {"tiled", 1000, 2457600, 21739, 0xd060704ebb8cfd4dull},
+      {"hot-cold", 1000, 2457600, 16325, 0x6f1e37b5adf21656ull},
+      {"simple", 1000, 4915200, 1, 0xa9eb9778c428975full},
+      {"organ-pipe", 1000, 4915200, 2, 0x847b4a3c1cc8fef2ull},
+      {"columnar", 1000, 4915200, 3, 0xcb4eae3649781601ull},
+      {"subregioned", 1000, 4915200, 12, 0x2060a361bbcdf5baull},
+      {"region-seq", 1000, 4915200, 38886, 0x5f8f4b6e71adc035ull},
+      {"tiled", 1000, 4915200, 39722, 0x2c115c3f5c8741d0ull},
+      {"hot-cold", 1000, 4915200, 38471, 0x1a7a65f7a92ee338ull},
+  };
+  const MemsGeometry geom{MemsParams{}};
+  for (const auto& pin : kPins) {
+    SCOPED_TRACE(std::string(pin.policy) + " at " + std::to_string(pin.hot) + "+" +
+                 std::to_string(pin.cold));
+    const LayoutPolicy* policy = FindLayoutPolicy(pin.policy);
+    ASSERT_NE(policy, nullptr);
+    const ExtentLayout layout = policy->Build(MemsSpec(geom, pin.hot, pin.cold));
+    ASSERT_EQ(layout.logical_capacity(), pin.hot + pin.cold);
+    const std::vector<PhysExtent> extents =
+        layout.MapExtent(0, static_cast<int32_t>(layout.logical_capacity()));
+    EXPECT_EQ(extents.size(), pin.extents);
+    EXPECT_EQ(ExtentDigest(extents), pin.digest);
+  }
+  // Every registered policy is pinned at all four sizes.
+  EXPECT_EQ(std::size(kPins), 4 * AllLayoutPolicies().size());
 }
 
 TEST(RegionModelPropertyTest, RegionsTileTheDevice) {

@@ -5,7 +5,6 @@
 
 #include "src/layout/layout_map.h"
 #include "src/layout/layout_policy.h"
-#include "src/layout/placements.h"
 #include "src/mems/geometry.h"
 #include "src/sim/rng.h"
 
@@ -80,8 +79,19 @@ void CheckInjective(const LayoutMap& layout, int64_t device_capacity) {
   }
 }
 
+// Builds registry policy `name` for a hot and a cold pool on `geom`.
+ExtentLayout BuildPolicy(const char* name, const MemsGeometry& geom, int64_t hot,
+                         int64_t cold) {
+  LayoutSpec spec;
+  spec.geometry = &geom;
+  spec.hot_blocks = hot;
+  spec.cold_blocks = cold;
+  return FindLayoutPolicy(name)->Build(spec);
+}
+
 TEST(PlacementsTest, SimpleLayoutIsIdentity) {
-  const ExtentLayout layout = MakeSimpleLayout(kSmall, kLarge);
+  const MemsGeometry geom{MemsParams{}};
+  const ExtentLayout layout = BuildPolicy("simple", geom, kSmall, kLarge);
   EXPECT_EQ(layout.logical_capacity(), kSmall + kLarge);
   EXPECT_EQ(layout.MapBlock(12345), 12345);
 }
@@ -89,7 +99,7 @@ TEST(PlacementsTest, SimpleLayoutIsIdentity) {
 TEST(PlacementsTest, OrganPipeCentersHotPool) {
   const MemsGeometry geom{MemsParams{}};
   const int64_t cap = geom.capacity_blocks();
-  const ExtentLayout layout = MakeOrganPipeLayout(cap, kSmall, kLarge);
+  const ExtentLayout layout = BuildPolicy("organ-pipe", geom, kSmall, kLarge);
   EXPECT_EQ(layout.logical_capacity(), kSmall + kLarge);
   // Hot pool dead-center.
   const int64_t hot_mid = layout.MapBlock(kSmall / 2);
@@ -105,7 +115,7 @@ TEST(PlacementsTest, OrganPipeCentersHotPool) {
 
 TEST(PlacementsTest, ColumnarSmallPoolInCenterColumn) {
   const MemsGeometry geom{MemsParams{}};
-  const ExtentLayout layout = MakeColumnarBipartiteLayout(geom, kSmall, kLarge);
+  const ExtentLayout layout = BuildPolicy("columnar", geom, kSmall, kLarge);
   const MemsParams& p = geom.params();
   const int64_t col_blocks = p.cylinders() / 25 * p.blocks_per_cylinder();
   // Small pool cylinders in the center column (12 of 25).
@@ -126,7 +136,7 @@ TEST(PlacementsTest, ColumnarSmallPoolInCenterColumn) {
 TEST(PlacementsTest, SubregionedSmallPoolInCenterCell) {
   const MemsGeometry geom{MemsParams{}};
   const int64_t small = 200000;  // fits the 250k-block center cell
-  const ExtentLayout layout = MakeSubregionedBipartiteLayout(geom, small, kLarge);
+  const ExtentLayout layout = BuildPolicy("subregioned", geom, small, kLarge);
   for (int64_t logical = 0; logical < small; logical += 997) {
     const MemsAddress addr = geom.Decode(layout.MapBlock(logical));
     EXPECT_GE(addr.cylinder, 1000);
@@ -181,7 +191,7 @@ TEST(LayoutPolicyTest, DeviceAgnosticPoliciesBuildWithoutGeometry) {
 
 TEST(PlacementsTest, SubregionedLargePoolStaysContiguous) {
   const MemsGeometry geom{MemsParams{}};
-  const ExtentLayout layout = MakeSubregionedBipartiteLayout(geom, 1000, kLarge);
+  const ExtentLayout layout = BuildPolicy("subregioned", geom, 1000, kLarge);
   // Large streams stay physically contiguous (sequential transfers keep the
   // streaming rate); only the small pool is Y-banded.
   const auto extents = layout.MapExtent(1000 + 400000, 800);

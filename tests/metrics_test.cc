@@ -113,31 +113,5 @@ TEST(MetricsTest, PhaseSummariesTrackBreakdowns) {
   EXPECT_EQ(m.completed(), 3);
 }
 
-TEST(MetricsTest, ExportToRegistryUsesStableNames) {
-  MetricsCollector m;
-  PhaseBreakdown phases;
-  phases[Phase::kTransfer] = 2.0;
-  const Request req = At(0.0);
-  m.RecordDispatch(req, 1.0, 1);
-  m.RecordCompletion(req, 3.0, 2.0, phases);
-
-  MetricsRegistry registry;
-  m.ExportTo(&registry);
-  EXPECT_EQ(registry.counter("requests_completed"), 1);
-  ASSERT_NE(registry.FindSummary("response_ms"), nullptr);
-  EXPECT_DOUBLE_EQ(registry.FindSummary("response_ms")->mean(), 3.0);
-  ASSERT_NE(registry.FindSummary("phase_transfer_ms"), nullptr);
-  EXPECT_DOUBLE_EQ(registry.FindSummary("phase_transfer_ms")->mean(), 2.0);
-  ASSERT_NE(registry.FindSummary("queue_ms"), nullptr);
-  EXPECT_DOUBLE_EQ(registry.FindSummary("queue_ms")->mean(), 1.0);
-
-  // Exports from independent collectors merge like SummaryStats.
-  MetricsCollector m2;
-  m2.RecordCompletion(req, 5.0, 4.0, phases);
-  m2.ExportTo(&registry);
-  EXPECT_EQ(registry.counter("requests_completed"), 2);
-  EXPECT_DOUBLE_EQ(registry.FindSummary("response_ms")->mean(), 4.0);
-}
-
 }  // namespace
 }  // namespace mstk

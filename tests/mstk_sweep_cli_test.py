@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Command-line tests for mstk_sweep and the benches' shared flags (ctest
-label: integration): a malformed or out-of-range number prints the usage and
-exits 2, in mstk_sweep and in BenchOptions::Parse (run through one bench),
-and `--jobs 0` still means all cores.
+"""Command-line tests for mstk_sweep and the benches' flags (ctest label:
+integration): a malformed or out-of-range number prints the usage and exits
+2, in mstk_sweep and in BenchOptions::Parse (run through the benches that
+read each flag); a bench given a flag it does not read exits 2 and writes
+nothing; and `--jobs 0` still means all cores.
 
-    python3 tests/mstk_sweep_cli_test.py build/tools/mstk_sweep \\
-        build/bench/fig6_mems_scheduling
+    python3 tests/mstk_sweep_cli_test.py build/tools/mstk_sweep build/bench
 """
 
 import os
@@ -13,13 +13,13 @@ import subprocess
 import sys
 import tempfile
 
-SWEEP, BENCH = (os.path.abspath(p) for p in sys.argv[1:3])
+SWEEP, BENCH_DIR = (os.path.abspath(p) for p in sys.argv[1:3])
 FAILURES = []
 
 
 def run(*args):
     proc = subprocess.run([str(a) for a in args], capture_output=True, text=True)
-    return proc.returncode, proc.stderr
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def check(name, cond, detail=""):
@@ -31,23 +31,38 @@ def check(name, cond, detail=""):
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "smoke.json")
-        rc, err = run(SWEEP, "smoke", "--trials", 1, "--jobs", 0, "--seed", 0, "--json", out)
+        rc, _, err = run(SWEEP, "smoke", "--trials", 1, "--jobs", 0, "--seed", 0, "--json", out)
         check("--jobs 0 --seed 0 runs", rc == 0 and os.path.exists(out), err)
         bad = os.path.join(tmp, "bad.json")
         for args in (["--trials", "2x"], ["--trials", "-1"], ["--trials", "0"],
                      ["--trials", ""], ["--jobs", "-1"], ["--jobs", "4.5"],
                      ["--jobs", "99999999999"], ["--seed", "-5"], ["--seed", "1e3"],
-                     ["--seed", "18446744073709551615"], ["--seed"]):
-            rc, err = run(SWEEP, "smoke", "--json", bad, *args)
+                     ["--seed", "18446744073709551615"], ["--seed"], ["--selfcheck"]):
+            rc, _, err = run(SWEEP, "smoke", "--json", bad, *args)
             check("mstk_sweep %s: usage, exit 2" % " ".join(args),
                   rc == 2 and "usage:" in err, "rc=%d %s" % (rc, err))
         check("bad arguments write nothing", not os.path.exists(bad))
-    for args in (["--trials", "2x"], ["--trials", "0"], ["--jobs", "-2"], ["--seed", "-5"],
-                 ["--fault-rate", "1.5"], ["--fault-rate", "-0.1"], ["--fault-rate", "nan"],
-                 ["--clients", "0"], ["--clients", "3x"]):
-        rc, err = run(BENCH, *args)
-        check("%s %s: usage, exit 2" % (os.path.basename(BENCH), " ".join(args)),
-              rc == 2 and "usage:" in err, "rc=%d %s" % (rc, err))
+
+        for bench, args in (
+                ("fig6_mems_scheduling", ["--trials", "2x"]),
+                ("fig6_mems_scheduling", ["--trials", "0"]),
+                ("fig6_mems_scheduling", ["--jobs", "-2"]),
+                ("fig6_mems_scheduling", ["--seed", "-5"]),
+                ("fault_tolerance", ["--fault-rate", "1.5"]),
+                ("fault_tolerance", ["--fault-rate", "-0.1"]),
+                ("fault_tolerance", ["--fault-rate", "nan"]),
+                ("trace_replay", ["--clients", "0"]),
+                ("trace_replay", ["--clients", "3x"]),
+                # Flags these benches do not read.
+                ("fig5_disk_scheduling", ["--json", bad]),
+                ("fig6_mems_scheduling", ["--layouts", "all"])):
+            rc, stdout, err = run(os.path.join(BENCH_DIR, bench), *args)
+            check("%s %s: usage, exit 2" % (bench, " ".join(args)),
+                  rc == 2 and "usage:" in err and stdout == "", "rc=%d %s" % (rc, err))
+        check("rejected bench flags write nothing", not os.path.exists(bad))
+    rc, _, err = run(os.path.join(BENCH_DIR, "fig5_disk_scheduling"), "--seed", "1")
+    check("fig5 usage lists only --csv and --fast",
+          rc == 2 and err.endswith("fig5_disk_scheduling [--csv] [--fast]\n"), repr(err))
     if FAILURES:
         print("%d check(s) failed: %s" % (len(FAILURES), ", ".join(FAILURES)))
         return 1

@@ -61,61 +61,6 @@ TEST(SummaryStatsTest, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
 }
 
-TEST(HistogramTest, BinningAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(-1.0);
-  h.Add(0.0);
-  h.Add(0.5);
-  h.Add(9.99);
-  h.Add(10.0);  // upper edge: top bin is closed, not overflow
-  h.Add(25.0);
-  EXPECT_EQ(h.count(), 6);
-  EXPECT_EQ(h.underflow(), 1);
-  EXPECT_EQ(h.overflow(), 1);
-  EXPECT_EQ(h.bin_count(0), 2);
-  EXPECT_EQ(h.bin_count(9), 2);
-}
-
-TEST(HistogramTest, UpperEdgeLandsInTopBinAndQuantileCoversIt) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(10.0);
-  EXPECT_EQ(h.overflow(), 0);
-  EXPECT_EQ(h.bin_count(9), 1);
-  // Before the top bin was closed, a sample exactly at `hi` was counted as
-  // overflow and Quantile(1.0) clamped to lo for this histogram.
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 10.0);
-}
-
-TEST(HistogramTest, MergeEqualsCombined) {
-  Histogram all(0.0, 1.0, 20);
-  Histogram left(0.0, 1.0, 20);
-  Histogram right(0.0, 1.0, 20);
-  Rng rng(11);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.Uniform(-0.1, 1.1);
-    all.Add(x);
-    (i % 2 == 0 ? left : right).Add(x);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_EQ(left.underflow(), all.underflow());
-  EXPECT_EQ(left.overflow(), all.overflow());
-  for (int b = 0; b < all.bins(); ++b) {
-    EXPECT_EQ(left.bin_count(b), all.bin_count(b)) << "bin " << b;
-  }
-}
-
-TEST(HistogramTest, QuantileOfUniformData) {
-  Histogram h(0.0, 1.0, 100);
-  Rng rng(9);
-  for (int i = 0; i < 100000; ++i) {
-    h.Add(rng.NextDouble());
-  }
-  EXPECT_NEAR(h.Quantile(0.5), 0.5, 0.02);
-  EXPECT_NEAR(h.Quantile(0.9), 0.9, 0.02);
-  EXPECT_NEAR(h.Quantile(0.99), 0.99, 0.02);
-}
-
 TEST(SampleSetTest, ExactQuantiles) {
   SampleSet s;
   for (int i = 100; i >= 1; --i) {

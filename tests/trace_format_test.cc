@@ -259,16 +259,6 @@ TEST(TraceTransformTest, RemapScaleLeavesFittingTracesAlone) {
   EXPECT_EQ(RemapToCapacity(records, 1 << 20, RemapMode::kScale), records);
 }
 
-TEST(TraceTransformTest, RemapClampDropsAndTruncates) {
-  const std::vector<TraceRecord> mapped =
-      RemapToCapacity(SampleRecords(), 4200, RemapMode::kClamp);
-  // The lba=98304 record starts beyond capacity and is dropped; the 256-block
-  // read at 4096 is truncated to the device end.
-  ASSERT_EQ(mapped.size(), 3u);
-  EXPECT_EQ(mapped[2].lba, 4096);
-  EXPECT_EQ(mapped[2].blocks, 104);
-}
-
 TEST(TraceTransformTest, MultiplyClientsInterleavesDistinctClients) {
   const int64_t capacity = 1 << 20;
   const std::vector<TraceRecord> records = SampleRecords();

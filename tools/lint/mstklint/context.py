@@ -16,7 +16,6 @@ from .source import load_file
 D2_SINKS = (
     "src/sim/json_writer.h",
     "src/sim/trace_writer.h",
-    "src/sim/metrics_registry.h",
     "src/core/metrics.h",
 )
 

@@ -3,7 +3,6 @@
 //
 //   mstk_sweep smoke --trials 4 --jobs 2 --json BENCH_smoke.json
 //   mstk_sweep sched_random --trials 8 --json BENCH_sched_random.json
-//   mstk_sweep smoke --selfcheck          # --jobs 1 vs parallel, in process
 //   mstk_sweep smoke --trace trace.json   # Chrome trace of trial 0 per cell
 //   mstk_sweep --list
 //
@@ -31,7 +30,6 @@
 
 #include "bench/bench_util.h"
 #include "src/array/array_experiment.h"
-#include "src/sim/thread_pool.h"
 
 namespace {
 
@@ -313,9 +311,8 @@ int Usage(const char* argv0) {
                "usage: %s [SWEEP] [--trials N] [--jobs N] [--seed S] [--json PATH]\n"
                "          [--trace PATH]\n"
                "       %s --list\n"
-               "       %s [SWEEP] --selfcheck   (compare --jobs 1 vs parallel run)\n"
                "sweeps: %s\n",
-               argv0, argv0, argv0, sweeps.c_str());
+               argv0, argv0, sweeps.c_str());
   return 2;
 }
 
@@ -342,7 +339,6 @@ int main(int argc, char** argv) {
   uint64_t base_seed = 1;
   std::string json_path;
   std::string trace_path;
-  bool selfcheck = false;
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -368,8 +364,6 @@ int main(int argc, char** argv) {
       json_path = next();
     } else if (std::strcmp(arg, "--trace") == 0) {
       trace_path = next();
-    } else if (std::strcmp(arg, "--selfcheck") == 0) {
-      selfcheck = true;
     } else if (arg[0] != '-') {
       sweep = arg;
     } else {
@@ -383,20 +377,6 @@ int main(int argc, char** argv) {
     return Usage(argv[0]);
   }
   const std::vector<SweepCell> cells = info->build();
-
-  if (selfcheck) {
-    const int parallel = jobs > 0 ? jobs : ThreadPool::DefaultThreadCount();
-    const std::string serial = RunSweepJson(sweep, cells, trials, 1, base_seed);
-    const std::string fanned = RunSweepJson(sweep, cells, trials, parallel, base_seed);
-    if (serial != fanned) {
-      std::fprintf(stderr, "DETERMINISM FAILURE: sweep %s differs between --jobs 1 and --jobs %d\n",
-                   sweep.c_str(), parallel);
-      return 1;
-    }
-    std::printf("determinism ok: sweep %s, %lld trials, --jobs 1 == --jobs %d (%zu bytes)\n",
-                sweep.c_str(), static_cast<long long>(trials), parallel, serial.size());
-    return 0;
-  }
 
   const std::string doc = RunSweepJson(sweep, cells, trials, jobs, base_seed);
   if (!trace_path.empty() && !WriteSweepTrace(trace_path, cells, base_seed)) {
