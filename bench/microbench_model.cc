@@ -93,8 +93,8 @@ void BM_DiskServiceRequest4K(benchmark::State& state) {
 }
 BENCHMARK(BM_DiskServiceRequest4K);
 
-// One SPTF dispatch: a single batched estimate of the whole queue, then
-// the first-index minimum scan.
+// One SPTF dispatch from a parked sled: the outward cylinder walk over a
+// queue of `depth` random requests.
 void BM_SptfPopQueue(benchmark::State& state) {
   MemsDevice device;
   Park(&device);
@@ -116,9 +116,9 @@ void BM_SptfPopQueue(benchmark::State& state) {
 }
 BENCHMARK(BM_SptfPopQueue)->Arg(16)->Arg(64)->Arg(256);
 
-// Batched positioning estimation (the SPTF scan path): Y legs from the
-// table, the X leg shared between requests on one cylinder, against the
-// scalar estimate's four planner calls per request.
+// Batched positioning estimation (the SPTF full-scan path): Y legs from
+// the table and one X leg per request, against the scalar estimate's four
+// planner calls per request.
 void BM_MemsEstimatePositioningBatch(benchmark::State& state) {
   MemsDevice device;
   Park(&device);

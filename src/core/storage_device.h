@@ -117,12 +117,55 @@ class StorageDevice {
 
   // Batched form of EstimatePositioningMs with identical semantics and
   // results; device models may share per-state work across the batch (the
-  // SPTF per-dispatch scan evaluates every pending request at once).
+  // SPTF full scan evaluates every pending request at once).
   virtual void EstimatePositioningBatch(const Request* reqs, int64_t count,
                                         TimeMs at_ms, TimeMs* out_ms) const {
     for (int64_t i = 0; i < count; ++i) {
       out_ms[i] = EstimatePositioningMs(reqs[i], at_ms);
     }
+  }
+
+  // --- Positioning order (SPTF's outward walk, src/sched/sptf.h) ---------
+  // A device may split positioning into a "key leg" that depends only on a
+  // request's key and the current state (MEMS: the X seek plus settle to
+  // the request's first cylinder) and the rest. It offers that order by
+  // giving every request a key and reporting the current state's key; then
+  // SPTF visits keys outward from the state's key and stops early instead
+  // of estimating every pending request. The contract, bit for bit:
+  //
+  //   EstimatePositioningMs(r, t) ==
+  //       EstimateGivenKeyLeg(r, KeyLegMs(PositioningKey(r)), t)
+  //                               >= KeyLegMs(PositioningKey(r)),
+  //
+  // and KeyLegMs(k) never decreases as k moves away from StateKey() on
+  // either side. The defaults offer no order, and SPTF then estimates every
+  // pending request. A wrapper device that does not forward these methods
+  // keeps the defaults, so SPTF on it stays exact but scans.
+  static constexpr int32_t kNoKey = -1;
+
+  // Key (>= 0) of `req`, or kNoKey when the device offers no order. A
+  // device that offers one gives every request a key.
+  virtual int32_t PositioningKey(const Request& req) const {
+    (void)req;
+    return kNoKey;
+  }
+
+  // Key the current state rests on, or kNoKey when it rests on none (or the
+  // device offers no order).
+  virtual int32_t StateKey() const { return kNoKey; }
+
+  // Key leg (ms) from the current state to `key`; called only while
+  // StateKey() != kNoKey.
+  [[nodiscard]] virtual TimeMs KeyLegMs(int32_t key) const {
+    (void)key;
+    return 0.0;
+  }
+
+  // EstimatePositioningMs(req, at_ms), given the key leg of req's key.
+  [[nodiscard]] virtual TimeMs EstimateGivenKeyLeg(const Request& req, TimeMs key_leg_ms,
+                                                   TimeMs at_ms) const {
+    (void)key_leg_ms;
+    return EstimatePositioningMs(req, at_ms);
   }
 
   // Monotone counter bumped whenever the mechanical state changes. When

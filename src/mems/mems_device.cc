@@ -1,7 +1,6 @@
 #include "src/mems/mems_device.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <cmath>
 
@@ -23,6 +22,7 @@ MemsDevice::MemsDevice(const MemsParams& params)
 void MemsDevice::Reset() {
   sled_ = SledState{0.0, 0.0, 0.0};
   sled_y_state_ = kOffBoundary;
+  sled_cylinder_ = kNoKey;
   activity_ = DeviceActivity{};
   seek_error_rng_ = Rng(seek_error_seed_);
   ++state_epoch_;
@@ -181,6 +181,7 @@ TimeMs MemsDevice::ServiceRequest(const Request& req, TimeMs start_ms,
 
   sled_ = state;
   sled_y_state_ = y_state;
+  sled_cylinder_ = seg.cylinder;
   ++state_epoch_;
 
   const double positioning_ms = SecondsToMs(positioning_s);
@@ -218,33 +219,45 @@ TimeMs MemsDevice::EstimatePositioningMs(const Request& req, TimeMs at_ms) const
 void MemsDevice::EstimatePositioningBatch(const Request* reqs, int64_t count,
                                           TimeMs at_ms, TimeMs* out_ms) const {
   (void)at_ms;
-  // Same expressions as PositioningSeconds, so results are bit-identical.
-  // The Y legs come from the table. The X leg (seek + settle) depends only
-  // on the target cylinder, and trace queues cluster: in the sched_cello
-  // and sched_tpcc sweeps 30-43% of the requests a scan estimates share a
-  // cylinder with an earlier one in the same scan. A small direct-mapped
-  // memo keeps most of that sharing without allocating.
-  struct XLeg {
-    int32_t cylinder = -1;
-    double seconds = 0.0;
-  };
-  std::array<XLeg, 32> x_memo;
-  const double settle_s = geometry_.params().settle_seconds();
   for (int64_t i = 0; i < count; ++i) {
     CheckRequest(reqs[i]);
     const Segment seg = SegmentAt(reqs[i].lbn, reqs[i].last_lbn());
-    XLeg& x = x_memo[static_cast<size_t>(seg.cylinder) % x_memo.size()];
-    if (x.cylinder != seg.cylinder) {
-      const double target_x = geometry_.CylinderX(seg.cylinder);
-      x.cylinder = seg.cylinder;
-      x.seconds =
-          target_x != sled_.x ? kinematics_.SeekSeconds(sled_.x, target_x) + settle_s : 0.0;
-    }
-    const double ty_up = YLegSeconds(sled_y_state_, sled_, EntryBoundary(seg, +1), +1);
-    const double ty_down = YLegSeconds(sled_y_state_, sled_, EntryBoundary(seg, -1), -1);
-    out_ms[i] =
-        SecondsToMs(std::min(std::max(x.seconds, ty_up), std::max(x.seconds, ty_down)));
+    out_ms[i] = EstimateGivenXLeg(seg, SecondsToMs(XLegSeconds(seg.cylinder)));
   }
+}
+
+int32_t MemsDevice::PositioningKey(const Request& req) const {
+  if (!OffersOrder()) {
+    return kNoKey;
+  }
+  CheckRequest(req);
+  return geometry_.Decode(req.lbn).cylinder;
+}
+
+TimeMs MemsDevice::EstimateGivenKeyLeg(const Request& req, TimeMs key_leg_ms,
+                                       TimeMs at_ms) const {
+  (void)at_ms;
+  CheckRequest(req);
+  return EstimateGivenXLeg(SegmentAt(req.lbn, req.last_lbn()), key_leg_ms);
+}
+
+double MemsDevice::XLegSeconds(int32_t cylinder) const {
+  // Same expression as PositioningSeconds' X leg.
+  const double target_x = geometry_.CylinderX(cylinder);
+  return target_x != sled_.x
+             ? kinematics_.SeekSeconds(sled_.x, target_x) + geometry_.params().settle_seconds()
+             : 0.0;
+}
+
+TimeMs MemsDevice::EstimateGivenXLeg(const Segment& seg, TimeMs x_leg_ms) const {
+  // The scalar estimate converts min(max(tx, ty_up), max(tx, ty_down)) to
+  // ms; SecondsToMs is monotone, so taking min and max after converting
+  // each leg gives the same bits.
+  const TimeMs ty_up =
+      SecondsToMs(YLegSeconds(sled_y_state_, sled_, EntryBoundary(seg, +1), +1));
+  const TimeMs ty_down =
+      SecondsToMs(YLegSeconds(sled_y_state_, sled_, EntryBoundary(seg, -1), -1));
+  return std::min(std::max(x_leg_ms, ty_up), std::max(x_leg_ms, ty_down));
 }
 
 }  // namespace mstk

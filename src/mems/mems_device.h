@@ -49,6 +49,23 @@ class MemsDevice : public StorageDevice {
   // table (see below).
   void EstimatePositioningBatch(const Request* reqs, int64_t count, TimeMs at_ms,
                                 TimeMs* out_ms) const override;
+
+  // Positioning order (see StorageDevice): a request's key is the cylinder
+  // of its first segment, and the key leg is the X leg, the X seek plus
+  // settle to that cylinder (zero on the sled's own cylinder). Only the
+  // bounded-force sled offers it: its X leg never shrinks outward from any
+  // cylinder (a property test checks every pair for the G1-G3 presets),
+  // while the resonant spring's does. The state has a key only once the
+  // sled rests on a cylinder after a service: not on a fresh device, nor
+  // after Reset() or set_sled().
+  int32_t PositioningKey(const Request& req) const override;
+  int32_t StateKey() const override { return OffersOrder() ? sled_cylinder_ : kNoKey; }
+  [[nodiscard]] TimeMs KeyLegMs(int32_t key) const override {
+    return SecondsToMs(XLegSeconds(key));
+  }
+  // Same bits as EstimatePositioningMs; takes the Y legs from the table.
+  [[nodiscard]] TimeMs EstimateGivenKeyLeg(const Request& req, TimeMs key_leg_ms,
+                                           TimeMs at_ms) const override;
   // No rotation: estimates depend only on the sled state, never on time.
   bool PositioningIsTimeFree() const override { return true; }
   // Degraded mode (§6.1, spares exhausted): failed tips are masked out, so
@@ -68,6 +85,7 @@ class MemsDevice : public StorageDevice {
   void set_sled(const SledState& state) {
     sled_ = state;
     sled_y_state_ = kOffBoundary;
+    sled_cylinder_ = kNoKey;
     ++state_epoch_;
   }
 
@@ -101,6 +119,13 @@ class MemsDevice : public StorageDevice {
   // Positioning time (seconds) from `state` to reading segment `seg` in
   // direction `dir` (+1 ascending rows, -1 descending). Tx/Ty overlap.
   double PositioningSeconds(const SledState& state, const Segment& seg, int dir) const;
+
+  bool OffersOrder() const { return params().spring_model == SpringModel::kBoundedForce; }
+  // X leg (seconds) from the sled to `cylinder`: seek plus settle, or zero
+  // when the sled is already there.
+  double XLegSeconds(int32_t cylinder) const;
+  // Positioning estimate (ms) for `seg` given its X leg in ms.
+  [[nodiscard]] TimeMs EstimateGivenXLeg(const Segment& seg, TimeMs x_leg_ms) const;
 
   // Row boundaries where reading `seg` in direction `dir` enters and leaves
   // the segment, and their Y offsets.
@@ -146,6 +171,7 @@ class MemsDevice : public StorageDevice {
   SledKinematics kinematics_;
   SledState sled_;
   int32_t sled_y_state_ = kOffBoundary;  // table index of sled_'s Y state
+  int32_t sled_cylinder_ = kNoKey;       // cylinder the sled rests on, if any
   double v_access_;     // m/s
   double row_pass_s_;   // s
   int32_t y_states_;    // 2 * (rows_per_track + 1)

@@ -1,16 +1,36 @@
 // Shortest Positioning Time First (§4.1 [SCO90, JW91]): picks the pending
 // request with the smallest true positioning delay, computed by the device
 // model — seek + rotational latency on disks, max(X seek + settle, Y seek)
-// on MEMS-based storage.
+// on MEMS-based storage. Ties go to the request added first.
 //
-// Each Pop estimates the whole queue with one EstimatePositioningBatch
-// call, which lets the device share per-state work across the scan, and
-// returns the first index of the minimum cost. Nothing is kept between
-// Pops: the device services the popped request before the next Pop, which
-// moves the mechanism every estimate depends on (and disk estimates also
-// depend on the time), so an earlier estimate is never valid again. With
-// one request pending there is nothing to choose, and Pop estimates
-// nothing.
+// Two exact ways to find it:
+//
+// * The outward walk, when the device offers a positioning order
+//   (StorageDevice::PositioningKey and its contract) and its state rests on
+//   a key. Pending requests sit in per-key buckets. Pop visits occupied
+//   keys outward from the state's key, always taking the side whose next
+//   key leg (MEMS: X leg) is smaller, and stops once that leg is strictly
+//   greater than the best cost found: every request's cost is at least its
+//   key's leg, and legs never shrink outward, so no unvisited request can
+//   win or tie. A leg equal to the best cost is visited, because a request
+//   there may tie with a lower add sequence. Each visited key's leg is
+//   computed once and gives both the prune decision and the cost of every
+//   request in its bucket. On the MEMS random workload at 1800 req/s a Pop
+//   computes about 3 key legs where a scan estimates about 20 requests.
+// * The full scan otherwise: one EstimatePositioningBatch call over every
+//   pending request. It runs for devices without an order (disks, wrappers
+//   that do not forward the order, the resonant MEMS spring), while the
+//   state rests on no key (a fresh or Reset() device, or after set_sled()),
+//   and always for AgedSptfScheduler, whose clamp at zero breaks the bound
+//   the walk prunes on.
+//
+// Nothing is kept between Pops: the device services the popped request
+// before the next Pop, which moves the mechanism every estimate depends on.
+// With one request pending there is nothing to choose, and Pop estimates
+// nothing. Add is O(1); pending requests live in one dense vector
+// (removal swaps in the last one), and the buckets are intrusive lists
+// over it, so Pop allocates nothing in steady state. Memory is O(queue)
+// plus O(largest key seen).
 //
 // AgedSptfScheduler adds the aging term of [WGP94]: effective cost =
 // max(positioning - age_weight * queue_time, 0), trading a little
@@ -21,6 +41,7 @@
 #ifndef MSTK_SRC_SCHED_SPTF_H_
 #define MSTK_SRC_SCHED_SPTF_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -33,17 +54,21 @@ namespace mstk {
 class SptfScheduler : public IoScheduler {
  public:
   // `device` is borrowed; used only through the positioning estimators.
-  explicit SptfScheduler(const StorageDevice* device) : device_(device) {}
+  explicit SptfScheduler(const StorageDevice* device) : SptfScheduler(device, true) {}
 
   const char* name() const override { return "SPTF"; }
-  void Add(const Request& req) override { pending_.push_back(req); }
+  void Add(const Request& req) override;
   bool Empty() const override { return pending_.empty(); }
   int64_t size() const override { return static_cast<int64_t>(pending_.size()); }
   Request Pop(TimeMs now_ms) override;
   bool PassThroughWhenEmpty() const override { return true; }
-  void Reset() override { pending_.clear(); }
+  void Reset() override;
 
  protected:
+  // `walk` = false always scans; a subclass whose EffectiveCost is not the
+  // positioning estimate must pass it.
+  SptfScheduler(const StorageDevice* device, bool walk) : device_(device), walk_(walk) {}
+
   // Selection cost of `req` given its positioning estimate; subclasses
   // refine it.
   virtual double EffectiveCost(const Request& req, TimeMs pos_ms, TimeMs now_ms) const {
@@ -53,15 +78,49 @@ class SptfScheduler : public IoScheduler {
   }
 
  private:
+  // Bookkeeping of pending_[i]: add sequence, key, and its neighbours in
+  // the key's bucket (-1 at either end).
+  struct Entry {
+    int64_t seq;
+    int32_t key;
+    int32_t prev;
+    int32_t next;
+  };
+
+  // Index of the pending request to dispatch.
+  std::size_t Scan(TimeMs now_ms);
+  std::size_t Walk(int32_t state_key, TimeMs now_ms);
+  // The tie rule: pending_[a] was added before pending_[b].
+  bool AddedBefore(std::size_t a, std::size_t b) const { return entries_[a].seq < entries_[b].seq; }
+  // Smallest occupied key >= `key` (>= 0), or -1.
+  int32_t OccupiedAtOrAbove(int32_t key) const;
+  // Largest occupied key <= `key`, or -1.
+  int32_t OccupiedAtOrBelow(int32_t key) const;
+  Entry& At(int32_t slot) { return entries_[static_cast<std::size_t>(slot)]; }
+  // The link that points at the entry after `prev` in `key`'s bucket:
+  // prev's next, or the bucket's head when prev is -1.
+  int32_t& Link(int32_t prev, int32_t key);
+  // Points the bucket neighbours of entries_[slot] (or its bucket's head)
+  // at `slot`.
+  void Attach(int32_t slot);
+  // Unlinks pending_[i] from its bucket and fills its place with the last
+  // pending request.
+  void Remove(std::size_t i);
+
   const StorageDevice* device_;
-  std::vector<Request> pending_;  // arrival order (erase preserves it)
-  std::vector<TimeMs> pos_ms_;    // Pop's estimates, kept to avoid per-Pop allocation
+  bool walk_;
+  std::vector<Request> pending_;    // in no particular order
+  std::vector<Entry> entries_;      // parallel to pending_
+  std::vector<int32_t> head_;       // per key: first index of its bucket, or -1
+  std::vector<uint64_t> occupied_;  // bit k set iff key k's bucket is not empty
+  std::vector<TimeMs> pos_ms_;      // Scan's estimates, kept to avoid per-Pop allocation
+  int64_t next_seq_ = 0;
 };
 
 class AgedSptfScheduler : public SptfScheduler {
  public:
   AgedSptfScheduler(const StorageDevice* device, double age_weight)
-      : SptfScheduler(device), age_weight_(age_weight) {}
+      : SptfScheduler(device, false), age_weight_(age_weight) {}
 
   const char* name() const override { return "ASPTF"; }
 

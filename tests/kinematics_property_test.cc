@@ -1,9 +1,12 @@
 // Randomized property sweep for the bounded-force sled planner (the
 // resonant variant has its own sweep in resonant_spring_test.cc), plus
-// cross-checks between the two device axes' usage patterns.
+// cross-checks between the two device axes' usage patterns and the
+// exhaustive check of the MEMS positioning order.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "src/mems/kinematics.h"
 #include "src/mems/mems_device.h"
@@ -94,6 +97,63 @@ TEST(KinematicsPropertyTest, DeviceEstimateConsistentAcrossCopies) {
     ASSERT_DOUBLE_EQ(ea1, ea2);
     ASSERT_DOUBLE_EQ(ea1, b.EstimatePositioningMs(req, 0.0));
   }
+}
+
+// SPTF's outward walk (src/sched/sptf.h) is exact only if the MEMS key leg,
+// the X seek plus settle, never shrinks as the target cylinder moves away
+// from the sled's cylinder on either side. Checks every step outward from
+// every `stride`-th cylinder: cylinders * (cylinders - 1) steps at stride 1.
+void ExpectKeyLegNeverShrinksOutward(const MemsParams& params, int32_t stride = 1) {
+  MemsDevice device(params);
+  const int32_t cylinders = params.cylinders();
+  std::vector<double> leg(static_cast<size_t>(cylinders));
+  int64_t steps = 0;
+  int64_t shrinking = 0;
+  for (int32_t from = 0; from < cylinders; from += stride) {
+    Request req;
+    req.lbn = device.geometry().Encode(MemsAddress{from, 0, 0, 0});
+    req.block_count = 1;
+    (void)device.ServiceRequest(req, 0.0);
+    ASSERT_EQ(device.StateKey(), from);
+    for (int32_t to = 0; to < cylinders; ++to) {
+      leg[static_cast<size_t>(to)] = device.KeyLegMs(to);
+    }
+    ASSERT_EQ(leg[static_cast<size_t>(from)], 0.0);
+    for (size_t to = static_cast<size_t>(from) + 1; to < leg.size(); ++to, ++steps) {
+      shrinking += leg[to] < leg[to - 1] ? 1 : 0;
+    }
+    for (size_t to = static_cast<size_t>(from); to-- > 0; ++steps) {
+      shrinking += leg[to] < leg[to + 1] ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(steps, int64_t{(cylinders + stride - 1) / stride} * (cylinders - 1));
+  EXPECT_EQ(shrinking, 0);
+}
+
+TEST(MemsKeyLegPropertyTest, NeverShrinksOutwardG1) {
+  ExpectKeyLegNeverShrinksOutward(MemsParams::FirstGeneration());
+}
+
+TEST(MemsKeyLegPropertyTest, NeverShrinksOutwardG2) {
+  ExpectKeyLegNeverShrinksOutward(MemsParams::SecondGeneration());
+}
+
+TEST(MemsKeyLegPropertyTest, NeverShrinksOutwardG3) {
+  ExpectKeyLegNeverShrinksOutward(MemsParams::ThirdGeneration());
+}
+
+TEST(MemsKeyLegPropertyTest, NeverShrinksOutwardAcrossSpringFactors) {
+  // Every bounded-force device offers the order, not just the presets:
+  // sample the spring factors the ablations sweep, and no settle at all.
+  for (const double spring : {0.0, 0.25, 0.5, 0.9}) {
+    SCOPED_TRACE(spring);
+    MemsParams params;
+    params.spring_factor = spring;
+    ExpectKeyLegNeverShrinksOutward(params, 25);
+  }
+  MemsParams no_settle;
+  no_settle.settle_constants = 0.0;
+  ExpectKeyLegNeverShrinksOutward(no_settle, 25);
 }
 
 TEST(KinematicsPropertyTest, ServiceTimeTranslationInvariantInY) {

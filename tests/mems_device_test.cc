@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "src/sim/rng.h"
@@ -74,12 +76,12 @@ TEST(MemsDeviceTest, PositioningIsMaxOfXAndY) {
 }
 
 TEST(MemsDeviceTest, EstimateMatchesServiceBreakdown) {
-  // The scalar estimate computes every leg directly; ServiceRequest and the
-  // batch estimate take their Y legs from the device's Y-leg table. All
-  // three must agree bit for bit, from row-boundary states (after a
-  // service) and from states off every boundary (after Reset or set_sled).
-  // Requests of up to 600 blocks cross tracks (540 blocks fill one), so
-  // later segments fill the table too.
+  // The scalar estimate computes every leg directly; ServiceRequest, the
+  // batch estimate and the positioning order's EstimateGivenKeyLeg take
+  // their Y legs from the device's Y-leg table. All must agree bit for bit,
+  // from row-boundary states (after a service) and from states off every
+  // boundary (after Reset or set_sled). Requests of up to 600 blocks cross
+  // tracks (540 blocks fill one), so later segments fill the table too.
   MemsDevice device;
   const MemsParams& params = device.params();
   const double y_span = params.rows_per_track() * params.row_height_m() / 2.0;
@@ -106,8 +108,16 @@ TEST(MemsDeviceTest, EstimateMatchesServiceBreakdown) {
     device.EstimatePositioningBatch(batch.data(), static_cast<int64_t>(batch.size()), 0.0,
                                     batch_ms.data());
     for (size_t j = 0; j < batch.size(); ++j) {
-      ASSERT_EQ(batch_ms[j], device.EstimatePositioningMs(batch[j], 0.0))
-          << "step " << i << " request " << j;
+      const double scalar_ms = device.EstimatePositioningMs(batch[j], 0.0);
+      ASSERT_EQ(batch_ms[j], scalar_ms) << "step " << i << " request " << j;
+      if (device.StateKey() != StorageDevice::kNoKey) {
+        // The order's contract: the same bits from the key leg, never below it.
+        const double leg_ms = device.KeyLegMs(device.PositioningKey(batch[j]));
+        ASSERT_EQ(std::bit_cast<uint64_t>(device.EstimateGivenKeyLeg(batch[j], leg_ms, 0.0)),
+                  std::bit_cast<uint64_t>(scalar_ms))
+            << "step " << i << " request " << j;
+        ASSERT_GE(scalar_ms, leg_ms);
+      }
     }
     const Request req = random_request();
     const double estimate = device.EstimatePositioningMs(req, 0.0);
@@ -115,6 +125,30 @@ TEST(MemsDeviceTest, EstimateMatchesServiceBreakdown) {
     (void)device.ServiceRequest(req, 0.0, &breakdown);
     ASSERT_EQ(estimate, breakdown.positioning_ms) << "step " << i;
   }
+}
+
+TEST(MemsDeviceTest, StateKeyIsTheCylinderTheSledRestsOn) {
+  MemsDevice device;
+  const MemsGeometry& geom = device.geometry();
+  EXPECT_EQ(device.StateKey(), StorageDevice::kNoKey);  // fresh: off every cylinder
+  const int64_t lbn = geom.Encode(MemsAddress{700, 3, 10, 0});
+  EXPECT_EQ(device.PositioningKey(MakeRead(lbn, 8)), 700);
+  (void)device.ServiceRequest(MakeRead(lbn, 8), 0.0);
+  EXPECT_EQ(device.StateKey(), 700);
+  EXPECT_EQ(device.KeyLegMs(700), 0.0);
+  EXPECT_DOUBLE_EQ(device.KeyLegMs(701), device.CylinderSeekMs(700, 701) + device.SettleMs());
+  // A request that runs from the last track of cylinder 700 into 701 is
+  // keyed by its first cylinder and leaves the sled on its last.
+  const int64_t last_track = geom.Encode(MemsAddress{700, 4, 0, 0});
+  const Request crossing = MakeRead(last_track, 600);
+  EXPECT_EQ(device.PositioningKey(crossing), 700);
+  (void)device.ServiceRequest(crossing, 0.0);
+  EXPECT_EQ(device.StateKey(), 701);
+  device.set_sled(SledState{device.params().cylinder_x_m(5), 0.0, 0.0});
+  EXPECT_EQ(device.StateKey(), StorageDevice::kNoKey);
+  (void)device.ServiceRequest(MakeRead(lbn, 8), 0.0);
+  device.Reset();
+  EXPECT_EQ(device.StateKey(), StorageDevice::kNoKey);
 }
 
 TEST(MemsDeviceTest, ZeroBlockRequestDies) {

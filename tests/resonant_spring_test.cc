@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <tuple>
 
 #include "src/mems/mems_device.h"
@@ -91,6 +92,27 @@ TEST(ResonantSpringTest, AverageRandomAccessStaysSubMillisecond) {
   const double mean = total / kSamples;
   EXPECT_GT(mean, 0.4);
   EXPECT_LT(mean, 1.0);
+}
+
+TEST(ResonantSpringTest, OffersNoPositioningOrder) {
+  // The spring, stronger than the actuator near the edges, makes some X
+  // legs shrink as the target moves outward, so SPTF's outward walk would
+  // mis-pick: the device offers no order, and SPTF scans.
+  MemsDevice device(ResonantParams());
+  Request req;
+  req.block_count = 8;
+  req.lbn = device.CapacityBlocks() / 2;
+  (void)device.ServiceRequest(req, 0.0);
+  EXPECT_EQ(device.PositioningKey(req), StorageDevice::kNoKey);
+  EXPECT_EQ(device.StateKey(), StorageDevice::kNoKey);
+  const int32_t cylinders = device.params().cylinders();
+  int64_t shrinking = 0;
+  for (int32_t from = 0; from < cylinders; from += 100) {
+    for (int32_t to = from + 2; to < cylinders; ++to) {
+      shrinking += device.CylinderSeekMs(from, to) < device.CylinderSeekMs(from, to - 1) ? 1 : 0;
+    }
+  }
+  EXPECT_GT(shrinking, 0);
 }
 
 // Property sweep: the closed-form planner must stay exact under the

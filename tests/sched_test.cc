@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "src/core/experiment.h"
@@ -123,22 +125,36 @@ TEST(SptfTest, BeatsLbnProxyWhenYDominates) {
 }
 
 // Drives `sched` (built on `device`) in lockstep with a naive scan of the
-// scalar estimator: every Pop must return the first pending request of
-// minimum `cost(req, positioning_ms, now_ms)`. Adds, pops, service and idle
-// gaps interleave at random. `min_ties` counts the Pops whose minimum was
-// shared by several requests, where only the first-index rule decides.
+// scalar estimator for `pops` Pops: every Pop must return the first pending
+// request of minimum `cost(req, positioning_ms, now_ms)`. Adds, pops,
+// service and idle gaps interleave at random; the queue alternates between
+// a few and about 40 pending requests; and now and then set_sled() or
+// Reset() moves the sled off every cylinder. `min_ties` counts the Pops
+// whose minimum was shared by several requests, where only the first-index
+// rule decides.
 void ExpectMatchesNaiveScan(
     SptfScheduler* sched, MemsDevice* device,
-    const std::function<double(const Request&, double, double)>& cost, int64_t* min_ties) {
+    const std::function<double(const Request&, double, double)>& cost, int64_t pops,
+    int64_t* min_ties) {
+  const MemsParams& params = device->params();
+  const double y_span = params.rows_per_track() * params.row_height_m() / 2.0;
   std::vector<Request> naive;
   Rng rng(77);
   int64_t next_id = 0;
   double now = 0.0;
-  for (int step = 0; step < 500; ++step) {
+  for (int64_t popped = 0; popped < pops;) {
     if (rng.Bernoulli(0.2)) {
       now += rng.Uniform(0.0, 30.0);  // idle gap: every pending request ages
     }
-    if (naive.size() < 4 || rng.Bernoulli(0.45)) {
+    if (rng.Bernoulli(0.002)) {
+      device->Reset();
+    } else if (rng.Bernoulli(0.002)) {
+      device->set_sled(SledState{rng.Uniform(-params.half_range_m(), params.half_range_m()),
+                                 rng.Uniform(-y_span, y_span),
+                                 (rng.UniformInt(3) - 1) * params.access_velocity()});
+    }
+    const size_t depth = (popped / 500) % 2 == 0 ? 4 : 40;
+    if (naive.size() < depth || rng.Bernoulli(0.45)) {
       Request req = MakeReq(next_id++, rng.UniformInt(device->CapacityBlocks() - 8));
       req.arrival_ms = now;
       sched->Add(req);
@@ -161,7 +177,8 @@ void ExpectMatchesNaiveScan(
       const Request expected = naive[best];
       naive.erase(naive.begin() + static_cast<int64_t>(best));
       const Request got = sched->Pop(now);
-      ASSERT_EQ(got.id, expected.id) << "step " << step;
+      ASSERT_EQ(got.id, expected.id) << "pop " << popped;
+      ++popped;
       // Usually the sled moves; sometimes it does not, so consecutive Pops
       // also run against one sled state.
       if (rng.Bernoulli(0.7)) {
@@ -171,19 +188,24 @@ void ExpectMatchesNaiveScan(
   }
 }
 
-TEST(SptfTest, CachedScanMatchesNaiveReference) {
-  // Pop estimates the queue with EstimatePositioningBatch, which reads the
-  // device's Y-leg table; the reference scans with the un-memoized scalar
-  // estimate. Picks must match exactly, ties included. Aged SPTF clamps its
-  // cost at zero: at weight 1.0 a request clamps after about a millisecond
-  // of waiting, at 0.01 only after tens of milliseconds, so both weights
-  // reach ties that only the first-index rule resolves.
-  {
-    MemsDevice device;
+TEST(SptfTest, PicksMatchNaiveScan) {
+  // The reference scans the pending requests in arrival order with the
+  // un-memoized scalar estimate. Plain SPTF on the default bounded-force
+  // sled walks outward by cylinder whenever the sled rests on one; on the
+  // resonant spring, whose X leg can shrink outward, it must scan. Aged SPTF
+  // always scans; it clamps its cost at zero: at weight 1.0 a request clamps
+  // after about a millisecond of waiting, at 0.01 only after tens of
+  // milliseconds, so both weights reach ties that only the first-index rule
+  // resolves. Picks must match exactly, ties included.
+  const auto positioning = [](const Request&, double pos_ms, double) { return pos_ms; };
+  for (const SpringModel spring : {SpringModel::kBoundedForce, SpringModel::kResonant}) {
+    SCOPED_TRACE(spring == SpringModel::kResonant ? "resonant" : "bounded-force");
+    MemsParams params;
+    params.spring_model = spring;
+    MemsDevice device(params);
     SptfScheduler sched(&device);
     int64_t ties = 0;
-    ExpectMatchesNaiveScan(
-        &sched, &device, [](const Request&, double pos_ms, double) { return pos_ms; }, &ties);
+    ExpectMatchesNaiveScan(&sched, &device, positioning, 5000, &ties);
   }
   for (const double weight : {0.01, 1.0}) {
     SCOPED_TRACE(weight);
@@ -195,10 +217,304 @@ TEST(SptfTest, CachedScanMatchesNaiveReference) {
         [weight](const Request& req, double pos_ms, double now_ms) {
           return std::max(pos_ms - weight * (now_ms - req.arrival_ms), 0.0);
         },
-        &ties);
+        5000, &ties);
     EXPECT_GT(ties, 0);
   }
 }
+
+// A device with a scripted positioning order, for the walk's prune and tie
+// rules: MEMS legs almost never tie at the prune boundary, these integer
+// legs often do. Key = lbn / 100, key leg = |key - state key| ms, and the
+// estimate is max(key leg, lbn % 100 ms): lbn % 100 alone with no state
+// key. Servicing a request moves the state to its key.
+class ScriptedOrderDevice : public StorageDevice {
+ public:
+  const char* name() const override { return "scripted"; }
+  int64_t CapacityBlocks() const override { return int64_t{1} << 30; }
+  [[nodiscard]] double ServiceRequest(const Request& req, TimeMs,
+                                      ServiceBreakdown* = nullptr) override {
+    state_key = PositioningKey(req);
+    return 1.0;
+  }
+  [[nodiscard]] TimeMs EstimatePositioningMs(const Request& req, TimeMs) const override {
+    ++scan_estimates;
+    return Cost(req);
+  }
+  int32_t PositioningKey(const Request& req) const override {
+    return static_cast<int32_t>(req.lbn / 100);
+  }
+  int32_t StateKey() const override { return state_key; }
+  [[nodiscard]] TimeMs KeyLegMs(int32_t key) const override {
+    ++key_legs;
+    return Leg(key);
+  }
+  [[nodiscard]] TimeMs EstimateGivenKeyLeg(const Request& req, TimeMs key_leg_ms,
+                                           TimeMs) const override {
+    return std::max(key_leg_ms, Residual(req));
+  }
+  void Reset() override { state_key = kNoKey; }
+
+  // The estimate, uncounted.
+  TimeMs Cost(const Request& req) const {
+    return state_key == kNoKey ? Residual(req)
+                               : std::max(Leg(PositioningKey(req)), Residual(req));
+  }
+
+  int32_t state_key = kNoKey;
+  mutable int64_t key_legs = 0;
+  mutable int64_t scan_estimates = 0;
+
+ private:
+  static TimeMs Residual(const Request& req) { return static_cast<double>(req.lbn % 100); }
+  TimeMs Leg(int32_t key) const { return static_cast<double>(std::abs(key - state_key)); }
+};
+
+// Request `id` with key `key` and residual `residual` ms on ScriptedOrderDevice.
+Request Scripted(int64_t id, int64_t key, int64_t residual) {
+  return MakeReq(id, key * 100 + residual);
+}
+
+// Removes and returns the id of the first request of minimum cost in
+// `naive` (arrival order): the pick every SPTF Pop must make.
+int64_t PopNaive(const ScriptedOrderDevice& device, std::vector<Request>* naive) {
+  size_t best = 0;
+  for (size_t i = 1; i < naive->size(); ++i) {
+    if (device.Cost((*naive)[i]) < device.Cost((*naive)[best])) {
+      best = i;
+    }
+  }
+  const int64_t id = (*naive)[best].id;
+  naive->erase(naive->begin() + static_cast<int64_t>(best));
+  return id;
+}
+
+// Adds `reqs` in order, then pops them all without moving the state; the
+// ids must come out in `expected` order.
+void ExpectPopOrder(ScriptedOrderDevice* device, const std::vector<Request>& reqs,
+                    const std::vector<int64_t>& expected) {
+  SptfScheduler sched(device);
+  for (const Request& req : reqs) {
+    sched.Add(req);
+  }
+  std::vector<int64_t> got;
+  while (!sched.Empty()) {
+    got.push_back(sched.Pop(0.0).id);
+  }
+  EXPECT_EQ(got, expected);
+}
+
+TEST(SptfWalkTest, TieAtThePruneBoundaryGoesToTheEarlierRequest) {
+  ScriptedOrderDevice device;
+  device.state_key = 50;
+  // The earlier request sits in the bucket visited second, and its key leg
+  // (3) equals the best cost found so far (3): pruning on >= would miss it.
+  // Later bucket above the state:
+  ExpectPopOrder(&device, {Scripted(0, 53, 0), Scripted(1, 49, 3)}, {0, 1});
+  // ... and below it.
+  ExpectPopOrder(&device, {Scripted(0, 47, 0), Scripted(1, 51, 3)}, {0, 1});
+  // Both sides at once: the state's own bucket costs 3, both neighbours'
+  // legs equal it.
+  ExpectPopOrder(&device, {Scripted(0, 47, 0), Scripted(1, 53, 0), Scripted(2, 50, 3)},
+                 {0, 1, 2});
+}
+
+TEST(SptfWalkTest, EqualCostsGoToTheEarliestAdded) {
+  ScriptedOrderDevice device;
+  device.state_key = 50;
+  // Inside one bucket (visited newest first).
+  ExpectPopOrder(&device, {Scripted(0, 52, 1), Scripted(1, 52, 2), Scripted(2, 60, 0)},
+                 {0, 1, 2});
+  // Across the state's own bucket and a neighbour, on each side.
+  ExpectPopOrder(&device, {Scripted(0, 51, 0), Scripted(1, 50, 1)}, {0, 1});
+  ExpectPopOrder(&device, {Scripted(0, 49, 0), Scripted(1, 50, 1)}, {0, 1});
+  // A later request of lower cost still wins.
+  ExpectPopOrder(&device, {Scripted(0, 52, 0), Scripted(1, 50, 1)}, {1, 0});
+}
+
+TEST(SptfWalkTest, NoStateKeyEstimatesEveryRequest) {
+  ScriptedOrderDevice device;
+  SptfScheduler sched(&device);
+  for (int64_t id = 0; id < 5; ++id) {
+    sched.Add(Scripted(id, 10 * id, 9 - id));
+  }
+  EXPECT_EQ(sched.Pop(0.0).id, 4);  // the smallest residual
+  EXPECT_EQ(device.scan_estimates, 5);
+  EXPECT_EQ(device.key_legs, 0);
+}
+
+TEST(SptfWalkTest, DepthOneEstimatesNothing) {
+  ScriptedOrderDevice device;
+  SptfScheduler sched(&device);
+  for (const int32_t state : {ScriptedOrderDevice::kNoKey, 7}) {
+    device.state_key = state;
+    sched.Add(Scripted(0, 3, 5));
+    EXPECT_EQ(sched.Pop(0.0).id, 0);
+  }
+  EXPECT_EQ(device.scan_estimates, 0);
+  EXPECT_EQ(device.key_legs, 0);
+}
+
+TEST(SptfWalkTest, ResetMidRunStartsClean) {
+  ScriptedOrderDevice device;
+  device.state_key = 20;
+  SptfScheduler sched(&device);
+  for (int64_t id = 0; id < 6; ++id) {
+    sched.Add(Scripted(id, 18 + id, 0));
+  }
+  EXPECT_EQ(sched.Pop(0.0).id, 2);  // key 20
+  sched.Reset();
+  EXPECT_TRUE(sched.Empty());
+  // Fresh requests, some on the keys the dropped ones held.
+  sched.Add(Scripted(10, 23, 0));
+  sched.Add(Scripted(11, 30, 0));
+  sched.Add(Scripted(12, 19, 0));
+  EXPECT_EQ(sched.size(), 3);
+  EXPECT_EQ(sched.Pop(0.0).id, 12);
+  // A device Reset() leaves no state key: the next Pop scans.
+  device.Reset();
+  const int64_t scans = device.scan_estimates;
+  EXPECT_EQ(sched.Pop(0.0).id, 10);  // first added; both residuals are 0
+  EXPECT_EQ(device.scan_estimates, scans + 2);
+  EXPECT_EQ(sched.Pop(0.0).id, 11);
+  EXPECT_TRUE(sched.Empty());
+}
+
+TEST(SptfWalkTest, KeysBeyondAnySeenBefore) {
+  ScriptedOrderDevice device;
+  device.state_key = 3;
+  SptfScheduler sched(&device);
+  for (int64_t id = 0; id < 5; ++id) {
+    sched.Add(Scripted(id, id, 0));
+  }
+  EXPECT_EQ(sched.Pop(0.0).id, 3);
+  // A key far above every key so far, next to the state.
+  device.state_key = 4999;
+  sched.Add(Scripted(5, 5000, 0));
+  EXPECT_EQ(sched.Pop(0.0).id, 5);
+  // A state key above every bucket: the walk runs downward only.
+  device.state_key = 9000;
+  EXPECT_EQ(sched.Pop(0.0).id, 4);
+  EXPECT_EQ(sched.Pop(0.0).id, 2);
+  EXPECT_EQ(device.scan_estimates, 0);
+}
+
+TEST(SptfWalkTest, DeepQueueVisitsAHandfulOfKeys) {
+  // 1,000 pending requests, one per key, residuals 0-2 ms, state mid-range:
+  // the best cost is at most 2 ms, so each Pop visits keys within 2 of the
+  // state plus one pruned key per side.
+  ScriptedOrderDevice device;
+  device.state_key = 500;
+  SptfScheduler sched(&device);
+  std::vector<Request> naive;
+  for (int64_t key = 0; key < 1000; ++key) {
+    naive.push_back(Scripted(key, key, key % 3));
+    sched.Add(naive.back());
+  }
+  for (int pop = 0; pop < 200; ++pop) {
+    const int64_t legs = device.key_legs;
+    const int64_t expected = PopNaive(device, &naive);
+    const Request got = sched.Pop(0.0);
+    ASSERT_EQ(got.id, expected) << "pop " << pop;
+    ASSERT_LE(device.key_legs - legs, 8) << "pop " << pop;
+    (void)device.ServiceRequest(got, 0.0);
+  }
+  EXPECT_EQ(device.scan_estimates, 0);
+}
+
+TEST(SptfWalkTest, RandomizedMatchesNaiveScan) {
+  // Integer legs and residuals on 60 keys: most Pops meet ties, many at the
+  // prune boundary. Device and scheduler resets interleave.
+  ScriptedOrderDevice device;
+  SptfScheduler sched(&device);
+  std::vector<Request> naive;
+  Rng rng(2024);
+  int64_t next_id = 0;
+  for (int step = 0; step < 20000; ++step) {
+    if (rng.Bernoulli(0.001)) {
+      sched.Reset();
+      naive.clear();
+    } else if (rng.Bernoulli(0.005)) {
+      device.Reset();
+    }
+    if (naive.empty() || rng.Bernoulli(0.5)) {
+      naive.push_back(Scripted(next_id++, rng.UniformInt(60), rng.UniformInt(10)));
+      sched.Add(naive.back());
+    } else {
+      const int64_t expected = PopNaive(device, &naive);
+      const Request got = sched.Pop(0.0);
+      ASSERT_EQ(got.id, expected) << "step " << step;
+      if (rng.Bernoulli(0.8)) {
+        (void)device.ServiceRequest(got, 0.0);
+      }
+    }
+  }
+}
+
+// Counts the walk's key legs and every full-scan estimate (scalar or batch)
+// made while the sled rests on a cylinder.
+class CountingMemsDevice : public MemsDevice {
+ public:
+  [[nodiscard]] TimeMs KeyLegMs(int32_t key) const override {
+    ++key_legs;
+    return MemsDevice::KeyLegMs(key);
+  }
+  [[nodiscard]] TimeMs EstimatePositioningMs(const Request& req, TimeMs at_ms) const override {
+    CountScan(1);
+    return MemsDevice::EstimatePositioningMs(req, at_ms);
+  }
+  void EstimatePositioningBatch(const Request* reqs, int64_t count, TimeMs at_ms,
+                                TimeMs* out_ms) const override {
+    CountScan(count);
+    MemsDevice::EstimatePositioningBatch(reqs, count, at_ms, out_ms);
+  }
+
+  mutable int64_t key_legs = 0;
+  mutable int64_t scan_estimates_on_cylinder = 0;
+
+ private:
+  void CountScan(int64_t count) const {
+    if (StateKey() != kNoKey) {
+      scan_estimates_on_cylinder += count;
+    }
+  }
+};
+
+class CountingSptf : public SptfScheduler {
+ public:
+  using SptfScheduler::SptfScheduler;
+  Request Pop(TimeMs now_ms) override {
+    ++pops;
+    return SptfScheduler::Pop(now_ms);
+  }
+  int64_t pops = 0;
+};
+
+// Runs the paper's random workload open loop at `rate_per_s` through MEMS +
+// SPTF and checks the selection work: at most `max_legs_per_pop` key legs
+// per Pop, and no full-scan estimate once the sled rests on a cylinder. A
+// silent fall-back to the exact scan fails here, and nowhere else.
+void ExpectWalkWorkBound(double rate_per_s, int64_t count, double max_legs_per_pop) {
+  CountingMemsDevice device;
+  RandomWorkloadConfig config;
+  config.arrival_rate_per_s = rate_per_s;
+  config.request_count = count;
+  config.capacity_blocks = device.CapacityBlocks();
+  Rng rng(1);
+  const std::vector<Request> requests = GenerateRandomWorkload(config, rng);
+  CountingSptf sched(&device);
+  const ExperimentResult result = mstk::Run(&device, &sched, requests);
+  ASSERT_EQ(result.metrics.completed(), count);
+  ASSERT_GT(sched.pops, count / 2);
+  const double legs_per_pop =
+      static_cast<double>(device.key_legs) / static_cast<double>(sched.pops);
+  EXPECT_LE(legs_per_pop, max_legs_per_pop);
+  EXPECT_EQ(device.scan_estimates_on_cylinder, 0);
+  ::testing::Test::RecordProperty("key_legs_per_pop", std::to_string(legs_per_pop));
+}
+
+TEST(SptfWalkTest, WorkBoundAt1800ReqPerS) { ExpectWalkWorkBound(1800.0, 20000, 5.0); }
+
+TEST(SptfWalkTest, WorkBoundWhenOverloaded) { ExpectWalkWorkBound(3000.0, 20000, 8.0); }
 
 TEST(AgedSptfTest, AgingPromotesOldRequests) {
   MemsDevice device;
