@@ -4,9 +4,11 @@
 // flags it reads (BenchFlag); anything else prints its usage and exits 2:
 //   --csv          machine-readable output
 //   --fast         quicker, lower-resolution run (fewer requests)
-//   --trials N     independent trials per cell (default 1); tables then show
-//                  "mean±ci95" and JSON carries the full aggregate
-//   --jobs N       worker threads for the trial fan-out (0 = all cores)
+//   --trials N     independent trials per cell (default 1, at most
+//                  TrialRunner::kMaxTrials); tables then show "mean±ci95"
+//                  and JSON carries the full aggregate
+//   --jobs N       worker threads for the trial fan-out (0 = all cores, at
+//                  most TrialRunner::kMaxJobs)
 //   --seed S       base seed of the bench's random streams (per-trial seeds
 //                  derive from it)
 //   --json PATH    write a JSON document of the bench's results
@@ -135,9 +137,9 @@ struct BenchOptions {
       switch (flag->bit) {
         case kCsv: opts.csv = true; break;
         case kFast: opts.fast = true; break;
-        case kTrials: ok = ParseWhole(value, 1, INT64_MAX, &opts.trials); break;
+        case kTrials: ok = ParseWhole(value, 1, TrialRunner::kMaxTrials, &opts.trials); break;
         case kJobs:
-          ok = ParseWhole(value, 0, INT_MAX, &whole);
+          ok = ParseWhole(value, 0, TrialRunner::kMaxJobs, &whole);
           opts.jobs = static_cast<int>(whole);
           break;
         case kSeed:

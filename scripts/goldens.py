@@ -7,7 +7,9 @@
 The outputs are listed in produce(); tests/golden/outputs.sha256 holds one
 sha256 per output, and make_scenarios --out must equal traces/ file by file.
 Every example runs too; each one's stdout is pinned except trace_pipeline's,
-which prints the path of its temporary file.
+which prints the path of its temporary file. Every bench in BUILD_DIR/bench
+runs at --fast where it reads it, its stdout pinned, except the wall-clock
+ones named in WALL_CLOCK_BENCHES.
 `refresh` rewrites the manifest from a --jobs 1 untraced run, and traces/
 from make_scenarios; run it only in a change that moves outputs. `check`
 runs at --jobs 4 with --trace on smoke and faults (those Chrome traces must
@@ -30,6 +32,9 @@ TRACES = os.path.join(ROOT, "traces")
 # Examples whose stdout is pinned; trace_pipeline runs unpinned.
 EXAMPLES = ("quickstart", "oltp_scheduling", "media_server_layout", "mobile_power",
             "failure_injection", "storage_stack", "device_explorer")
+# Benches that print wall-clock time. Every other bench's stdout is pinned,
+# so a new bench is checked unless it is named here.
+WALL_CLOCK_BENCHES = ("events_per_sec", "microbench_model")
 
 
 def run(cmd, stdout_path=None):
@@ -42,12 +47,19 @@ def run(cmd, stdout_path=None):
     return stdout
 
 
+def fast_flag(bench):
+    """["--fast"] if `bench` reads --fast, else []. A bench given a flag it
+    does not read prints its usage line, which lists the flags it does."""
+    usage = subprocess.run([bench, "--usage"], cwd=ROOT, capture_output=True, text=True).stderr
+    return ["--fast"] if "[--fast]" in usage else []
+
+
 def produce(build, out, refresh):
     """Writes every pinned output to out/outputs: each `mstk_sweep --list`
-    matrix, fig11 and fig9 at --fast, the examples' stdout, and mstk_trace
-    stats, replay and fidelity on traces/. A check also writes Chrome traces
-    to out/chrome and the scenario zoo to out/traces; a refresh regenerates
-    traces/ itself, before the trace tools read it."""
+    matrix, fig11 and fig9 at --fast, every bench's and example's stdout,
+    and mstk_trace stats, replay and fidelity on traces/. A check also writes
+    Chrome traces to out/chrome and the scenario zoo to out/traces; a refresh
+    regenerates traces/ itself, before the trace tools read it."""
     shutil.rmtree(out, ignore_errors=True)
     outputs, chrome = os.path.join(out, "outputs"), os.path.join(out, "chrome")
     os.makedirs(outputs)
@@ -66,6 +78,10 @@ def produce(build, out, refresh):
          "--jobs", jobs, "--json", os.path.join(outputs, "fig11_fast.json")])
     run([tool("bench/fig9_subregion_map"), "--fast", "--csv"],
         os.path.join(outputs, "fig9_fast.csv"))
+    for bench in sorted(glob.glob(tool("bench/*"))):
+        name = os.path.basename(bench)
+        if name not in WALL_CLOCK_BENCHES:
+            run([bench] + fast_flag(bench), os.path.join(outputs, "bench_%s.txt" % name))
     for name in EXAMPLES:
         run([tool("examples/" + name)], os.path.join(outputs, "example_%s.txt" % name))
     run([tool("examples/trace_pipeline")])

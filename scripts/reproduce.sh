@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# One-command reproduction: clean build, full test suite, every figure and
-# table, with outputs captured at the repo root.
+# One-command reproduction: build, full test suite, every figure and table,
+# with outputs captured at the repo root. The build and test steps are the
+# tier-1 commands (ROADMAP.md), so an existing build/ is reused whatever
+# generator configured it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
-cmake --build build
-ctest --test-dir build 2>&1 | tee test_output.txt
+cmake -B build -S .
+cmake --build build -j
+(cd build && ctest --output-on-failure -j) 2>&1 | tee test_output.txt
 for b in build/bench/*; do "$b"; done 2>&1 | tee bench_output.txt
 
 echo

@@ -43,7 +43,6 @@ Driver::Driver(Simulator* sim, StorageDevice* device, IoScheduler* scheduler,
       pass_through_ok_(scheduler->PassThroughWhenEmpty()) {}
 
 void Driver::Submit(const Request& req) {
-  metrics_->RecordArrival(req, sim_->NowMs());
   // Fast path: device free and nothing queued — the scheduler has declared
   // Add-then-Pop on an empty queue a pure pass-through, so skip the queue
   // round-trip. Falls back to the full path when tracing (it emits

@@ -36,12 +36,7 @@ struct FaultCounters {
 
 class MetricsCollector {
  public:
-  // Called by the driver. Arrival needs no bookkeeping today; inline no-op
-  // so the hot path pays nothing for the hook.
-  void RecordArrival(const Request& req, TimeMs now_ms) {
-    (void)req;
-    (void)now_ms;
-  }
+  // Called by the driver.
   void RecordDispatch(const Request& req, TimeMs now_ms, int64_t queue_depth);
   void RecordCompletion(const Request& req, TimeMs now_ms, TimeMs service_ms);
   // As above, also folding the request's per-phase timings into the phase

@@ -71,6 +71,14 @@ struct AggregateResult {
 
 class TrialRunner {
  public:
+  // The most trials and jobs a command line may ask for: mstk_sweep and
+  // BenchOptions::Parse reject larger values with their usage. Run()
+  // allocates a slot per trial up front and starts a thread per job, so an
+  // unbounded value aborts or floods the host. Both are far above any use
+  // in the repository.
+  static constexpr int64_t kMaxTrials = 100000;
+  static constexpr int kMaxJobs = 1024;
+
   struct Options {
     int64_t trials = 1;
     int jobs = 1;          // worker threads; 0 = one per hardware core

@@ -26,7 +26,7 @@ namespace mstk {
 
 // Move-only type-erased `void()` callable with `Capacity` bytes of inline
 // storage. Mirrors the std::function surface the event queue needs:
-// construct from any callable, move, test for emptiness, invoke.
+// construct from any callable, move, invoke.
 template <size_t Capacity>
 class InlineFunction {
  public:
@@ -65,11 +65,6 @@ class InlineFunction {
   ~InlineFunction() = default;  // callables are trivially destructible
 
   void operator()() { invoke_(storage_); }
-
-  explicit operator bool() const { return invoke_ != nullptr; }
-
-  // Drops the held callable (trivially destructible, so just forget it).
-  void Reset() { invoke_ = nullptr; }
 
  private:
   template <typename Fn>

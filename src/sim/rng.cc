@@ -63,45 +63,7 @@ double Rng::Exponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::Normal(double mean, double stddev) {
-  double u1;
-  do {
-    u1 = NextDouble();
-  } while (u1 <= 0.0);
-  const double u2 = NextDouble();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  return mean + stddev * r * std::cos(2.0 * M_PI * u2);
-}
-
 bool Rng::Bernoulli(double p) { return NextDouble() < p; }
-
-int64_t Rng::Zipf(int64_t n, double theta) {
-  // Rejection-inversion (Hörmann & Derflinger). Valid for theta != 1; nudge
-  // theta to avoid the singular point.
-  if (theta == 1.0) {
-    theta = 1.0 + 1e-9;
-  }
-  const double q = theta;
-  auto h = [q](double x) { return std::pow(x, 1.0 - q) / (1.0 - q); };
-  auto h_inv = [q](double x) { return std::pow((1.0 - q) * x, 1.0 / (1.0 - q)); };
-  const double nd = static_cast<double>(n);
-  const double hx0 = h(0.5) - std::pow(1.0, -q);
-  const double hn = h(nd + 0.5);
-  for (;;) {
-    const double u = hx0 + NextDouble() * (hn - hx0);
-    const double x = h_inv(u);
-    const double k = std::floor(x + 0.5);
-    if (k - x <= hx0) {
-      return static_cast<int64_t>(k) < 1 ? 0 : static_cast<int64_t>(k) - 1;
-    }
-    if (u >= h(k + 0.5) - std::pow(k, -q)) {
-      const int64_t r = static_cast<int64_t>(k) - 1;
-      return r < 0 ? 0 : (r >= n ? n - 1 : r);
-    }
-  }
-}
-
-Rng Rng::Split() { return Rng(NextU64()); }
 
 ZipfTable::ZipfTable(int64_t n, double theta) {
   cdf_.resize(static_cast<size_t>(n));

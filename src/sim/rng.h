@@ -33,26 +33,16 @@ class Rng {
   // Exponentially distributed value with the given mean (> 0).
   double Exponential(double mean);
 
-  // Standard normal via Box-Muller (no state caching; two uniforms per call).
-  double Normal(double mean, double stddev);
-
   // True with probability p (clamped to [0,1]).
   bool Bernoulli(double p);
-
-  // Zipf-distributed rank in [0, n) with exponent theta (> 0). Uses the
-  // precomputed-CDF-free rejection-inversion method of Hörmann; adequate for
-  // the popularity skews in the synthetic workloads.
-  int64_t Zipf(int64_t n, double theta);
-
-  // Derive an independent generator (for splitting streams between modules).
-  Rng Split();
 
  private:
   uint64_t state_[4];
 };
 
-// Precomputed Zipf sampler: exact inverse-CDF over n ranks. Better suited to
-// repeated sampling from the same distribution than Rng::Zipf.
+// Zipf-distributed rank in [0, n) with exponent theta (> 0): an exact
+// inverse-CDF table over the n ranks, built once and sampled by binary
+// search. The one Zipf sampler; every skewed workload draws through it.
 class ZipfTable {
  public:
   ZipfTable(int64_t n, double theta);

@@ -5,14 +5,14 @@
 
 namespace mstk {
 
-int64_t Simulator::ScheduleAt(TimeMs at_ms, Callback cb) {
+void Simulator::ScheduleAt(TimeMs at_ms, Callback cb) {
   assert(at_ms >= now_ms_ && "event scheduled in the past");
-  return queue_.Push(at_ms, std::move(cb));
+  queue_.Push(at_ms, std::move(cb));
 }
 
-int64_t Simulator::ScheduleAfter(TimeMs delay_ms, Callback cb) {
+void Simulator::ScheduleAfter(TimeMs delay_ms, Callback cb) {
   assert(delay_ms >= 0.0 && "negative delay");
-  return queue_.Push(now_ms_ + delay_ms, std::move(cb));
+  queue_.Push(now_ms_ + delay_ms, std::move(cb));
 }
 
 int64_t Simulator::Run() {

@@ -22,14 +22,11 @@ class Simulator {
   TimeMs NowMs() const { return now_ms_; }
 
   // Schedules `cb` at absolute virtual time `at_ms` (must be >= NowMs()).
-  // Returns an event id usable with Cancel().
-  int64_t ScheduleAt(TimeMs at_ms, Callback cb);
+  // Fire-and-forget: a scheduled event cannot be cancelled.
+  void ScheduleAt(TimeMs at_ms, Callback cb);
 
   // Schedules `cb` `delay_ms` after the current time.
-  int64_t ScheduleAfter(TimeMs delay_ms, Callback cb);
-
-  // Cancels a pending event; returns false if it already fired.
-  bool Cancel(int64_t event_id) { return queue_.Cancel(event_id); }
+  void ScheduleAfter(TimeMs delay_ms, Callback cb);
 
   // Runs until the event queue is empty. Returns the number of events fired.
   int64_t Run();
@@ -37,9 +34,6 @@ class Simulator {
   // Runs until the queue is empty or virtual time would exceed `until_ms`.
   // Events after the horizon remain queued; the clock stops at the horizon.
   int64_t RunUntil(TimeMs until_ms);
-
-  // Number of pending events.
-  int64_t PendingEvents() const { return queue_.size(); }
 
  private:
   EventQueue queue_;

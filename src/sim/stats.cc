@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace mstk {
-
-double SummaryStats::stddev() const { return std::sqrt(variance()); }
 
 double SummaryStats::SquaredCoefficientOfVariation() const {
   const double mu = mean();
@@ -14,24 +11,6 @@ double SummaryStats::SquaredCoefficientOfVariation() const {
     return 0.0;
   }
   return variance() / (mu * mu);
-}
-
-void SummaryStats::Merge(const SummaryStats& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const double total = static_cast<double>(count_ + other.count_);
-  m2_ += other.m2_ + delta * delta * static_cast<double>(count_) *
-                         static_cast<double>(other.count_) / total;
-  mean_ += delta * static_cast<double>(other.count_) / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 double SampleSet::Quantile(double q) {

@@ -37,17 +37,12 @@ class SummaryStats {
   // Population variance; the paper's fairness metric uses sigma^2/mu^2 of the
   // full sample, so the population form is the right one.
   double variance() const { return count_ > 0 ? m2_ / static_cast<double>(count_) : 0.0; }
-  double stddev() const;
   double min() const { return count_ > 0 ? min_ : 0.0; }
   double max() const { return count_ > 0 ? max_ : 0.0; }
-  double sum() const { return mean_ * static_cast<double>(count_); }
 
   // sigma^2 / mu^2 — the "squared coefficient of variation" starvation
   // resistance metric from [TP72, WGP94] used in Figs 5(b)/6(b)/7.
   double SquaredCoefficientOfVariation() const;
-
-  // Merges another summary into this one (parallel/partitioned collection).
-  void Merge(const SummaryStats& other);
 
  private:
   int64_t count_ = 0;

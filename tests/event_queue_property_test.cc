@@ -1,7 +1,9 @@
 // Property tests for the EventQueue: the calendar queue must be
 // observationally identical to a binary-heap reference under arbitrary
-// push/cancel/pop churn — same pop order (time, seq tiebreak), same Cancel
-// results, same sizes. Deterministic sweep output rests on this order.
+// push/fire churn — the same events fire in the same (time, seq) order, and
+// the sizes agree. Every callback records its insertion index when it
+// fires, so the check compares which event fired, not just when.
+// Deterministic sweep output rests on this order.
 #include "src/sim/event_queue.h"
 
 #include <gtest/gtest.h>
@@ -10,87 +12,107 @@
 #include <functional>
 #include <queue>
 #include <random>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 namespace mstk {
 namespace {
 
-// The reference: a binary heap over (time, insertion order) that skips
-// cancelled ids lazily, with EventQueue's Push/Cancel/PeekTime/Pop contract.
+// The reference: a binary heap over (time, insertion index).
 class HeapQueue {
  public:
   int64_t Push(double time_ms) {
-    heap_.emplace(time_ms, next_id_);
-    live_.insert(next_id_);
-    return next_id_++;
+    heap_.emplace(time_ms, next_index_);
+    return next_index_++;
   }
-  bool Cancel(int64_t id) { return live_.erase(id) > 0; }
-  int64_t size() const { return static_cast<int64_t>(live_.size()); }
-  double PeekTime() {
-    while (live_.count(heap_.top().second) == 0) heap_.pop();
-    return heap_.top().first;
-  }
-  double Pop() {
-    const double time_ms = PeekTime();
-    live_.erase(heap_.top().second);
+  int64_t size() const { return static_cast<int64_t>(heap_.size()); }
+  double PeekTime() const { return heap_.top().first; }
+  std::pair<double, int64_t> Pop() {
+    const std::pair<double, int64_t> top = heap_.top();
     heap_.pop();
-    return time_ms;
+    return top;
   }
 
  private:
-  using Entry = std::pair<double, int64_t>;  // (time, insertion order)
+  using Entry = std::pair<double, int64_t>;  // (time, insertion index)
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
-  std::unordered_set<int64_t> live_;
-  int64_t next_id_ = 0;
+  int64_t next_index_ = 0;
 };
 
-// One deterministic churn round driven into both queues in lockstep.
-// Times are drawn from a small discrete set so equal-time ties are common
+// Drives the calendar queue and the reference in lockstep. Every event runs
+// OnFire() — which may push more events from inside FireNext — and only then
+// records its own insertion index, read from its capture.
+class Lockstep {
+ public:
+  Lockstep() = default;
+  // Pending callbacks hold this object's address.
+  Lockstep(const Lockstep&) = delete;
+  Lockstep& operator=(const Lockstep&) = delete;
+
+  void Push(TimeMs at_ms) {
+    const int64_t index = heap_.Push(at_ms);
+    Lockstep* self = this;
+    cal_.Push(at_ms, [self, index] {
+      self->OnFire();
+      self->fired_.push_back(index);
+    });
+    ASSERT_EQ(cal_.size(), heap_.size());
+  }
+
+  // Fires the next event of the calendar and pops the reference: both must
+  // agree on the time and on which event fired.
+  void FireNext() {
+    ASSERT_EQ(cal_.PeekTime(), heap_.PeekTime());
+    const auto [time_ms, index] = heap_.Pop();
+    const size_t fired_before = fired_.size();
+    cal_.FireNext(&now_);
+    ASSERT_EQ(now_, time_ms);
+    ASSERT_EQ(fired_.size(), fired_before + 1);
+    ASSERT_EQ(fired_.back(), index) << "at " << time_ms << " ms";
+    ASSERT_EQ(cal_.size(), heap_.size());
+  }
+
+  void Drain() {
+    while (!cal_.Empty()) {
+      ASSERT_NO_FATAL_FAILURE(FireNext());
+    }
+    EXPECT_EQ(heap_.size(), 0);
+  }
+
+  bool Empty() const { return cal_.Empty(); }
+  int64_t size() const { return cal_.size(); }
+  TimeMs now() const { return now_; }
+  const std::vector<int64_t>& fired() const { return fired_; }
+
+ protected:
+  virtual void OnFire() {}
+
+ private:
+  EventQueue cal_;
+  HeapQueue heap_;
+  TimeMs now_ = 0.0;
+  std::vector<int64_t> fired_;
+};
+
+// One deterministic churn round. Times are drawn either from a wide real
+// range or from a small discrete set, so that equal-time ties are common
 // and the seq tiebreak is genuinely exercised.
 void RunChurnEquivalence(uint64_t seed, int ops, bool coarse_times) {
-  EventQueue cal;
-  HeapQueue heap;
+  Lockstep queues;
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> fine(0.0, 1000.0);
   std::uniform_int_distribution<int> coarse(0, 31);
   std::uniform_int_distribution<int> action(0, 9);
-
-  double floor_ms = 0.0;  // pops advance virtual time; pushes must not precede it
-  std::vector<std::pair<int64_t, int64_t>> pending;  // (cal id, heap id)
-
   for (int i = 0; i < ops; ++i) {
-    const int a = action(rng);
-    if (a < 6 || cal.Empty()) {
-      const double t =
-          floor_ms + (coarse_times ? static_cast<double>(coarse(rng)) : fine(rng));
-      const int64_t id_c = cal.Push(t, [] {});
-      const int64_t id_h = heap.Push(t);
-      pending.emplace_back(id_c, id_h);
-    } else if (a < 8 && !pending.empty()) {
-      std::uniform_int_distribution<size_t> pick(0, pending.size() - 1);
-      const size_t k = pick(rng);
-      const bool ok_c = cal.Cancel(pending[k].first);
-      const bool ok_h = heap.Cancel(pending[k].second);
-      ASSERT_EQ(ok_c, ok_h) << "Cancel diverged at op " << i;
-      pending.erase(pending.begin() + static_cast<ptrdiff_t>(k));
+    if (action(rng) < 6 || queues.Empty()) {
+      // Fires advance the clock; pushes must not precede it.
+      const double delay = coarse_times ? static_cast<double>(coarse(rng)) : fine(rng);
+      ASSERT_NO_FATAL_FAILURE(queues.Push(queues.now() + delay)) << "at op " << i;
     } else {
-      ASSERT_EQ(cal.PeekTime(), heap.PeekTime()) << "PeekTime diverged at op " << i;
-      const EventQueue::Event ec = cal.Pop();
-      ASSERT_EQ(ec.time_ms, heap.Pop()) << "pop time diverged at op " << i;
-      floor_ms = ec.time_ms;
+      ASSERT_NO_FATAL_FAILURE(queues.FireNext()) << "at op " << i;
     }
-    ASSERT_EQ(cal.size(), heap.size()) << "size diverged at op " << i;
   }
-
-  // Drain: the full remaining pop sequences must match exactly.
-  while (!cal.Empty()) {
-    ASSERT_GT(heap.size(), 0);
-    ASSERT_EQ(cal.PeekTime(), heap.PeekTime());
-    ASSERT_EQ(cal.Pop().time_ms, heap.Pop());
-  }
-  EXPECT_EQ(heap.size(), 0);
+  ASSERT_NO_FATAL_FAILURE(queues.Drain());
 }
 
 TEST(EventQueueEquivalenceTest, RandomChurnFineTimes) {
@@ -100,8 +122,8 @@ TEST(EventQueueEquivalenceTest, RandomChurnFineTimes) {
 }
 
 TEST(EventQueueEquivalenceTest, RandomChurnHeavyTies) {
-  // Coarse integer times force many equal-time chains: pop order then rests
-  // entirely on the seq tiebreak, which both queues must share.
+  // Coarse integer times force many equal-time chains: firing order then
+  // rests entirely on the seq tiebreak, which both queues must share.
   for (uint64_t seed = 100; seed <= 107; ++seed) {
     RunChurnEquivalence(seed, 20000, /*coarse_times=*/true);
   }
@@ -110,69 +132,88 @@ TEST(EventQueueEquivalenceTest, RandomChurnHeavyTies) {
 TEST(EventQueueEquivalenceTest, EqualTimeOrderIsInsertionOrderAfterResizes) {
   // Push enough coincident events to force several calendar resizes; FIFO
   // order among equal times must survive every re-thread.
-  EventQueue cal;
-  static int fired_count;
-  static std::vector<int> fired_order;
-  fired_count = 0;
-  fired_order.clear();
   constexpr int kN = 5000;
+  Lockstep queues;
   for (int i = 0; i < kN; ++i) {
-    cal.Push(7.5, [] { fired_order.push_back(fired_count++); });
+    ASSERT_NO_FATAL_FAILURE(queues.Push(7.5));
   }
-  while (!cal.Empty()) {
-    cal.Pop().callback();
-  }
-  ASSERT_EQ(fired_order.size(), static_cast<size_t>(kN));
+  ASSERT_NO_FATAL_FAILURE(queues.Drain());
+  ASSERT_EQ(queues.fired().size(), static_cast<size_t>(kN));
   for (int i = 0; i < kN; ++i) {
-    EXPECT_EQ(fired_order[static_cast<size_t>(i)], i);
+    EXPECT_EQ(queues.fired()[static_cast<size_t>(i)], i);
   }
-}
-
-TEST(EventQueueEquivalenceTest, CancelChurnKeepsCalendarEntriesBounded) {
-  // Timer re-arming: push a replacement and cancel the old event, thousands
-  // of times. Lazily-cancelled nodes must be pruned, not accumulated one per
-  // push, so entries stay within a constant factor of the live count.
-  EventQueue q;
-  int64_t pending = q.Push(1.0, [] {});
-  for (int i = 0; i < 10000; ++i) {
-    const int64_t next = q.Push(static_cast<double>(i + 2), [] {});
-    EXPECT_TRUE(q.Cancel(pending));
-    pending = next;
-  }
-  EXPECT_EQ(q.size(), 1);
-  EXPECT_LE(q.entries(), 64 + 2);
-  EXPECT_DOUBLE_EQ(q.Pop().time_ms, 10001.0);
-  EXPECT_TRUE(q.Empty());
 }
 
 TEST(EventQueueEquivalenceTest, InterleavedOpenLoopPatternMatches) {
   // The experiment-runner shape: a large preloaded arrival population with
-  // short-lived completions scheduled from each pop. Exercises the calendar
-  // resize path (grow during preload, shrink during drain) against the heap.
-  EventQueue cal;
-  HeapQueue heap;
+  // short-lived completions scheduled after each fire. Exercises the
+  // calendar resize path (grow during preload, shrink during drain) against
+  // the heap.
   constexpr int kArrivals = 20000;
+  Lockstep queues;
   double t = 0.0;
   std::mt19937_64 rng(42);
   std::uniform_real_distribution<double> gap(0.01, 0.12);
   for (int i = 0; i < kArrivals; ++i) {
     t += gap(rng);
-    cal.Push(t, [] {});
-    heap.Push(t);
+    ASSERT_NO_FATAL_FAILURE(queues.Push(t));
   }
-  int popped = 0;
-  while (!cal.Empty()) {
-    ASSERT_GT(heap.size(), 0);
-    const EventQueue::Event ec = cal.Pop();
-    ASSERT_EQ(ec.time_ms, heap.Pop()) << "diverged at pop " << popped;
-    // Every third pop models a dispatch: schedule a completion slightly
+  int fired = 0;
+  while (!queues.Empty()) {
+    ASSERT_NO_FATAL_FAILURE(queues.FireNext()) << "at fire " << fired;
+    // Every third fire models a dispatch: schedule a completion slightly
     // ahead, which lands near the calendar's current bucket cursor.
-    if (++popped % 3 == 0) {
-      cal.Push(ec.time_ms + 0.05, [] {});
-      heap.Push(ec.time_ms + 0.05);
+    if (++fired % 3 == 0) {
+      ASSERT_NO_FATAL_FAILURE(queues.Push(queues.now() + 0.05));
     }
   }
-  EXPECT_EQ(heap.size(), 0);
+}
+
+// Each firing callback schedules 0-40 more events before it records itself.
+// The population swings between kLow and kHigh: in the growing phase every
+// callback schedules a uniform 0-40 children, so the calendar grows inside
+// callbacks; in the draining phase only one callback in 50 does, so it
+// shrinks after them. One delay in eight is zero, so children also tie with
+// the event that schedules them.
+class NestedPushes : public Lockstep {
+ public:
+  static constexpr int64_t kLow = 50;
+  static constexpr int64_t kHigh = 20000;
+
+  int swings = 0;
+  bool spawning = true;
+
+ protected:
+  void OnFire() override {
+    if (!spawning) return;
+    if (growing_ ? size() >= kHigh : size() <= kLow) {
+      growing_ = !growing_;
+      ++swings;
+    }
+    const int children = growing_ || rng_() % 50 == 0 ? static_cast<int>(rng_() % 41) : 0;
+    for (int i = 0; i < children; ++i) {
+      const double delay = rng_() % 8 == 0 ? 0.0 : static_cast<double>(rng_() % 1024) * 0.25;
+      Push(now() + delay);
+    }
+  }
+
+ private:
+  std::mt19937_64 rng_{7};
+  bool growing_ = true;
+};
+
+TEST(EventQueueEquivalenceTest, CallbacksPushingDuringFireNextMatch) {
+  NestedPushes queues;
+  for (int i = 0; i < NestedPushes::kLow; ++i) {
+    ASSERT_NO_FATAL_FAILURE(queues.Push(static_cast<double>(i)));
+  }
+  while (queues.swings < 6) {  // three full grow/drain cycles
+    ASSERT_FALSE(queues.Empty());
+    ASSERT_NO_FATAL_FAILURE(queues.FireNext()) << "after " << queues.fired().size() << " fires";
+  }
+  queues.spawning = false;
+  ASSERT_NO_FATAL_FAILURE(queues.Drain());
+  EXPECT_GT(queues.fired().size(), size_t{100000});
 }
 
 }  // namespace

@@ -19,7 +19,6 @@ TEST(MetricsTest, ResponseQueueServiceRelationship) {
   // Request arrives at 10, dispatched at 15 (queue 5), completes at 18
   // (service 3, response 8).
   const Request req = At(10.0);
-  m.RecordArrival(req, 10.0);
   m.RecordDispatch(req, 15.0, 3);
   m.RecordCompletion(req, 18.0, 3.0);
   EXPECT_DOUBLE_EQ(m.queue_time().mean(), 5.0);

@@ -34,10 +34,15 @@ def main():
         rc, _, err = run(SWEEP, "smoke", "--trials", 1, "--jobs", 0, "--seed", 0, "--json", out)
         check("--jobs 0 --seed 0 runs", rc == 0 and os.path.exists(out), err)
         bad = os.path.join(tmp, "bad.json")
+        # Among them, values past TrialRunner::kMaxTrials and kMaxJobs: a
+        # trial count the run cannot allocate, or more threads than any run
+        # needs.
         for args in (["--trials", "2x"], ["--trials", "-1"], ["--trials", "0"],
-                     ["--trials", ""], ["--jobs", "-1"], ["--jobs", "4.5"],
-                     ["--jobs", "99999999999"], ["--seed", "-5"], ["--seed", "1e3"],
-                     ["--seed", "18446744073709551615"], ["--seed"], ["--selfcheck"]):
+                     ["--trials", ""], ["--trials", "9223372036854775807"],
+                     ["--trials", "100001"], ["--jobs", "-1"], ["--jobs", "4.5"],
+                     ["--jobs", "1025"], ["--jobs", "99999999999"], ["--seed", "-5"],
+                     ["--seed", "1e3"], ["--seed", "18446744073709551615"], ["--seed"],
+                     ["--selfcheck"]):
             rc, _, err = run(SWEEP, "smoke", "--json", bad, *args)
             check("mstk_sweep %s: usage, exit 2" % " ".join(args),
                   rc == 2 and "usage:" in err, "rc=%d %s" % (rc, err))
@@ -46,6 +51,9 @@ def main():
         for bench, args in (
                 ("fig6_mems_scheduling", ["--trials", "2x"]),
                 ("fig6_mems_scheduling", ["--trials", "0"]),
+                ("fig6_mems_scheduling", ["--fast", "--trials", "9223372036854775807"]),
+                ("fig6_mems_scheduling", ["--trials", "100001"]),
+                ("fig6_mems_scheduling", ["--fast", "--jobs", "1025"]),
                 ("fig6_mems_scheduling", ["--jobs", "-2"]),
                 ("fig6_mems_scheduling", ["--seed", "-5"]),
                 ("fault_tolerance", ["--fault-rate", "1.5"]),

@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "src/sim/rng.h"
-
 namespace mstk {
 namespace {
 
@@ -24,41 +20,9 @@ TEST(SummaryStatsTest, KnownValues) {
   EXPECT_EQ(s.count(), 8);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
   EXPECT_DOUBLE_EQ(s.variance(), 4.0);  // population variance
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
   EXPECT_DOUBLE_EQ(s.SquaredCoefficientOfVariation(), 4.0 / 25.0);
-}
-
-TEST(SummaryStatsTest, MergeEqualsCombined) {
-  Rng rng(5);
-  SummaryStats all;
-  SummaryStats left;
-  SummaryStats right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.Uniform(-3.0, 10.0);
-    all.Add(x);
-    (i % 2 == 0 ? left : right).Add(x);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(SummaryStatsTest, MergeWithEmpty) {
-  SummaryStats a;
-  a.Add(1.0);
-  a.Add(3.0);
-  SummaryStats empty;
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 2);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  empty.Merge(a);
-  EXPECT_EQ(empty.count(), 2);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
 }
 
 TEST(SampleSetTest, ExactQuantiles) {

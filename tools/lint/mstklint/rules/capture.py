@@ -3,9 +3,8 @@
 Event callbacks outlive the statement that schedules them: they sit in
 SlabPool nodes inside the EventQueue until virtual time reaches them. The
 scheduling sinks are EventQueue::Push (via Simulator::ScheduleAt /
-ScheduleAfter), BackgroundRunner::Enqueue, and direct InlineFunction /
-EventQueue::Callback construction. A callable handed to one of these must
-not capture:
+ScheduleAfter) and direct InlineFunction / EventQueue::Callback
+construction. A callable handed to one of these must not capture:
 
   - a reference (or pointer) to a per-iteration local: it is destroyed at
     the end of the loop iteration, long before the event fires (the exact
@@ -32,11 +31,11 @@ import re
 from . import rule
 from ..source import Finding, find_matching_bracket, find_matching_paren
 
-# Scheduling sinks. ScheduleAt/ScheduleAfter are unambiguous names; Push and
-# Enqueue are matched only as member calls (x.Push / x->Push) to avoid
-# unrelated free functions.
+# Scheduling sinks. ScheduleAt/ScheduleAfter are unambiguous names; Push is
+# matched only as a member call (x.Push / x->Push) to avoid unrelated free
+# functions.
 _SINK_RE = re.compile(
-    r"(?:\b(ScheduleAt|ScheduleAfter)|(?:\.|->)\s*(Push|Enqueue))\s*\(")
+    r"(?:\b(ScheduleAt|ScheduleAfter)|(?:\.|->)\s*(Push))\s*\(")
 
 # Direct construction of a pooled callback type from a lambda.
 _CALLBACK_INIT_RE = re.compile(

@@ -18,7 +18,6 @@
 // a one-line summary. --list and the usage string are generated from the
 // registry, so adding a sweep is one build function plus one table row (and
 // a refreshed golden manifest).
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -353,9 +352,9 @@ int main(int argc, char** argv) {
       }
       return 0;
     } else if (std::strcmp(arg, "--trials") == 0) {
-      if (!ParseWhole(next(), 1, INT64_MAX, &trials)) return Usage(argv[0]);
+      if (!ParseWhole(next(), 1, TrialRunner::kMaxTrials, &trials)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--jobs") == 0) {
-      if (!ParseWhole(next(), 0, INT_MAX, &whole)) return Usage(argv[0]);
+      if (!ParseWhole(next(), 0, TrialRunner::kMaxJobs, &whole)) return Usage(argv[0]);
       jobs = static_cast<int>(whole);
     } else if (std::strcmp(arg, "--seed") == 0) {
       if (!ParseWhole(next(), 0, INT64_MAX, &whole)) return Usage(argv[0]);
