@@ -16,13 +16,12 @@
 //                  (one track per cell; per-request phase slices). The trace
 //                  comes from a separate serial re-run, so measured results
 //                  are byte-identical with and without it.
-// plus --fault-rate, --layouts, --trace-file, --arrival-mode and --clients,
-// each read by one bench.
+// plus --fault-rate, --layouts, --trace-file, --arrival-mode and --clients
+// (at most BenchOptions::kMaxClients), each read by one bench.
 #ifndef MSTK_BENCH_BENCH_UTIL_H_
 #define MSTK_BENCH_BENCH_UTIL_H_
 
 #include <cerrno>
-#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -95,6 +94,10 @@ enum BenchFlag : unsigned {
 };
 
 struct BenchOptions {
+  // Bound of --clients, the --jobs bound: the multiplied trace holds every
+  // copy at once, so an unbounded factor ends in an allocation failure.
+  static constexpr int kMaxClients = 1024;
+
   bool csv = false;
   bool fast = false;
   int64_t trials = 1;
@@ -153,7 +156,7 @@ struct BenchOptions {
         case kTraceFile: opts.trace_file = value; break;
         case kArrivalMode: opts.arrival_mode = value; break;
         case kClients:
-          ok = ParseWhole(value, 1, INT_MAX, &whole);
+          ok = ParseWhole(value, 1, kMaxClients, &whole);
           opts.clients = static_cast<int>(whole);
           break;
       }

@@ -73,7 +73,7 @@ std::vector<Access> MakeAccesses(int64_t count, Rng& rng) {
 struct Placement {
   std::vector<int64_t> small_base;   // per object
   std::vector<int64_t> stream_base;  // per stream (contiguous kStreamBlocks)
-  const LayoutMap* bipartite = nullptr;  // set for policy-built layouts
+  const ExtentLayout* bipartite = nullptr;  // set for policy-built layouts
 };
 
 Placement MakeSimplePlacement(int64_t capacity, Rng& rng) {

@@ -116,29 +116,6 @@ void BM_SptfPopQueue(benchmark::State& state) {
 }
 BENCHMARK(BM_SptfPopQueue)->Arg(16)->Arg(64)->Arg(256);
 
-// Batched positioning estimation (the SPTF full-scan path): Y legs from
-// the table and one X leg per request, against the scalar estimate's four
-// planner calls per request.
-void BM_MemsEstimatePositioningBatch(benchmark::State& state) {
-  MemsDevice device;
-  Park(&device);
-  Rng rng(7);
-  const int64_t n = state.range(0);
-  std::vector<Request> reqs(static_cast<size_t>(n));
-  for (auto& req : reqs) {
-    req.block_count = 8;
-    req.lbn = rng.UniformInt(device.CapacityBlocks() - 8);
-  }
-  std::vector<double> out(static_cast<size_t>(n));
-  for (auto _ : state) {
-    device.EstimatePositioningBatch(reqs.data(), n, 0.0, out.data());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_MemsEstimatePositioningBatch)->Arg(64)->Arg(256);
-
 }  // namespace
 
 BENCHMARK_MAIN();

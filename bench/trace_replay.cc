@@ -59,6 +59,11 @@ int main(int argc, char** argv) {
     parsed.records =
         trace::RemapToCapacity(parsed.records, probe.CapacityBlocks(), trace::RemapMode::kScale);
     if (opts.clients > 1) {
+      if (!trace::MultipliedClientsFit(parsed.records, opts.clients)) {
+        std::fprintf(stderr, "error: %s: client ids overflow int32 when multiplied %d-way\n",
+                     opts.trace_file.c_str(), opts.clients);
+        return 1;
+      }
       parsed.records =
           trace::MultiplyClients(parsed.records, opts.clients, probe.CapacityBlocks());
     }

@@ -49,10 +49,8 @@ int main() {
   std::printf("Media server on MEMS-based storage (90%% metadata lookups, 10%% stream reads)\n\n");
   std::printf("%-14s %14s %14s %16s\n", "layout", "metadata_ms", "stream_ms",
               "stream_MB_per_s");
-  for (const LayoutMap* layout :
-       {static_cast<const LayoutMap*>(&simple), static_cast<const LayoutMap*>(&organ),
-        static_cast<const LayoutMap*>(&subregioned),
-        static_cast<const LayoutMap*>(&columnar)}) {
+  const ExtentLayout* const layouts[] = {&simple, &organ, &subregioned, &columnar};
+  for (const ExtentLayout* layout : layouts) {
     device.Reset();
     Rng rng(3);
     double meta_total = 0.0;

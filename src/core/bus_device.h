@@ -78,22 +78,10 @@ class BusDevice : public StorageDevice {
     return total;
   }
 
+  // Keeps the default positioning order (every request under key 0), so
+  // SPTF estimates every pending request through this method.
   [[nodiscard]] TimeMs EstimatePositioningMs(const Request& req, TimeMs at_ms) const override {
     return params_.command_overhead_ms + inner_->EstimatePositioningMs(req, at_ms);
-  }
-
-  void EstimatePositioningBatch(const Request* reqs, int64_t count, TimeMs at_ms,
-                                TimeMs* out_ms) const override {
-    inner_->EstimatePositioningBatch(reqs, count, at_ms, out_ms);
-    for (int64_t i = 0; i < count; ++i) {
-      out_ms[i] += params_.command_overhead_ms;
-    }
-  }
-
-  // Scheduling-relevant state lives in the wrapped device.
-  uint64_t StateEpoch() const override { return inner_->StateEpoch(); }
-  bool PositioningIsTimeFree() const override {
-    return inner_->PositioningIsTimeFree();
   }
 
   void Reset() override {

@@ -115,70 +115,50 @@ class StorageDevice {
   // Const: must not change device state (a model may fill a mutable memo).
   [[nodiscard]] virtual TimeMs EstimatePositioningMs(const Request& req, TimeMs at_ms) const = 0;
 
-  // Batched form of EstimatePositioningMs with identical semantics and
-  // results; device models may share per-state work across the batch (the
-  // SPTF full scan evaluates every pending request at once).
-  virtual void EstimatePositioningBatch(const Request* reqs, int64_t count,
-                                        TimeMs at_ms, TimeMs* out_ms) const {
-    for (int64_t i = 0; i < count; ++i) {
-      out_ms[i] = EstimatePositioningMs(reqs[i], at_ms);
-    }
-  }
-
   // --- Positioning order (SPTF's outward walk, src/sched/sptf.h) ---------
-  // A device may split positioning into a "key leg" that depends only on a
-  // request's key and the current state (MEMS: the X seek plus settle to
-  // the request's first cylinder) and the rest. It offers that order by
-  // giving every request a key and reporting the current state's key; then
-  // SPTF visits keys outward from the state's key and stops early instead
-  // of estimating every pending request. The contract, bit for bit:
+  // Positioning splits into a "key leg" that depends only on a request's
+  // key and the current state (MEMS: the X seek plus settle to the
+  // request's first cylinder) and the rest. SPTF files every pending
+  // request under its key and estimates it through the split. The
+  // contract, bit for bit and in every state:
   //
   //   EstimatePositioningMs(r, t) ==
   //       EstimateGivenKeyLeg(r, KeyLegMs(PositioningKey(r)), t)
   //                               >= KeyLegMs(PositioningKey(r)),
   //
-  // and KeyLegMs(k) never decreases as k moves away from StateKey() on
-  // either side. The defaults offer no order, and SPTF then estimates every
-  // pending request. A wrapper device that does not forward these methods
-  // keeps the defaults, so SPTF on it stays exact but scans.
+  // with PositioningKey(r) >= 0. While StateKey() != kNoKey, KeyLegMs(k)
+  // also never decreases as k moves away from StateKey() on either side;
+  // SPTF then visits keys outward from the state's key and stops early.
+  // While it is kNoKey, SPTF visits every occupied key. The defaults file
+  // every request under key 0 with a zero key leg and give the state no
+  // key, so SPTF estimates every pending request; a wrapper device that
+  // does not forward these methods stays exact that way.
   static constexpr int32_t kNoKey = -1;
 
-  // Key (>= 0) of `req`, or kNoKey when the device offers no order. A
-  // device that offers one gives every request a key.
-  virtual int32_t PositioningKey(const Request& req) const {
-    (void)req;
-    return kNoKey;
-  }
+  // Key (>= 0) of `req`. It must not depend on the device state: SPTF
+  // files each request under its key once, when it is added.
+  virtual int32_t PositioningKey(const Request& /*req*/) const { return 0; }
 
-  // Key the current state rests on, or kNoKey when it rests on none (or the
-  // device offers no order).
+  // Key the current state rests on, or kNoKey when key legs need not grow
+  // outward from any key in this state.
   virtual int32_t StateKey() const { return kNoKey; }
 
-  // Key leg (ms) from the current state to `key`; called only while
-  // StateKey() != kNoKey.
-  [[nodiscard]] virtual TimeMs KeyLegMs(int32_t key) const {
-    (void)key;
-    return 0.0;
-  }
+  // Key leg (ms) from the current state to `key`.
+  [[nodiscard]] virtual TimeMs KeyLegMs(int32_t /*key*/) const { return 0.0; }
 
   // EstimatePositioningMs(req, at_ms), given the key leg of req's key.
-  [[nodiscard]] virtual TimeMs EstimateGivenKeyLeg(const Request& req, TimeMs key_leg_ms,
+  [[nodiscard]] virtual TimeMs EstimateGivenKeyLeg(const Request& req, TimeMs /*key_leg_ms*/,
                                                    TimeMs at_ms) const {
-    (void)key_leg_ms;
     return EstimatePositioningMs(req, at_ms);
   }
 
-  // Monotone counter bumped whenever the mechanical state changes. When
-  // PositioningIsTimeFree() holds, positioning estimates stay valid for as
-  // long as the epoch is unchanged. No scheduler or harness reads this or
-  // PositioningIsTimeFree() since SPTF stopped caching estimates; both stay
-  // while the benchmark's TimedDevice (perfbench/decorators.h) overrides
-  // them.
-  virtual uint64_t StateEpoch() const { return state_epoch_; }
-
-  // True when EstimatePositioningMs ignores `at_ms` — the MEMS model has no
-  // rotation, so estimates depend only on the sled state. Time-dependent
-  // models (disks) must leave this false.
+  // Nothing in src/ calls these three; they stay only because the
+  // benchmark's TimedDevice (perfbench/decorators.h) overrides them.
+  virtual void EstimatePositioningBatch(const Request* reqs, int64_t count, TimeMs at_ms,
+                                        TimeMs* out_ms) const {
+    for (int64_t i = 0; i < count; ++i) out_ms[i] = EstimatePositioningMs(reqs[i], at_ms);
+  }
+  virtual uint64_t StateEpoch() const { return 0; }
   virtual bool PositioningIsTimeFree() const { return false; }
 
   // Per-request latency surcharge once the device runs in degraded mode
@@ -195,7 +175,6 @@ class StorageDevice {
 
  protected:
   DeviceActivity activity_;
-  uint64_t state_epoch_ = 0;
 };
 
 }  // namespace mstk

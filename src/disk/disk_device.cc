@@ -37,7 +37,6 @@ void DiskDevice::Reset() {
   head_ = 0;
   activity_ = DeviceActivity{};
   seek_error_rng_ = Rng(seek_error_seed_);
-  ++state_epoch_;
 }
 
 void DiskDevice::EnableSeekErrors(double rate, uint64_t seed) {
@@ -126,7 +125,6 @@ TimeMs DiskDevice::ServiceRequest(const Request& req, TimeMs start_ms,
 
   cylinder_ = addr.cylinder;
   head_ = addr.head;
-  ++state_epoch_;
 
   if (breakdown != nullptr) {
     *breakdown = ServiceBreakdown{positioning_ms, transfer_ms, extra_ms, {}};

@@ -62,7 +62,7 @@ std::vector<PhysExtent> ExtentLayout::MapExtent(int64_t logical_lbn, int32_t blo
   return result;
 }
 
-std::vector<Request> ApplyLayout(const LayoutMap& layout, const std::vector<Request>& requests) {
+std::vector<Request> ApplyLayout(const ExtentLayout& layout, const std::vector<Request>& requests) {
   std::vector<Request> mapped;
   mapped.reserve(requests.size());
   int64_t id = 0;

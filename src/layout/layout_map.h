@@ -22,30 +22,9 @@ struct PhysExtent {
   friend bool operator==(const PhysExtent&, const PhysExtent&) = default;
 };
 
-class LayoutMap {
- public:
-  virtual ~LayoutMap() = default;
-
-  virtual const std::string& name() const = 0;
-
-  // Number of logical blocks this layout can map.
-  virtual int64_t logical_capacity() const = 0;
-
-  // Translates a logical extent into physical extents, in logical order.
-  [[nodiscard]] virtual std::vector<PhysExtent> MapExtent(int64_t logical_lbn,
-                                                          int32_t blocks) const = 0;
-
-  // Translates a single logical block. The default routes through MapExtent;
-  // concrete layouts override with a non-allocating path (this sits on the
-  // per-request hot path of ApplyLayout).
-  [[nodiscard]] virtual int64_t MapBlock(int64_t logical_lbn) const {
-    return MapExtent(logical_lbn, 1)[0].lbn;
-  }
-};
-
 // A layout built from an explicit ordered list of physical extents; logical
 // block i lives at offset i along the concatenated extents.
-class ExtentLayout : public LayoutMap {
+class ExtentLayout {
  public:
   explicit ExtentLayout(std::string name) : name_(std::move(name)) {}
 
@@ -53,13 +32,15 @@ class ExtentLayout : public LayoutMap {
   // space. Adjacent compatible extents are coalesced.
   void Append(int64_t phys_lbn, int64_t blocks);
 
-  const std::string& name() const override { return name_; }
-  int64_t logical_capacity() const override { return total_blocks_; }
-  [[nodiscard]] std::vector<PhysExtent> MapExtent(int64_t logical_lbn,
-                                                  int32_t blocks) const override;
-  // Single-block translation without the vector allocation: one binary
-  // search, shared with MapExtent.
-  [[nodiscard]] int64_t MapBlock(int64_t logical_lbn) const override;
+  const std::string& name() const { return name_; }
+  // Number of logical blocks this layout can map.
+  int64_t logical_capacity() const { return total_blocks_; }
+  // Translates a logical extent into physical extents, in logical order.
+  [[nodiscard]] std::vector<PhysExtent> MapExtent(int64_t logical_lbn, int32_t blocks) const;
+  // Translates a single logical block without the vector allocation (the
+  // per-request hot path of ApplyLayout): one binary search, shared with
+  // MapExtent.
+  [[nodiscard]] int64_t MapBlock(int64_t logical_lbn) const;
 
   int64_t extent_count() const { return static_cast<int64_t>(extents_.size()); }
 
@@ -81,7 +62,7 @@ class ExtentLayout : public LayoutMap {
 
 // Remaps a request stream through a layout, splitting requests whose mapped
 // extents are discontiguous. Sub-requests share the original arrival time.
-std::vector<Request> ApplyLayout(const LayoutMap& layout, const std::vector<Request>& requests);
+std::vector<Request> ApplyLayout(const ExtentLayout& layout, const std::vector<Request>& requests);
 
 }  // namespace mstk
 

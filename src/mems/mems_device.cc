@@ -25,7 +25,6 @@ void MemsDevice::Reset() {
   sled_cylinder_ = kNoKey;
   activity_ = DeviceActivity{};
   seek_error_rng_ = Rng(seek_error_seed_);
-  ++state_epoch_;
 }
 
 void MemsDevice::EnableSeekErrors(double rate, uint64_t seed) {
@@ -182,7 +181,6 @@ TimeMs MemsDevice::ServiceRequest(const Request& req, TimeMs start_ms,
   sled_ = state;
   sled_y_state_ = y_state;
   sled_cylinder_ = seg.cylinder;
-  ++state_epoch_;
 
   const double positioning_ms = SecondsToMs(positioning_s);
   const double transfer_ms = SecondsToMs(transfer_s);
@@ -216,20 +214,7 @@ TimeMs MemsDevice::EstimatePositioningMs(const Request& req, TimeMs at_ms) const
   return SecondsToMs(std::min(pos_up, pos_down));
 }
 
-void MemsDevice::EstimatePositioningBatch(const Request* reqs, int64_t count,
-                                          TimeMs at_ms, TimeMs* out_ms) const {
-  (void)at_ms;
-  for (int64_t i = 0; i < count; ++i) {
-    CheckRequest(reqs[i]);
-    const Segment seg = SegmentAt(reqs[i].lbn, reqs[i].last_lbn());
-    out_ms[i] = EstimateGivenXLeg(seg, SecondsToMs(XLegSeconds(seg.cylinder)));
-  }
-}
-
 int32_t MemsDevice::PositioningKey(const Request& req) const {
-  if (!OffersOrder()) {
-    return kNoKey;
-  }
   CheckRequest(req);
   return geometry_.Decode(req.lbn).cylinder;
 }

@@ -45,29 +45,27 @@ class MemsDevice : public StorageDevice {
   // Computes every leg directly: the reference the memoized paths must
   // match bit for bit.
   [[nodiscard]] TimeMs EstimatePositioningMs(const Request& req, TimeMs at_ms) const override;
-  // Bit-identical to the scalar estimate; takes the Y legs from the Y-leg
-  // table (see below).
-  void EstimatePositioningBatch(const Request* reqs, int64_t count, TimeMs at_ms,
-                                TimeMs* out_ms) const override;
 
-  // Positioning order (see StorageDevice): a request's key is the cylinder
-  // of its first segment, and the key leg is the X leg, the X seek plus
-  // settle to that cylinder (zero on the sled's own cylinder). Only the
-  // bounded-force sled offers it: its X leg never shrinks outward from any
-  // cylinder (a property test checks every pair for the G1-G3 presets),
-  // while the resonant spring's does. The state has a key only once the
-  // sled rests on a cylinder after a service: not on a fresh device, nor
-  // after Reset() or set_sled().
+  // Positioning order (see StorageDevice), on both springs: a request's key
+  // is the cylinder of its first segment, and the key leg is the X leg, the
+  // X seek plus settle from the sled to that cylinder (zero on the sled's
+  // own cylinder). The state has a key only on the bounded-force sled, and
+  // only once it rests on a cylinder after a service: not on a fresh
+  // device, nor after Reset() or set_sled(). From there its X leg never
+  // shrinks outward (a property test checks every pair for the G1-G3
+  // presets), while the resonant spring's can, so SPTF prunes on the
+  // bounded-force sled only.
   int32_t PositioningKey(const Request& req) const override;
-  int32_t StateKey() const override { return OffersOrder() ? sled_cylinder_ : kNoKey; }
+  int32_t StateKey() const override {
+    return params().spring_model == SpringModel::kBoundedForce ? sled_cylinder_ : kNoKey;
+  }
   [[nodiscard]] TimeMs KeyLegMs(int32_t key) const override {
     return SecondsToMs(XLegSeconds(key));
   }
-  // Same bits as EstimatePositioningMs; takes the Y legs from the table.
+  // Same bits as EstimatePositioningMs; takes the Y legs from the Y-leg
+  // table (see below).
   [[nodiscard]] TimeMs EstimateGivenKeyLeg(const Request& req, TimeMs key_leg_ms,
                                            TimeMs at_ms) const override;
-  // No rotation: estimates depend only on the sled state, never on time.
-  bool PositioningIsTimeFree() const override { return true; }
   // Degraded mode (§6.1, spares exhausted): failed tips are masked out, so
   // every access pays one extra row pass to cover the lost concurrency.
   [[nodiscard]] TimeMs DegradedPenaltyMs() const override { return RowPassMs(); }
@@ -86,7 +84,6 @@ class MemsDevice : public StorageDevice {
     sled_ = state;
     sled_y_state_ = kOffBoundary;
     sled_cylinder_ = kNoKey;
-    ++state_epoch_;
   }
 
   // --- direct model probes (tests, Table 2, ablations) -------------------
@@ -120,7 +117,6 @@ class MemsDevice : public StorageDevice {
   // direction `dir` (+1 ascending rows, -1 descending). Tx/Ty overlap.
   double PositioningSeconds(const SledState& state, const Segment& seg, int dir) const;
 
-  bool OffersOrder() const { return params().spring_model == SpringModel::kBoundedForce; }
   // X leg (seconds) from the sled to `cylinder`: seek plus settle, or zero
   // when the sled is already there.
   double XLegSeconds(int32_t cylinder) const;

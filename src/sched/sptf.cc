@@ -17,20 +17,18 @@ constexpr uint64_t kAllBits = ~uint64_t{0};
 void SptfScheduler::Add(const Request& req) {
   MSTK_CHECK(pending_.size() < static_cast<std::size_t>(std::numeric_limits<int32_t>::max()),
              "SPTF queue full");
-  const int32_t key = walk_ ? device_->PositioningKey(req) : StorageDevice::kNoKey;
+  const int32_t key = device_->PositioningKey(req);
+  MSTK_CHECK(key >= 0, "SPTF needs a positioning key >= 0 for every request");
+  const auto k = static_cast<std::size_t>(key);
+  if (k >= head_.size()) {
+    head_.resize(k + 1, -1);
+    occupied_.resize(k / 64 + 1, 0);
+  }
   const auto slot = static_cast<int32_t>(pending_.size());
   pending_.push_back(req);
-  entries_.push_back(Entry{next_seq_++, key, -1, -1});
-  if (key >= 0) {
-    const auto k = static_cast<std::size_t>(key);
-    if (k >= head_.size()) {
-      head_.resize(k + 1, -1);
-      occupied_.resize(k / 64 + 1, 0);
-    }
-    entries_.back().next = head_[k];
-    Attach(slot);
-    occupied_[k / 64] |= uint64_t{1} << (k % 64);
-  }
+  entries_.push_back(Entry{next_seq_++, key, -1, head_[k]});
+  Attach(slot);
+  occupied_[k / 64] |= uint64_t{1} << (k % 64);
 }
 
 void SptfScheduler::Reset() {
@@ -43,56 +41,45 @@ void SptfScheduler::Reset() {
 
 Request SptfScheduler::Pop(TimeMs now_ms) {
   assert(!pending_.empty());
-  std::size_t best = 0;
-  if (pending_.size() > 1) {
-    const int32_t state_key = walk_ ? device_->StateKey() : StorageDevice::kNoKey;
-    best = state_key >= 0 ? Walk(state_key, now_ms) : Scan(now_ms);
-  }
+  const std::size_t best = pending_.size() > 1 ? Walk(now_ms) : 0;
   Request req = pending_[best];
   Remove(best);
   return req;
 }
 
-std::size_t SptfScheduler::Scan(TimeMs now_ms) {
-  pos_ms_.resize(pending_.size());
-  device_->EstimatePositioningBatch(pending_.data(), size(), now_ms, pos_ms_.data());
-  std::size_t best = 0;
-  double best_cost = EffectiveCost(pending_[0], pos_ms_[0], now_ms);
-  for (std::size_t i = 1; i < pending_.size(); ++i) {
-    const double cost = EffectiveCost(pending_[i], pos_ms_[i], now_ms);
-    if (cost < best_cost || (cost == best_cost && AddedBefore(i, best))) {
-      best_cost = cost;
-      best = i;
-    }
-  }
-  return best;
-}
-
-std::size_t SptfScheduler::Walk(int32_t state_key, TimeMs now_ms) {
+std::size_t SptfScheduler::Walk(TimeMs now_ms) {
   constexpr TimeMs kDone = std::numeric_limits<TimeMs>::infinity();
-  // `up` visits the occupied keys state_key, state_key + 1, ...; `down`
-  // visits state_key - 1, state_key - 2, ... Each side's leg is computed
-  // once per key and serves both the prune test and the bucket's costs.
-  int32_t up = OccupiedAtOrAbove(state_key);
-  int32_t down = OccupiedAtOrBelow(state_key - 1);
+  // With a state key, `up` visits the occupied keys state_key, state_key +
+  // 1, ... and `down` visits state_key - 1, state_key - 2, ... Without one,
+  // legs follow no order: `up` visits every occupied key from 0, `down`
+  // none, and nothing is pruned. Each side's leg is computed once per key
+  // and serves both the prune test and the bucket's costs.
+  const int32_t state_key = device_->StateKey();
+  const bool prune = state_key != StorageDevice::kNoKey;
+  const int32_t from = prune ? state_key : 0;
+  int32_t up = OccupiedAtOrAbove(from);
+  int32_t down = OccupiedAtOrBelow(from - 1);
   TimeMs up_leg = up >= 0 ? device_->KeyLegMs(up) : kDone;
   TimeMs down_leg = down >= 0 ? device_->KeyLegMs(down) : kDone;
   std::size_t best = 0;
-  TimeMs best_cost = kDone;
+  double best_cost = kDone;
   for (;;) {
     const bool take_up = up_leg <= down_leg;
     const int32_t key = take_up ? up : down;
     const TimeMs leg = take_up ? up_leg : down_leg;
-    // Stop when both sides are done, or when the smaller next leg exceeds
-    // the best cost: every later leg on either side is at least as large,
-    // and no request costs less than its key's leg. An equal leg is
-    // visited, since a request there may tie with a lower add sequence.
-    if (key < 0 || leg > best_cost) {
+    // Stop when both sides are done, or when the smaller next leg's bound
+    // exceeds the best cost: every later leg on either side is at least as
+    // large, and no request costs less than its key's bound. An equal
+    // bound is visited, since a request there may tie with a lower add
+    // sequence.
+    if (key < 0 || (prune && KeyBound(leg) > best_cost)) {
       break;
     }
     for (int32_t i = head_[static_cast<std::size_t>(key)]; i >= 0; i = At(i).next) {
       const auto slot = static_cast<std::size_t>(i);
-      const TimeMs cost = device_->EstimateGivenKeyLeg(pending_[slot], leg, now_ms);
+      const Request& req = pending_[slot];
+      const double cost =
+          EffectiveCost(req, device_->EstimateGivenKeyLeg(req, leg, now_ms), now_ms);
       if (cost < best_cost || (cost == best_cost && AddedBefore(slot, best))) {
         best_cost = cost;
         best = slot;
@@ -160,24 +147,20 @@ void SptfScheduler::Attach(int32_t slot) {
 
 void SptfScheduler::Remove(std::size_t i) {
   const Entry gone = entries_[i];
-  if (gone.key >= 0) {
-    Link(gone.prev, gone.key) = gone.next;
-    if (gone.next >= 0) {
-      At(gone.next).prev = gone.prev;
-    }
-    const auto k = static_cast<std::size_t>(gone.key);
-    if (head_[k] < 0) {
-      occupied_[k / 64] &= ~(uint64_t{1} << (k % 64));
-    }
+  Link(gone.prev, gone.key) = gone.next;
+  if (gone.next >= 0) {
+    At(gone.next).prev = gone.prev;
+  }
+  const auto k = static_cast<std::size_t>(gone.key);
+  if (head_[k] < 0) {
+    occupied_[k / 64] &= ~(uint64_t{1} << (k % 64));
   }
   const std::size_t last = pending_.size() - 1;
   if (i != last) {
     // The last request takes slot i.
     pending_[i] = pending_[last];
     entries_[i] = entries_[last];
-    if (entries_[i].key >= 0) {
-      Attach(static_cast<int32_t>(i));
-    }
+    Attach(static_cast<int32_t>(i));
   }
   pending_.pop_back();
   entries_.pop_back();

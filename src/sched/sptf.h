@@ -3,26 +3,21 @@
 // model — seek + rotational latency on disks, max(X seek + settle, Y seek)
 // on MEMS-based storage. Ties go to the request added first.
 //
-// Two exact ways to find it:
-//
-// * The outward walk, when the device offers a positioning order
-//   (StorageDevice::PositioningKey and its contract) and its state rests on
-//   a key. Pending requests sit in per-key buckets. Pop visits occupied
-//   keys outward from the state's key, always taking the side whose next
-//   key leg (MEMS: X leg) is smaller, and stops once that leg is strictly
-//   greater than the best cost found: every request's cost is at least its
-//   key's leg, and legs never shrink outward, so no unvisited request can
-//   win or tie. A leg equal to the best cost is visited, because a request
-//   there may tie with a lower add sequence. Each visited key's leg is
-//   computed once and gives both the prune decision and the cost of every
-//   request in its bucket. On the MEMS random workload at 1800 req/s a Pop
-//   computes about 3 key legs where a scan estimates about 20 requests.
-// * The full scan otherwise: one EstimatePositioningBatch call over every
-//   pending request. It runs for devices without an order (disks, wrappers
-//   that do not forward the order, the resonant MEMS spring), while the
-//   state rests on no key (a fresh or Reset() device, or after set_sled()),
-//   and always for AgedSptfScheduler, whose clamp at zero breaks the bound
-//   the walk prunes on.
+// Pop finds it with one exact walk over the device's positioning order
+// (StorageDevice::PositioningKey and its contract). Pending requests sit
+// in per-key buckets. Pop visits occupied keys outward from the state's
+// key, always taking the side whose next key leg (MEMS: X leg) is smaller,
+// and stops once the next key's bound, KeyBound(leg), is strictly greater
+// than the best cost found: every request's cost is at least its key's
+// bound, and legs never shrink outward, so no unvisited request can win or
+// tie. A bound equal to the best cost is visited, because a request there
+// may tie with a lower add sequence. Each visited key's leg is computed
+// once and gives both the prune decision and the cost of every request in
+// its bucket. While the state rests on no key (a device that keeps the
+// default order, the resonant MEMS spring, a fresh or Reset() sled, or
+// after set_sled()), the walk visits every occupied key upward from 0 and
+// prunes nothing. On the MEMS random workload at 1800 req/s a Pop computes about
+// 3 key legs where estimating every pending request would take about 20.
 //
 // Nothing is kept between Pops: the device services the popped request
 // before the next Pop, which moves the mechanism every estimate depends on.
@@ -38,6 +33,8 @@
 // request's priority from running away to arbitrarily negative values —
 // once several requests hit the floor they dispatch in FIFO order, which
 // bounds starvation without letting stale requests monopolize the device.
+// Any request may have aged to the floor, so its KeyBound is 0 and its
+// walk prunes nothing.
 #ifndef MSTK_SRC_SCHED_SPTF_H_
 #define MSTK_SRC_SCHED_SPTF_H_
 
@@ -53,10 +50,11 @@ namespace mstk {
 
 class SptfScheduler : public IoScheduler {
  public:
-  // `device` is borrowed; used only through the positioning estimators.
-  explicit SptfScheduler(const StorageDevice* device) : SptfScheduler(device, true) {}
+  // `device` is borrowed; used only through its positioning order.
+  explicit SptfScheduler(const StorageDevice* device) : device_(device) {}
 
   const char* name() const override { return "SPTF"; }
+  // Dies unless the device gives `req` a key >= 0.
   void Add(const Request& req) override;
   bool Empty() const override { return pending_.empty(); }
   int64_t size() const override { return static_cast<int64_t>(pending_.size()); }
@@ -65,10 +63,6 @@ class SptfScheduler : public IoScheduler {
   void Reset() override;
 
  protected:
-  // `walk` = false always scans; a subclass whose EffectiveCost is not the
-  // positioning estimate must pass it.
-  SptfScheduler(const StorageDevice* device, bool walk) : device_(device), walk_(walk) {}
-
   // Selection cost of `req` given its positioning estimate; subclasses
   // refine it.
   virtual double EffectiveCost(const Request& req, TimeMs pos_ms, TimeMs now_ms) const {
@@ -76,6 +70,10 @@ class SptfScheduler : public IoScheduler {
     (void)now_ms;
     return pos_ms;
   }
+
+  // Lower bound on the EffectiveCost of any request whose key leg is `leg`.
+  // It must not decrease as the leg grows.
+  virtual double KeyBound(TimeMs leg) const { return leg; }
 
  private:
   // Bookkeeping of pending_[i]: add sequence, key, and its neighbours in
@@ -88,8 +86,7 @@ class SptfScheduler : public IoScheduler {
   };
 
   // Index of the pending request to dispatch.
-  std::size_t Scan(TimeMs now_ms);
-  std::size_t Walk(int32_t state_key, TimeMs now_ms);
+  std::size_t Walk(TimeMs now_ms);
   // The tie rule: pending_[a] was added before pending_[b].
   bool AddedBefore(std::size_t a, std::size_t b) const { return entries_[a].seq < entries_[b].seq; }
   // Smallest occupied key >= `key` (>= 0), or -1.
@@ -108,24 +105,23 @@ class SptfScheduler : public IoScheduler {
   void Remove(std::size_t i);
 
   const StorageDevice* device_;
-  bool walk_;
   std::vector<Request> pending_;    // in no particular order
   std::vector<Entry> entries_;      // parallel to pending_
   std::vector<int32_t> head_;       // per key: first index of its bucket, or -1
   std::vector<uint64_t> occupied_;  // bit k set iff key k's bucket is not empty
-  std::vector<TimeMs> pos_ms_;      // Scan's estimates, kept to avoid per-Pop allocation
   int64_t next_seq_ = 0;
 };
 
 class AgedSptfScheduler : public SptfScheduler {
  public:
   AgedSptfScheduler(const StorageDevice* device, double age_weight)
-      : SptfScheduler(device, false), age_weight_(age_weight) {}
+      : SptfScheduler(device), age_weight_(age_weight) {}
 
   const char* name() const override { return "ASPTF"; }
 
  protected:
   double EffectiveCost(const Request& req, TimeMs pos_ms, TimeMs now_ms) const override;
+  double KeyBound(TimeMs /*leg*/) const override { return 0.0; }
 
  private:
   double age_weight_;

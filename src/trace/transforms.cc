@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "src/sim/check.h"
 
@@ -16,6 +17,15 @@ int64_t Footprint(const std::vector<TraceRecord>& records) {
     footprint = std::max(footprint, r.lba + r.blocks);
   }
   return footprint;
+}
+
+// One past the largest client id (0 for an empty trace).
+int64_t ClientsPerCopy(const std::vector<TraceRecord>& records) {
+  int64_t clients = 0;
+  for (const TraceRecord& r : records) {
+    clients = std::max(clients, int64_t{r.client} + 1);
+  }
+  return clients;
 }
 
 }  // namespace
@@ -62,10 +72,9 @@ std::vector<TraceRecord> MultiplyClients(const std::vector<TraceRecord>& records
                                          int64_t capacity_blocks) {
   MSTK_CHECK(factor >= 1, "MultiplyClients factor must be >= 1");
   MSTK_CHECK(capacity_blocks > 0, "MultiplyClients needs a positive capacity");
-  int32_t clients_per_copy = 0;
-  for (const TraceRecord& r : records) {
-    clients_per_copy = std::max(clients_per_copy, r.client + 1);
-  }
+  MSTK_CHECK(MultipliedClientsFit(records, factor),
+             "MultiplyClients: multiplied client ids overflow int32");
+  const int64_t clients_per_copy = ClientsPerCopy(records);
   // Offset copies by equal shares of the device so working sets separate as
   // far as the capacity allows.
   const int64_t stride = capacity_blocks / factor;
@@ -74,7 +83,7 @@ std::vector<TraceRecord> MultiplyClients(const std::vector<TraceRecord>& records
   for (const TraceRecord& r : records) {
     for (int k = 0; k < factor; ++k) {
       TraceRecord copy = r;
-      copy.client = k * clients_per_copy + r.client;
+      copy.client = static_cast<int32_t>(k * clients_per_copy + r.client);
       copy.lba = (r.lba + k * stride) % capacity_blocks;
       if (copy.blocks > capacity_blocks) {
         copy.blocks = static_cast<int32_t>(std::min<int64_t>(capacity_blocks, INT32_MAX));
@@ -86,6 +95,10 @@ std::vector<TraceRecord> MultiplyClients(const std::vector<TraceRecord>& records
     }
   }
   return out;
+}
+
+bool MultipliedClientsFit(const std::vector<TraceRecord>& records, int factor) {
+  return factor * ClientsPerCopy(records) <= int64_t{INT32_MAX} + 1;
 }
 
 }  // namespace trace

@@ -45,9 +45,14 @@ std::vector<TraceRecord> RemapToCapacity(const std::vector<TraceRecord>& records
 // addresses by k working-set strides (modulo capacity_blocks) so the copies
 // model distinct users with distinct working sets rather than N ghosts of
 // one user. Output orders by original record position, then copy index —
-// fully deterministic. Requires factor >= 1; capacity_blocks > 0.
+// fully deterministic. Requires factor >= 1, capacity_blocks > 0 and
+// MultipliedClientsFit(records, factor).
 std::vector<TraceRecord> MultiplyClients(const std::vector<TraceRecord>& records, int factor,
                                          int64_t capacity_blocks);
+
+// Whether every client id MultiplyClients(records, factor, ...) assigns
+// fits in int32_t: factor * (largest client id + 1) <= 2^31.
+bool MultipliedClientsFit(const std::vector<TraceRecord>& records, int factor);
 
 }  // namespace trace
 }  // namespace mstk

@@ -165,7 +165,7 @@ TEST(IntegrationTest, Fig11LayoutsBeatSimple) {
     }
     return total / static_cast<double>(scattered.size());
   };
-  auto measure_layout = [&](const LayoutMap& layout) {
+  auto measure_layout = [&](const ExtentLayout& layout) {
     mems.Reset();
     Rng lrng(9);
     double total = 0.0;

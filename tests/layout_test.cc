@@ -63,7 +63,7 @@ TEST(ApplyLayoutTest, SplitsRequestsAtDiscontinuities) {
 }
 
 // A layout must be injective: no two logical blocks share a physical block.
-void CheckInjective(const LayoutMap& layout, int64_t device_capacity) {
+void CheckInjective(const ExtentLayout& layout, int64_t device_capacity) {
   std::set<int64_t> used;
   Rng rng(11);
   for (int i = 0; i < 5000; ++i) {

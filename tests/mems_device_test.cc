@@ -5,7 +5,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "src/sim/rng.h"
 
@@ -76,12 +75,12 @@ TEST(MemsDeviceTest, PositioningIsMaxOfXAndY) {
 }
 
 TEST(MemsDeviceTest, EstimateMatchesServiceBreakdown) {
-  // The scalar estimate computes every leg directly; ServiceRequest, the
-  // batch estimate and the positioning order's EstimateGivenKeyLeg take
-  // their Y legs from the device's Y-leg table. All must agree bit for bit,
-  // from row-boundary states (after a service) and from states off every
-  // boundary (after Reset or set_sled). Requests of up to 600 blocks cross
-  // tracks (540 blocks fill one), so later segments fill the table too.
+  // The scalar estimate computes every leg directly; ServiceRequest and the
+  // positioning order's EstimateGivenKeyLeg take their Y legs from the
+  // device's Y-leg table. All must agree bit for bit, from row-boundary
+  // states (after a service) and from states off every boundary (after
+  // Reset or set_sled). Requests of up to 600 blocks cross tracks (540
+  // blocks fill one), so later segments fill the table too.
   MemsDevice device;
   const MemsParams& params = device.params();
   const double y_span = params.rows_per_track() * params.row_height_m() / 2.0;
@@ -91,8 +90,6 @@ TEST(MemsDeviceTest, EstimateMatchesServiceBreakdown) {
     const int32_t blocks = static_cast<int32_t>(1 + rng.UniformInt(600));
     return MakeRead(rng.UniformInt(device.CapacityBlocks() - blocks + 1), blocks);
   };
-  std::vector<Request> batch(32);
-  std::vector<double> batch_ms(batch.size());
   for (int i = 0; i < 500; ++i) {
     if (i % 100 == 40) {
       device.Reset();
@@ -102,22 +99,15 @@ TEST(MemsDeviceTest, EstimateMatchesServiceBreakdown) {
                                     rng.UniformInt(params.cylinders()))),
                                 rng.Uniform(-y_span, y_span), vy});
     }
-    for (Request& req : batch) {
-      req = random_request();
-    }
-    device.EstimatePositioningBatch(batch.data(), static_cast<int64_t>(batch.size()), 0.0,
-                                    batch_ms.data());
-    for (size_t j = 0; j < batch.size(); ++j) {
-      const double scalar_ms = device.EstimatePositioningMs(batch[j], 0.0);
-      ASSERT_EQ(batch_ms[j], scalar_ms) << "step " << i << " request " << j;
-      if (device.StateKey() != StorageDevice::kNoKey) {
-        // The order's contract: the same bits from the key leg, never below it.
-        const double leg_ms = device.KeyLegMs(device.PositioningKey(batch[j]));
-        ASSERT_EQ(std::bit_cast<uint64_t>(device.EstimateGivenKeyLeg(batch[j], leg_ms, 0.0)),
-                  std::bit_cast<uint64_t>(scalar_ms))
-            << "step " << i << " request " << j;
-        ASSERT_GE(scalar_ms, leg_ms);
-      }
+    for (int j = 0; j < 32; ++j) {
+      // The order's contract: the same bits from the key leg, never below it.
+      const Request probe = random_request();
+      const double scalar_ms = device.EstimatePositioningMs(probe, 0.0);
+      const double leg_ms = device.KeyLegMs(device.PositioningKey(probe));
+      ASSERT_EQ(std::bit_cast<uint64_t>(device.EstimateGivenKeyLeg(probe, leg_ms, 0.0)),
+                std::bit_cast<uint64_t>(scalar_ms))
+          << "step " << i << " request " << j;
+      ASSERT_GE(scalar_ms, leg_ms);
     }
     const Request req = random_request();
     const double estimate = device.EstimatePositioningMs(req, 0.0);
@@ -156,10 +146,9 @@ TEST(MemsDeviceTest, ZeroBlockRequestDies) {
   // capacity check, but there is no segment to position to.
   MemsDevice device;
   const Request empty = MakeRead(1000, 0);
-  double out_ms = 0.0;
   EXPECT_DEATH((void)device.ServiceRequest(empty, 0.0), "no blocks");
   EXPECT_DEATH((void)device.EstimatePositioningMs(empty, 0.0), "no blocks");
-  EXPECT_DEATH(device.EstimatePositioningBatch(&empty, 1, 0.0, &out_ms), "no blocks");
+  EXPECT_DEATH((void)device.PositioningKey(empty), "no blocks");
 }
 
 TEST(MemsDeviceTest, TrackCrossingChargesTurnaround) {

@@ -3,7 +3,8 @@
 integration): a malformed or out-of-range number prints the usage and exits
 2, in mstk_sweep and in BenchOptions::Parse (run through the benches that
 read each flag); a bench given a flag it does not read exits 2 and writes
-nothing; and `--jobs 0` still means all cores.
+nothing; `--jobs 0` still means all cores; and trace_replay rejects a trace
+whose client ids would overflow when multiplied.
 
     python3 tests/mstk_sweep_cli_test.py build/tools/mstk_sweep build/bench
 """
@@ -61,6 +62,10 @@ def main():
                 ("fault_tolerance", ["--fault-rate", "nan"]),
                 ("trace_replay", ["--clients", "0"]),
                 ("trace_replay", ["--clients", "3x"]),
+                # Past BenchOptions::kMaxClients: the multiplied trace
+                # would not fit in memory.
+                ("trace_replay", ["--clients", "1025"]),
+                ("trace_replay", ["--fast", "--clients", "2147483647"]),
                 # Flags these benches do not read.
                 ("fig5_disk_scheduling", ["--json", bad]),
                 ("fig6_mems_scheduling", ["--layouts", "all"])):
@@ -68,6 +73,16 @@ def main():
             check("%s %s: usage, exit 2" % (bench, " ".join(args)),
                   rc == 2 and "usage:" in err and stdout == "", "rc=%d %s" % (rc, err))
         check("rejected bench flags write nothing", not os.path.exists(bad))
+
+        # A valid trace whose client 1,500,000,000 cannot be doubled in int32.
+        trace = os.path.join(tmp, "big_client.trace")
+        with open(trace, "w") as f:
+            f.write("MSTKTRACE 1\n0 100 8 R 1500000000\n")
+        rc, _, err = run(os.path.join(BENCH_DIR, "trace_replay"), "--trace-file", trace,
+                         "--clients", "2")
+        check("trace_replay --clients 2 on client 1.5e9: error, exit 1",
+              rc == 1 and err.startswith("error: ") and "overflow" in err,
+              "rc=%d %s" % (rc, err))
     rc, _, err = run(os.path.join(BENCH_DIR, "fig5_disk_scheduling"), "--seed", "1")
     check("fig5 usage lists only --csv and --fast",
           rc == 2 and err.endswith("fig5_disk_scheduling [--csv] [--fast]\n"), repr(err))

@@ -96,14 +96,15 @@ TEST(ResonantSpringTest, AverageRandomAccessStaysSubMillisecond) {
 
 TEST(ResonantSpringTest, OffersNoPositioningOrder) {
   // The spring, stronger than the actuator near the edges, makes some X
-  // legs shrink as the target moves outward, so SPTF's outward walk would
-  // mis-pick: the device offers no order, and SPTF scans.
+  // legs shrink as the target moves outward, so a pruned outward walk would
+  // mis-pick: requests still have cylinder keys, but the sled's state never
+  // has one, and SPTF visits every occupied cylinder.
   MemsDevice device(ResonantParams());
   Request req;
   req.block_count = 8;
   req.lbn = device.CapacityBlocks() / 2;
   (void)device.ServiceRequest(req, 0.0);
-  EXPECT_EQ(device.PositioningKey(req), StorageDevice::kNoKey);
+  EXPECT_EQ(device.PositioningKey(req), device.geometry().Decode(req.lbn).cylinder);
   EXPECT_EQ(device.StateKey(), StorageDevice::kNoKey);
   const int32_t cylinders = device.params().cylinders();
   int64_t shrinking = 0;

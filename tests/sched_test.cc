@@ -6,7 +6,11 @@
 #include <string>
 #include <vector>
 
+#include "src/array/raid.h"
+#include "src/cache/block_cache.h"
+#include "src/core/bus_device.h"
 #include "src/core/experiment.h"
+#include "src/disk/disk_device.h"
 #include "src/mems/mems_device.h"
 #include "src/sched/clook.h"
 #include "src/sched/fcfs.h"
@@ -128,16 +132,15 @@ TEST(SptfTest, BeatsLbnProxyWhenYDominates) {
 // scalar estimator for `pops` Pops: every Pop must return the first pending
 // request of minimum `cost(req, positioning_ms, now_ms)`. Adds, pops,
 // service and idle gaps interleave at random; the queue alternates between
-// a few and about 40 pending requests; and now and then set_sled() or
-// Reset() moves the sled off every cylinder. `min_ties` counts the Pops
-// whose minimum was shared by several requests, where only the first-index
-// rule decides.
+// a few and about 40 pending requests; and now and then Reset() returns the
+// device to its initial state or, on MEMS, set_sled() moves the sled off
+// every cylinder. `min_ties` counts the Pops whose minimum was shared by
+// several requests, where only the first-index rule decides.
 void ExpectMatchesNaiveScan(
-    SptfScheduler* sched, MemsDevice* device,
+    SptfScheduler* sched, StorageDevice* device,
     const std::function<double(const Request&, double, double)>& cost, int64_t pops,
     int64_t* min_ties) {
-  const MemsParams& params = device->params();
-  const double y_span = params.rows_per_track() * params.row_height_m() / 2.0;
+  auto* const mems = dynamic_cast<MemsDevice*>(device);
   std::vector<Request> naive;
   Rng rng(77);
   int64_t next_id = 0;
@@ -148,10 +151,12 @@ void ExpectMatchesNaiveScan(
     }
     if (rng.Bernoulli(0.002)) {
       device->Reset();
-    } else if (rng.Bernoulli(0.002)) {
-      device->set_sled(SledState{rng.Uniform(-params.half_range_m(), params.half_range_m()),
-                                 rng.Uniform(-y_span, y_span),
-                                 (rng.UniformInt(3) - 1) * params.access_velocity()});
+    } else if (mems != nullptr && rng.Bernoulli(0.002)) {
+      const MemsParams& params = mems->params();
+      const double y_span = params.rows_per_track() * params.row_height_m() / 2.0;
+      mems->set_sled(SledState{rng.Uniform(-params.half_range_m(), params.half_range_m()),
+                               rng.Uniform(-y_span, y_span),
+                               (rng.UniformInt(3) - 1) * params.access_velocity()});
     }
     const size_t depth = (popped / 500) % 2 == 0 ? 4 : 40;
     if (naive.size() < depth || rng.Bernoulli(0.45)) {
@@ -188,16 +193,25 @@ void ExpectMatchesNaiveScan(
   }
 }
 
+// The cost plain SPTF minimizes.
+double PositioningCost(const Request&, double pos_ms, double) { return pos_ms; }
+
+// The cost aged SPTF at `weight` minimizes.
+std::function<double(const Request&, double, double)> AgedCost(double weight) {
+  return [weight](const Request& req, double pos_ms, double now_ms) {
+    return std::max(pos_ms - weight * (now_ms - req.arrival_ms), 0.0);
+  };
+}
+
 TEST(SptfTest, PicksMatchNaiveScan) {
   // The reference scans the pending requests in arrival order with the
   // un-memoized scalar estimate. Plain SPTF on the default bounded-force
-  // sled walks outward by cylinder whenever the sled rests on one; on the
-  // resonant spring, whose X leg can shrink outward, it must scan. Aged SPTF
-  // always scans; it clamps its cost at zero: at weight 1.0 a request clamps
-  // after about a millisecond of waiting, at 0.01 only after tens of
-  // milliseconds, so both weights reach ties that only the first-index rule
-  // resolves. Picks must match exactly, ties included.
-  const auto positioning = [](const Request&, double pos_ms, double) { return pos_ms; };
+  // sled prunes its walk whenever the sled rests on a cylinder; on the
+  // resonant spring, whose X leg can shrink outward, it visits every
+  // cylinder. Aged SPTF never prunes; it clamps its cost at zero: at weight
+  // 1.0 a request clamps after about a millisecond of waiting, at 0.01 only
+  // after tens of milliseconds, so both weights reach ties that only the
+  // first-index rule resolves. Picks must match exactly, ties included.
   for (const SpringModel spring : {SpringModel::kBoundedForce, SpringModel::kResonant}) {
     SCOPED_TRACE(spring == SpringModel::kResonant ? "resonant" : "bounded-force");
     MemsParams params;
@@ -205,28 +219,70 @@ TEST(SptfTest, PicksMatchNaiveScan) {
     MemsDevice device(params);
     SptfScheduler sched(&device);
     int64_t ties = 0;
-    ExpectMatchesNaiveScan(&sched, &device, positioning, 5000, &ties);
+    ExpectMatchesNaiveScan(&sched, &device, PositioningCost, 5000, &ties);
   }
   for (const double weight : {0.01, 1.0}) {
     SCOPED_TRACE(weight);
     MemsDevice device;
     AgedSptfScheduler sched(&device, weight);
     int64_t ties = 0;
-    ExpectMatchesNaiveScan(
-        &sched, &device,
-        [weight](const Request& req, double pos_ms, double now_ms) {
-          return std::max(pos_ms - weight * (now_ms - req.arrival_ms), 0.0);
-        },
-        5000, &ties);
+    ExpectMatchesNaiveScan(&sched, &device, AgedCost(weight), 5000, &ties);
     EXPECT_GT(ties, 0);
   }
 }
 
+// Runs SPTF and aged SPTF (w = 0.01) on `device` in lockstep with the naive
+// scan.
+void ExpectBothMatchNaiveScan(StorageDevice* device, int64_t pops) {
+  int64_t ties = 0;
+  SptfScheduler sptf(device);
+  ExpectMatchesNaiveScan(&sptf, device, PositioningCost, pops, &ties);
+  device->Reset();
+  AgedSptfScheduler aged(device, 0.01);
+  ExpectMatchesNaiveScan(&aged, device, AgedCost(0.01), pops, &ties);
+}
+
+TEST(SptfTest, PicksMatchNaiveScanWithTheDefaultOrder) {
+  // Devices that keep StorageDevice's default order: every request under
+  // key 0 and no state key, so the walk estimates every pending request.
+  {
+    SCOPED_TRACE("disk");  // estimates depend on `now`: the disk rotates
+    DiskDevice disk;
+    ExpectBothMatchNaiveScan(&disk, 3000);
+  }
+  {
+    SCOPED_TRACE("bus over MEMS");
+    MemsDevice mems;
+    BusDevice bus(BusParams::Ultra2(), &mems);
+    ExpectBothMatchNaiveScan(&bus, 3000);
+  }
+  {
+    SCOPED_TRACE("cache over RAID-5 of MEMS");
+    std::vector<MemsDevice> members(4);
+    RaidArray raid(RaidConfig{RaidLevel::kRaid5, 64},
+                   {&members[0], &members[1], &members[2], &members[3]});
+    BlockCacheConfig config;
+    config.capacity_blocks = 4096;
+    BlockCache cache(config, &raid);
+    ExpectBothMatchNaiveScan(&cache, 3000);
+  }
+}
+
+TEST(SptfTest, RequestWithoutKeyDiesInAdd) {
+  class KeylessDevice : public MemsDevice {
+   public:
+    int32_t PositioningKey(const Request&) const override { return kNoKey; }
+  };
+  KeylessDevice device;
+  SptfScheduler sched(&device);
+  EXPECT_DEATH(sched.Add(MakeReq(0, 10)), "positioning key");
+}
+
 // A device with a scripted positioning order, for the walk's prune and tie
 // rules: MEMS legs almost never tie at the prune boundary, these integer
-// legs often do. Key = lbn / 100, key leg = |key - state key| ms, and the
-// estimate is max(key leg, lbn % 100 ms): lbn % 100 alone with no state
-// key. Servicing a request moves the state to its key.
+// legs often do. Key = lbn / 100, key leg = |key - state key| ms (0 with no
+// state key), and the estimate is max(key leg, lbn % 100 ms). Servicing a
+// request moves the state to its key.
 class ScriptedOrderDevice : public StorageDevice {
  public:
   const char* name() const override { return "scripted"; }
@@ -237,7 +293,6 @@ class ScriptedOrderDevice : public StorageDevice {
     return 1.0;
   }
   [[nodiscard]] TimeMs EstimatePositioningMs(const Request& req, TimeMs) const override {
-    ++scan_estimates;
     return Cost(req);
   }
   int32_t PositioningKey(const Request& req) const override {
@@ -250,23 +305,25 @@ class ScriptedOrderDevice : public StorageDevice {
   }
   [[nodiscard]] TimeMs EstimateGivenKeyLeg(const Request& req, TimeMs key_leg_ms,
                                            TimeMs) const override {
+    ++estimates;
     return std::max(key_leg_ms, Residual(req));
   }
   void Reset() override { state_key = kNoKey; }
 
   // The estimate, uncounted.
   TimeMs Cost(const Request& req) const {
-    return state_key == kNoKey ? Residual(req)
-                               : std::max(Leg(PositioningKey(req)), Residual(req));
+    return std::max(Leg(PositioningKey(req)), Residual(req));
   }
 
   int32_t state_key = kNoKey;
   mutable int64_t key_legs = 0;
-  mutable int64_t scan_estimates = 0;
+  mutable int64_t estimates = 0;
 
  private:
   static TimeMs Residual(const Request& req) { return static_cast<double>(req.lbn % 100); }
-  TimeMs Leg(int32_t key) const { return static_cast<double>(std::abs(key - state_key)); }
+  TimeMs Leg(int32_t key) const {
+    return state_key == kNoKey ? 0.0 : static_cast<double>(std::abs(key - state_key));
+  }
 };
 
 // Request `id` with key `key` and residual `residual` ms on ScriptedOrderDevice.
@@ -338,8 +395,8 @@ TEST(SptfWalkTest, NoStateKeyEstimatesEveryRequest) {
     sched.Add(Scripted(id, 10 * id, 9 - id));
   }
   EXPECT_EQ(sched.Pop(0.0).id, 4);  // the smallest residual
-  EXPECT_EQ(device.scan_estimates, 5);
-  EXPECT_EQ(device.key_legs, 0);
+  EXPECT_EQ(device.estimates, 5);
+  EXPECT_EQ(device.key_legs, 5);
 }
 
 TEST(SptfWalkTest, DepthOneEstimatesNothing) {
@@ -350,7 +407,7 @@ TEST(SptfWalkTest, DepthOneEstimatesNothing) {
     sched.Add(Scripted(0, 3, 5));
     EXPECT_EQ(sched.Pop(0.0).id, 0);
   }
-  EXPECT_EQ(device.scan_estimates, 0);
+  EXPECT_EQ(device.estimates, 0);
   EXPECT_EQ(device.key_legs, 0);
 }
 
@@ -370,11 +427,12 @@ TEST(SptfWalkTest, ResetMidRunStartsClean) {
   sched.Add(Scripted(12, 19, 0));
   EXPECT_EQ(sched.size(), 3);
   EXPECT_EQ(sched.Pop(0.0).id, 12);
-  // A device Reset() leaves no state key: the next Pop scans.
+  // A device Reset() leaves no state key: the next Pop estimates both
+  // requests, one per key.
   device.Reset();
-  const int64_t scans = device.scan_estimates;
-  EXPECT_EQ(sched.Pop(0.0).id, 10);  // first added; both residuals are 0
-  EXPECT_EQ(device.scan_estimates, scans + 2);
+  const int64_t estimates = device.estimates;
+  EXPECT_EQ(sched.Pop(0.0).id, 10);  // first added; both costs are 0
+  EXPECT_EQ(device.estimates, estimates + 2);
   EXPECT_EQ(sched.Pop(0.0).id, 11);
   EXPECT_TRUE(sched.Empty());
 }
@@ -395,7 +453,6 @@ TEST(SptfWalkTest, KeysBeyondAnySeenBefore) {
   device.state_key = 9000;
   EXPECT_EQ(sched.Pop(0.0).id, 4);
   EXPECT_EQ(sched.Pop(0.0).id, 2);
-  EXPECT_EQ(device.scan_estimates, 0);
 }
 
 TEST(SptfWalkTest, DeepQueueVisitsAHandfulOfKeys) {
@@ -418,7 +475,6 @@ TEST(SptfWalkTest, DeepQueueVisitsAHandfulOfKeys) {
     ASSERT_LE(device.key_legs - legs, 8) << "pop " << pop;
     (void)device.ServiceRequest(got, 0.0);
   }
-  EXPECT_EQ(device.scan_estimates, 0);
 }
 
 TEST(SptfWalkTest, RandomizedMatchesNaiveScan) {
@@ -450,33 +506,15 @@ TEST(SptfWalkTest, RandomizedMatchesNaiveScan) {
   }
 }
 
-// Counts the walk's key legs and every full-scan estimate (scalar or batch)
-// made while the sled rests on a cylinder.
+// Counts the walk's key legs.
 class CountingMemsDevice : public MemsDevice {
  public:
   [[nodiscard]] TimeMs KeyLegMs(int32_t key) const override {
     ++key_legs;
     return MemsDevice::KeyLegMs(key);
   }
-  [[nodiscard]] TimeMs EstimatePositioningMs(const Request& req, TimeMs at_ms) const override {
-    CountScan(1);
-    return MemsDevice::EstimatePositioningMs(req, at_ms);
-  }
-  void EstimatePositioningBatch(const Request* reqs, int64_t count, TimeMs at_ms,
-                                TimeMs* out_ms) const override {
-    CountScan(count);
-    MemsDevice::EstimatePositioningBatch(reqs, count, at_ms, out_ms);
-  }
 
   mutable int64_t key_legs = 0;
-  mutable int64_t scan_estimates_on_cylinder = 0;
-
- private:
-  void CountScan(int64_t count) const {
-    if (StateKey() != kNoKey) {
-      scan_estimates_on_cylinder += count;
-    }
-  }
 };
 
 class CountingSptf : public SptfScheduler {
@@ -491,8 +529,8 @@ class CountingSptf : public SptfScheduler {
 
 // Runs the paper's random workload open loop at `rate_per_s` through MEMS +
 // SPTF and checks the selection work: at most `max_legs_per_pop` key legs
-// per Pop, and no full-scan estimate once the sled rests on a cylinder. A
-// silent fall-back to the exact scan fails here, and nowhere else.
+// per Pop. A walk that silently stops pruning (about 20 legs per Pop) fails
+// here.
 void ExpectWalkWorkBound(double rate_per_s, int64_t count, double max_legs_per_pop) {
   CountingMemsDevice device;
   RandomWorkloadConfig config;
@@ -508,7 +546,6 @@ void ExpectWalkWorkBound(double rate_per_s, int64_t count, double max_legs_per_p
   const double legs_per_pop =
       static_cast<double>(device.key_legs) / static_cast<double>(sched.pops);
   EXPECT_LE(legs_per_pop, max_legs_per_pop);
-  EXPECT_EQ(device.scan_estimates_on_cylinder, 0);
   ::testing::Test::RecordProperty("key_legs_per_pop", std::to_string(legs_per_pop));
 }
 
@@ -535,8 +572,9 @@ TEST(AgedSptfTest, AgeCreditSaturatesAtZeroCost) {
   // With an unbounded age discount, two long-starved requests keep competing
   // on (pos - credit), so a slightly *younger but nearer* request keeps
   // winning forever and the far one never drains. The clamp at zero makes
-  // every saturated request tie, and the first-index scan then serves them
-  // in FIFO order.
+  // every saturated request tie, and the earliest-added tie rule then serves
+  // them in FIFO order. The sled rests on the near request's cylinder, so
+  // only a walk that prunes nothing reaches the far one.
   MemsDevice device;
   (void)device.ServiceRequest(MakeReq(0, 0), 0.0);
   AgedSptfScheduler sched(&device, /*age_weight=*/1.0);

@@ -279,6 +279,27 @@ TEST(TraceTransformTest, MultiplyClientsInterleavesDistinctClients) {
   }
 }
 
+TEST(TraceTransformTest, MultipliedClientIdsStayInInt32) {
+  const int64_t capacity = 1 << 20;
+  std::vector<TraceRecord> records = SampleRecords();
+  // Largest client 2^30 - 1: two copies use ids up to exactly INT32_MAX.
+  records[0].client = (1 << 30) - 1;
+  ASSERT_TRUE(MultipliedClientsFit(records, 2));
+  EXPECT_FALSE(MultipliedClientsFit(records, 3));
+  const std::vector<TraceRecord> multiplied = MultiplyClients(records, 2, capacity);
+  EXPECT_EQ(multiplied[0].client, (1 << 30) - 1);
+  EXPECT_EQ(multiplied[1].client, INT32_MAX);
+  // One valid record with client 1.5e9 cannot be doubled.
+  records[0].client = 1500000000;
+  EXPECT_TRUE(MultipliedClientsFit(records, 1));
+  EXPECT_FALSE(MultipliedClientsFit(records, 2));
+  EXPECT_DEATH((void)MultiplyClients(records, 2, capacity), "client ids overflow");
+  // The largest valid client id, alone: its id count is 2^31.
+  records[0].client = INT32_MAX;
+  EXPECT_TRUE(MultipliedClientsFit(records, 1));
+  EXPECT_EQ(MultiplyClients(records, 1, capacity)[0].client, INT32_MAX);
+}
+
 TEST(TraceReplayTest, ArrivalModeNamesParse) {
   ArrivalMode mode = ArrivalMode::kClosed;
   EXPECT_TRUE(ParseArrivalMode("open", &mode));
