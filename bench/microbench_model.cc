@@ -4,10 +4,12 @@
 //
 // The MEMS benchmarks time a parked sled: each services one request before
 // timing, as every dispatch after a run's first one does. From there the
-// Y legs come from the device's Y-leg table, and the X seek (one planner
-// call per request) is the main cost. A fresh sled is off every row
-// boundary, so its Y legs all take the planner; only a run's first
-// dispatch pays that.
+// Y legs come from the device's Y-leg table, and the X seek (one candidate
+// of the planner, SledKinematics::SeekSeconds) is the main cost. A fresh
+// sled is off every row boundary, so its Y legs all take the full planner;
+// only a run's first dispatch pays that. BM_SledSeekClosedForm and
+// BM_SledPlanRestToRest time the same seeks, so their ratio is what the
+// one-candidate seek saves over Plan.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -21,17 +23,30 @@ namespace {
 
 using namespace mstk;
 
-void BM_SledSeekClosedForm(benchmark::State& state) {
-  const SledKinematics kin(SledAxisParams{803.6, 50e-6, 0.75});
+// Rest-to-rest seeks between uniform random offsets, each starting where
+// the last one ended.
+template <typename Seek>
+void RunSeeks(benchmark::State& state, Seek seek) {
   Rng rng(1);
   double from = -40e-6;
   for (auto _ : state) {
     const double to = rng.Uniform(-50e-6, 50e-6);
-    benchmark::DoNotOptimize(kin.SeekSeconds(from, to));
+    benchmark::DoNotOptimize(seek(from, to));
     from = to;
   }
 }
+
+void BM_SledSeekClosedForm(benchmark::State& state) {
+  const SledKinematics kin(SledAxisParams{803.6, 50e-6, 0.75});
+  RunSeeks(state, [&](double from, double to) { return kin.SeekSeconds(from, to); });
+}
 BENCHMARK(BM_SledSeekClosedForm);
+
+void BM_SledPlanRestToRest(benchmark::State& state) {
+  const SledKinematics kin(SledAxisParams{803.6, 50e-6, 0.75});
+  RunSeeks(state, [&](double from, double to) { return kin.Plan(from, 0.0, to, 0.0).t_total; });
+}
+BENCHMARK(BM_SledPlanRestToRest);
 
 void BM_SledTravelMovingStart(benchmark::State& state) {
   const SledKinematics kin(SledAxisParams{803.6, 50e-6, 0.75});

@@ -3,6 +3,7 @@
 
     scripts/goldens.py check BUILD_DIR      # the `goldens` ctest
     scripts/goldens.py refresh BUILD_DIR
+    scripts/goldens.py diff OLD_DIR NEW_DIR # what moved between two outputs/
 
 The outputs are listed in produce(); tests/golden/outputs.sha256 holds one
 sha256 per output, and make_scenarios --out must equal traces/ file by file.
@@ -14,8 +15,11 @@ ones named in WALL_CLOCK_BENCHES.
 from make_scenarios; run it only in a change that moves outputs. `check`
 runs at --jobs 4 with --trace on smoke and faults (those Chrome traces must
 parse), so the exact comparison also proves that no result depends on the
-job count or on tracing. Outputs stay in BUILD_DIR/goldens/; `diff -r` that
-directory between a parent build and a change build to see what moved.
+job count or on tracing. Outputs stay in BUILD_DIR/goldens/outputs; `diff`
+that directory of a parent build against a change build's to see what
+moved: each JSON key path whose value differs, the first differing line of
+any other file, and the files on one side only. It exits 1 if anything
+differs.
 """
 
 import glob
@@ -158,9 +162,77 @@ def check_chrome(chrome):
     return failures
 
 
+def json_diff(old, new, path):
+    """Yields (key path, old, new) for each value that differs between two
+    parsed JSON documents, as JSON text; "<absent>" stands for the side that
+    lacks a key or index."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in list(old) + [k for k in new if k not in old]:
+            sub = "%s.%s" % (path, key) if path else key
+            if key in old and key in new:
+                yield from json_diff(old[key], new[key], sub)
+            else:
+                yield (sub, json.dumps(old[key]) if key in old else "<absent>",
+                       json.dumps(new[key]) if key in new else "<absent>")
+    elif isinstance(old, list) and isinstance(new, list):
+        for i in range(max(len(old), len(new))):
+            sub = "%s[%d]" % (path, i)
+            if i < len(old) and i < len(new):
+                yield from json_diff(old[i], new[i], sub)
+            else:
+                yield (sub, json.dumps(old[i]) if i < len(old) else "<absent>",
+                       json.dumps(new[i]) if i < len(new) else "<absent>")
+    elif json.dumps(old) != json.dumps(new):  # exact: 1 and 1.0 differ, NaN equals NaN
+        yield path or "(document)", json.dumps(old), json.dumps(new)
+
+
+def diff_file(name, old_path, new_path):
+    """One line per difference between two versions of output `name`."""
+    with open(old_path) as f:
+        old_text = f.read()
+    with open(new_path) as f:
+        new_text = f.read()
+    if old_text == new_text:
+        return []
+    if name.endswith(".json"):
+        try:
+            old_doc, new_doc = json.loads(old_text), json.loads(new_text)
+        except ValueError:
+            pass
+        else:
+            return ["%s: %s: %s -> %s" % (name, key, a, b)
+                    for key, a, b in json_diff(old_doc, new_doc, "")] or \
+                   ["%s: same JSON values, different bytes" % name]
+    old_lines, new_lines = old_text.split("\n"), new_text.split("\n")
+    for i in range(max(len(old_lines), len(new_lines))):
+        a = old_lines[i] if i < len(old_lines) else "<end of file>"
+        b = new_lines[i] if i < len(new_lines) else "<end of file>"
+        if a != b:
+            return ["%s: line %d: %r -> %r" % (name, i + 1, a, b)]
+    return []
+
+
+def diff_dirs(old, new):
+    """What moved between two goldens/outputs directories, one line each."""
+    old_names, new_names = set(os.listdir(old)), set(os.listdir(new))
+    lines = []
+    for name in sorted(old_names | new_names):
+        if name not in new_names:
+            lines.append("%s: only in %s" % (name, old))
+        elif name not in old_names:
+            lines.append("%s: only in %s" % (name, new))
+        else:
+            lines += diff_file(name, os.path.join(old, name), os.path.join(new, name))
+    return lines
+
+
 def main(argv):
+    if len(argv) == 4 and argv[1] == "diff":
+        lines = diff_dirs(argv[2], argv[3])
+        print("\n".join(lines) if lines else "no differences")
+        return 1 if lines else 0
     if len(argv) != 3 or argv[1] not in ("check", "refresh"):
-        sys.stderr.write("usage: %s check|refresh BUILD_DIR\n" % argv[0])
+        sys.stderr.write("usage: %s check|refresh BUILD_DIR | diff OLD_DIR NEW_DIR\n" % argv[0])
         return 2
     refresh, out = argv[1] == "refresh", os.path.join(argv[2], "goldens")
     try:

@@ -8,6 +8,7 @@
 namespace mstk {
 namespace {
 
+constexpr double kPi = 3.141592653589793;
 constexpr double kTwoPi = 6.283185307179586;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -124,7 +125,60 @@ double SledKinematics::TravelSeconds(double p0, double v0, double p1, double v1)
 }
 
 double SledKinematics::SeekSeconds(double from, double to) const {
-  return TravelSeconds(from, 0.0, to, 0.0);
+  // While the spring is weaker than the actuator everywhere, both controls'
+  // equilibria lie outside the range. From rest to rest, Plan's fastest
+  // candidate then pushes toward the target, sigma = sign(to - from), and
+  // switches while still moving toward it: the other switch sign sweeps a
+  // longer arc, and the other sigma has no real switch speed. This
+  // evaluates that candidate alone, in Plan's and ArcSeconds' expressions
+  // and order, so it returns Plan's t_total bit for bit.
+  if (from == to || !(c_ > 0.0 && c_ * params_.p_max < params_.a_max)) {
+    return TravelSeconds(from, 0.0, to, 0.0);
+  }
+  constexpr double v0 = 0.0;
+  constexpr double v1 = 0.0;
+  const int sigma = to > from ? +1 : -1;
+  const double a = params_.a_max;
+  const auto potential = [this](double p) { return 0.5 * c_ * p * p; };
+  const double xs = 0.5 * (from + to) +
+                    (v1 * v1 - v0 * v0 + 2.0 * (potential(to) - potential(from))) /
+                        (4.0 * sigma * a);
+  const double vs2 = v0 * v0 + 2.0 * sigma * a * (xs - from) -
+                     (2.0 * potential(xs) - 2.0 * potential(from));
+  if (!(vs2 > 0.0)) {
+    return TravelSeconds(from, 0.0, to, 0.0);  // no switch speed, or a zero one
+  }
+  const double vs = sigma * std::sqrt(vs2);
+  // ArcSeconds' test and sweep, given each end's radius and angle.
+  const auto arc = [this](double r0, double theta0, double r1, double theta1) {
+    if (std::abs(r0 - r1) > 1e-6 * (r0 + r1 + 1e-12)) {
+      return kInf;
+    }
+    if (r0 < 1e-15) {
+      return 0.0;
+    }
+    double dtheta = theta1 - theta0;
+    if (dtheta < -kTol) {
+      dtheta += kTwoPi;
+    }
+    return std::max(dtheta, 0.0) / omega_;
+  };
+  // At a rest end ArcSeconds calls hypot(x, 0.0 / omega_), which is |x|,
+  // and atan2(-0.0 / omega_, x), which is -0.0, or -pi when x has its sign
+  // bit set (C Annex F). (-vs) / omega_ is -(vs / omega_), and the phase-2
+  // equilibrium -sigma * a / c_ is -e1, exactly.
+  const auto rest_angle = [](double x) { return std::signbit(x) ? -kPi : -0.0; };
+  const double w = vs / omega_;
+  const double e1 = sigma * a / c_;
+  const double e2 = -e1;
+  const double t1 = arc(std::abs(from - e1), rest_angle(from - e1), std::hypot(xs - e1, w),
+                        std::atan2(-w, xs - e1));
+  const double t2 = arc(std::hypot(xs - e2, w), std::atan2(-w, xs - e2), std::abs(to - e2),
+                        rest_angle(to - e2));
+  if (!std::isfinite(t1) || !std::isfinite(t2)) {
+    return TravelSeconds(from, 0.0, to, 0.0);
+  }
+  return t1 + t2;
 }
 
 double SledKinematics::TurnaroundSeconds(double p, double v) const {

@@ -54,7 +54,13 @@ class SledKinematics {
   // Full plan for the fastest trajectory (for tests/telemetry).
   SledPlan Plan(double p0, double v0, double p1, double v1) const;
 
-  // Rest-to-rest seek (the X-dimension case).
+  // Rest-to-rest seek (the X-dimension case): Plan(from, 0, to, 0).t_total,
+  // bit for bit. While the spring is weaker than the actuator (c * p_max <
+  // a_max), only Plan's winning candidate is evaluated: two hypot and two
+  // atan2 calls instead of up to four candidates of four each. Plan itself
+  // runs for a zero-length seek, a springless sled, a spring that can
+  // overpower the actuator (SpringModel::kResonant), and a candidate that
+  // turns out infeasible.
   double SeekSeconds(double from, double to) const;
 
   // Velocity reversal in place: (p, v) -> (p, -v). The paper's "turnaround".

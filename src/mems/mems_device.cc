@@ -111,7 +111,7 @@ TimeMs MemsDevice::ServiceRequest(const Request& req, TimeMs start_ms,
   double x_seek0_s = 0.0;
   double tx0 = 0.0;
   if (target_x0 != sled_.x) {
-    x_seek0_s = kinematics_.SeekSeconds(sled_.x, target_x0);
+    x_seek0_s = XSeekSeconds(seg.cylinder, target_x0);
     tx0 = x_seek0_s + settle_s;
   }
   const double ty0_up = YLegSeconds(sled_y_state_, sled_, EntryBoundary(seg, +1), +1);
@@ -230,8 +230,19 @@ double MemsDevice::XLegSeconds(int32_t cylinder) const {
   // Same expression as PositioningSeconds' X leg.
   const double target_x = geometry_.CylinderX(cylinder);
   return target_x != sled_.x
-             ? kinematics_.SeekSeconds(sled_.x, target_x) + geometry_.params().settle_seconds()
+             ? XSeekSeconds(cylinder, target_x) + geometry_.params().settle_seconds()
              : 0.0;
+}
+
+double MemsDevice::XSeekSeconds(int32_t cylinder, double target_x) const {
+  if (sled_cylinder_ == kNoKey) {
+    return kinematics_.SeekSeconds(sled_.x, target_x);
+  }
+  XSeek& entry = x_seek_memo_[static_cast<size_t>(cylinder) % kXSeekSlots];
+  if (entry.from != sled_cylinder_ || entry.to != cylinder) {
+    entry = XSeek{sled_cylinder_, cylinder, kinematics_.SeekSeconds(sled_.x, target_x)};
+  }
+  return entry.seconds;
 }
 
 TimeMs MemsDevice::EstimateGivenXLeg(const Segment& seg, TimeMs x_leg_ms) const {

@@ -16,6 +16,8 @@
 #ifndef MSTK_SRC_MEMS_MEMS_DEVICE_H_
 #define MSTK_SRC_MEMS_MEMS_DEVICE_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -120,6 +122,10 @@ class MemsDevice : public StorageDevice {
   // X leg (seconds) from the sled to `cylinder`: seek plus settle, or zero
   // when the sled is already there.
   double XLegSeconds(int32_t cylinder) const;
+  // Rest-to-rest X seek (seconds, no settle) from the sled to `cylinder`,
+  // whose X offset `target_x` differs from the sled's. Read through the
+  // X-seek memo while the sled rests on a cylinder.
+  double XSeekSeconds(int32_t cylinder, double target_x) const;
   // Positioning estimate (ms) for `seg` given its X leg in ms.
   [[nodiscard]] TimeMs EstimateGivenXLeg(const Segment& seg, TimeMs x_leg_ms) const;
 
@@ -151,8 +157,8 @@ class MemsDevice : public StorageDevice {
   // first use. The sled is off every boundary on a fresh device, after
   // Reset() and after set_sled(); legs from there are computed directly.
   //
-  // The const estimate methods fill this mutable table, so one device must
-  // not be estimated from two threads at once.
+  // The const estimate methods fill this mutable table and the X-seek memo
+  // below, so one device must not be estimated from two threads at once.
   static constexpr int32_t kOffBoundary = -1;
   // Table index of the state "at row boundary `boundary`, moving in `dir`".
   static int32_t YState(int32_t boundary, int dir) {
@@ -163,6 +169,22 @@ class MemsDevice : public StorageDevice {
   double YLegSeconds(int32_t from_state, const SledState& from, int32_t to_boundary,
                      int dir) const;
 
+  // X-seek memo. SPTF's walk computes the X leg of every cylinder it
+  // visits (KeyLegMs), and the service of the request it picks needs the
+  // seek to that cylinder again. A rest-to-rest seek depends only on its
+  // two cylinders, so an entry keyed on (sled cylinder, target cylinder)
+  // holds the bits SeekSeconds returns whatever the device did since, and
+  // nothing ever invalidates it. 16 slots, direct-mapped on the target
+  // cylinder: 256 B per device. Used only while the sled rests on a
+  // cylinder (sled_cylinder_ != kNoKey); the scalar EstimatePositioningMs
+  // never reads it.
+  struct XSeek {
+    int32_t from = kNoKey;
+    int32_t to = kNoKey;
+    double seconds = 0.0;
+  };
+  static constexpr size_t kXSeekSlots = 16;
+
   MemsGeometry geometry_;
   SledKinematics kinematics_;
   SledState sled_;
@@ -172,6 +194,7 @@ class MemsDevice : public StorageDevice {
   double row_pass_s_;   // s
   int32_t y_states_;    // 2 * (rows_per_track + 1)
   mutable std::vector<double> y_leg_s_;  // y_states_^2 legs; < 0 until computed
+  mutable std::array<XSeek, kXSeekSlots> x_seek_memo_{};
   double seek_error_rate_ = 0.0;
   uint64_t seek_error_seed_ = 0;
   Rng seek_error_rng_{seek_error_seed_};

@@ -43,6 +43,17 @@ bool ParseInt(const std::string& line, size_t* pos, int64_t* value) {
   return true;
 }
 
+// Record fields end at a space, a tab or the end of the line, so "4x"
+// fails as its own field, not as the next one. What follows the last
+// field, the client, is trailing garbage.
+bool AtFieldEnd(const std::string& line, size_t pos) {
+  return pos == line.size() || line[pos] == ' ' || line[pos] == '\t';
+}
+
+bool ParseField(const std::string& line, size_t* pos, int64_t* value) {
+  return ParseInt(line, pos, value) && AtFieldEnd(line, *pos);
+}
+
 bool SkipSpaces(const std::string& line, size_t* pos) {
   const size_t start = *pos;
   while (*pos < line.size() && (line[*pos] == ' ' || line[*pos] == '\t')) {
@@ -190,17 +201,17 @@ bool ParseTrace(const std::string& bytes, ParsedTrace* out, std::string* error) 
     int64_t blocks64 = 0;
     int64_t client64 = 0;
     SkipSpaces(line, &pos);
-    if (!ParseInt(line, &pos, &record.timestamp_us)) {
+    if (!ParseField(line, &pos, &record.timestamp_us)) {
       return Fail(error, "malformed timestamp_us field", line_no, out);
     }
-    if (!SkipSpaces(line, &pos) || !ParseInt(line, &pos, &record.lba)) {
+    if (!SkipSpaces(line, &pos) || !ParseField(line, &pos, &record.lba)) {
       return Fail(error, "malformed lba field", line_no, out);
     }
-    if (!SkipSpaces(line, &pos) || !ParseInt(line, &pos, &blocks64)) {
+    if (!SkipSpaces(line, &pos) || !ParseField(line, &pos, &blocks64)) {
       return Fail(error, "malformed blocks field", line_no, out);
     }
     if (!SkipSpaces(line, &pos) || pos >= line.size() ||
-        (line[pos] != 'R' && line[pos] != 'W')) {
+        (line[pos] != 'R' && line[pos] != 'W') || !AtFieldEnd(line, pos + 1)) {
       return Fail(error, "malformed op field (expected R or W)", line_no, out);
     }
     record.op = line[pos] == 'R' ? IoType::kRead : IoType::kWrite;

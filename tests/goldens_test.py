@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Unit tests for the golden check's compare step (ctest label: unit).
+"""Unit tests for the golden check's compare and diff steps (ctest label:
+unit).
 
 Feeds scripts/goldens.py hand-made output, manifest and trace directories,
-one fault at a time, and requires exactly one failure naming the file.
-Needs no build.
+one fault at a time, and requires exactly one failure naming the file; then
+diffs two hand-made output directories. Needs no build.
 
     python3 tests/goldens_test.py
 """
 
+import contextlib
+import io
 import os
 import sys
 import tempfile
@@ -73,6 +76,38 @@ def main():
         write(tmp, "smoke.json", '{"traceEvents": []}\n')
         write(tmp, "faults.json", '{"traceEvents": [\n')
         expect("a Chrome trace that is not JSON fails", goldens.check_chrome(tmp), "faults.json")
+
+    diffs = [
+        ("identical outputs diff to nothing", lambda out: None, []),
+        ("a JSON diff names each moved key path with both values", lambda out:
+         write(out, "sweep_smoke.json",
+               '{"sweep": "smoke", "cells": [{"ms": 0.25, "n": 4}, {"ms": 2}], "new": 1}\n'),
+         ["sweep_smoke.json: cells[0].ms: 0.5 -> 0.25",
+          "sweep_smoke.json: cells[1].ms: 1 -> 2",
+          "sweep_smoke.json: new: <absent> -> 1"]),
+        ("a text diff names the first differing line", lambda out:
+         write(out, "fig9_fast.csv", "x,y,ms\n0,0,0.5\n1,0,0.7\n1,1,0.9\n"),
+         ["fig9_fast.csv: line 3: '1,0,0.6' -> '1,0,0.7'"]),
+        ("a file on one side only is named", lambda out:
+         os.remove(os.path.join(out, "fig9_fast.csv")),
+         ["fig9_fast.csv: only in OLD"]),
+    ]
+    for name, change, want in diffs:
+        with tempfile.TemporaryDirectory() as tmp:
+            old, new = os.path.join(tmp, "OLD"), os.path.join(tmp, "NEW")
+            for d in (old, new):
+                os.makedirs(d)
+                write(d, "sweep_smoke.json",
+                      '{"sweep": "smoke", "cells": [{"ms": 0.5, "n": 4}, {"ms": 1}]}\n')
+                write(d, "fig9_fast.csv", "x,y,ms\n0,0,0.5\n1,0,0.6\n1,1,0.9\n")
+            change(new)
+            got = [line.replace(tmp + os.sep, "") for line in goldens.diff_dirs(old, new)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = goldens.main(["goldens.py", "diff", old, new])
+            ok = got == want and status == (1 if want else 0)
+            print("  [%s] %s%s" % ("ok" if ok else "FAIL", name, "" if ok else " -- %r" % got))
+            if not ok:
+                FAILURES.append(name)
 
     if FAILURES:
         print("%d check(s) failed: %s" % (len(FAILURES), ", ".join(FAILURES)))

@@ -1,9 +1,11 @@
 // Randomized property sweep for the bounded-force sled planner (the
 // resonant variant has its own sweep in resonant_spring_test.cc), plus
 // cross-checks between the two device axes' usage patterns and the
-// exhaustive check of the MEMS positioning order.
+// exhaustive checks of the MEMS positioning order and of the one-candidate
+// rest-to-rest seek.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -99,24 +101,37 @@ TEST(KinematicsPropertyTest, DeviceEstimateConsistentAcrossCopies) {
   }
 }
 
+// SledKinematics::SeekSeconds evaluates only the candidate that wins a
+// rest-to-rest seek; it must return Plan's t_total bit for bit.
+bool SeekMatchesPlan(const SledKinematics& kin, double from, double to) {
+  return std::bit_cast<uint64_t>(kin.SeekSeconds(from, to)) ==
+         std::bit_cast<uint64_t>(kin.Plan(from, 0.0, to, 0.0).t_total);
+}
+
 // SPTF's outward walk (src/sched/sptf.h) is exact only if the MEMS key leg,
 // the X seek plus settle, never shrinks as the target cylinder moves away
 // from the sled's cylinder on either side. Checks every step outward from
 // every `stride`-th cylinder: cylinders * (cylinders - 1) steps at stride 1.
+// Every ordered pair it visits also checks SeekMatchesPlan.
 void ExpectKeyLegNeverShrinksOutward(const MemsParams& params, int32_t stride = 1) {
   MemsDevice device(params);
+  const MemsGeometry& geometry = device.geometry();
   const int32_t cylinders = params.cylinders();
   std::vector<double> leg(static_cast<size_t>(cylinders));
   int64_t steps = 0;
   int64_t shrinking = 0;
+  int64_t inexact_seeks = 0;
   for (int32_t from = 0; from < cylinders; from += stride) {
     Request req;
-    req.lbn = device.geometry().Encode(MemsAddress{from, 0, 0, 0});
+    req.lbn = geometry.Encode(MemsAddress{from, 0, 0, 0});
     req.block_count = 1;
     (void)device.ServiceRequest(req, 0.0);
     ASSERT_EQ(device.StateKey(), from);
+    const double x_from = geometry.CylinderX(from);
     for (int32_t to = 0; to < cylinders; ++to) {
       leg[static_cast<size_t>(to)] = device.KeyLegMs(to);
+      inexact_seeks +=
+          SeekMatchesPlan(device.kinematics(), x_from, geometry.CylinderX(to)) ? 0 : 1;
     }
     ASSERT_EQ(leg[static_cast<size_t>(from)], 0.0);
     for (size_t to = static_cast<size_t>(from) + 1; to < leg.size(); ++to, ++steps) {
@@ -128,6 +143,7 @@ void ExpectKeyLegNeverShrinksOutward(const MemsParams& params, int32_t stride = 
   }
   EXPECT_EQ(steps, int64_t{(cylinders + stride - 1) / stride} * (cylinders - 1));
   EXPECT_EQ(shrinking, 0);
+  EXPECT_EQ(inexact_seeks, 0);
 }
 
 TEST(MemsKeyLegPropertyTest, NeverShrinksOutwardG1) {
@@ -154,6 +170,26 @@ TEST(MemsKeyLegPropertyTest, NeverShrinksOutwardAcrossSpringFactors) {
   MemsParams no_settle;
   no_settle.settle_constants = 0.0;
   ExpectKeyLegNeverShrinksOutward(no_settle, 25);
+}
+
+TEST(MemsKeyLegPropertyTest, ResonantSeeksMatchPlan) {
+  // The resonant spring overpowers the actuator near the edges, outside
+  // the argument that makes one candidate exact, so SeekSeconds leaves
+  // these seeks to Plan; they must keep Plan's bits.
+  MemsParams params;
+  params.spring_model = SpringModel::kResonant;
+  const MemsDevice device(params);
+  const MemsGeometry& geometry = device.geometry();
+  int64_t inexact_seeks = 0;
+  for (int32_t from = 0; from < params.cylinders(); from += 25) {
+    for (int32_t to = 0; to < params.cylinders(); ++to) {
+      inexact_seeks += SeekMatchesPlan(device.kinematics(), geometry.CylinderX(from),
+                                       geometry.CylinderX(to))
+                           ? 0
+                           : 1;
+    }
+  }
+  EXPECT_EQ(inexact_seeks, 0);
 }
 
 TEST(KinematicsPropertyTest, ServiceTimeTranslationInvariantInY) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -77,19 +78,27 @@ TEST(MemsDeviceTest, PositioningIsMaxOfXAndY) {
 TEST(MemsDeviceTest, EstimateMatchesServiceBreakdown) {
   // The scalar estimate computes every leg directly; ServiceRequest and the
   // positioning order's EstimateGivenKeyLeg take their Y legs from the
-  // device's Y-leg table. All must agree bit for bit, from row-boundary
-  // states (after a service) and from states off every boundary (after
-  // Reset or set_sled). Requests of up to 600 blocks cross tracks (540
-  // blocks fill one), so later segments fill the table too.
+  // device's Y-leg table, and their first X seek from the X-seek memo. All
+  // must agree bit for bit, from row-boundary states (after a service) and
+  // from states off every boundary (after Reset or set_sled). Requests of
+  // up to 600 blocks cross tracks (540 blocks fill one), so later segments
+  // fill the table too. The first probes of every step start on the same
+  // few cylinders, so the memo is read again after the sled has moved; and
+  // each serviced request's key leg is taken first, as SPTF's walk does,
+  // so the service reads the memo.
   MemsDevice device;
   const MemsParams& params = device.params();
   const double y_span = params.rows_per_track() * params.row_height_m() / 2.0;
   const double v_access = params.access_velocity();
+  const int32_t kRevisited[] = {0, 17, 1250, 2499};
   Rng rng(7);
-  auto random_request = [&] {
-    const int32_t blocks = static_cast<int32_t>(1 + rng.UniformInt(600));
-    return MakeRead(rng.UniformInt(device.CapacityBlocks() - blocks + 1), blocks);
+  auto request_from = [&](int64_t first, int64_t span) {
+    const int64_t lbn = first + rng.UniformInt(span);
+    const int32_t blocks = static_cast<int32_t>(
+        1 + rng.UniformInt(std::min<int64_t>(600, device.CapacityBlocks() - lbn)));
+    return MakeRead(lbn, blocks);
   };
+  auto random_request = [&] { return request_from(0, device.CapacityBlocks()); };
   for (int i = 0; i < 500; ++i) {
     if (i % 100 == 40) {
       device.Reset();
@@ -101,7 +110,10 @@ TEST(MemsDeviceTest, EstimateMatchesServiceBreakdown) {
     }
     for (int j = 0; j < 32; ++j) {
       // The order's contract: the same bits from the key leg, never below it.
-      const Request probe = random_request();
+      const Request probe =
+          j < 4 ? request_from(kRevisited[j] * params.blocks_per_cylinder(),
+                               params.blocks_per_cylinder())
+                : random_request();
       const double scalar_ms = device.EstimatePositioningMs(probe, 0.0);
       const double leg_ms = device.KeyLegMs(device.PositioningKey(probe));
       ASSERT_EQ(std::bit_cast<uint64_t>(device.EstimateGivenKeyLeg(probe, leg_ms, 0.0)),
@@ -111,6 +123,7 @@ TEST(MemsDeviceTest, EstimateMatchesServiceBreakdown) {
     }
     const Request req = random_request();
     const double estimate = device.EstimatePositioningMs(req, 0.0);
+    (void)device.KeyLegMs(device.PositioningKey(req));
     ServiceBreakdown breakdown;
     (void)device.ServiceRequest(req, 0.0, &breakdown);
     ASSERT_EQ(estimate, breakdown.positioning_ms) << "step " << i;

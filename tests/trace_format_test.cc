@@ -97,6 +97,11 @@ TEST(TraceFormatTest, ParserRejectionSuite) {
       {"bad op", "MSTKTRACE 1\n0 8 4 X 0\n", "malformed op"},
       {"negative client", "MSTKTRACE 1\n0 8 4 R -1\n", "out-of-range client"},
       {"end overflows int64", "MSTKTRACE 1\n0 9223372036854775807 8 R 0\n", "end overflows"},
+      // A field that runs into another character fails as itself.
+      {"unit suffix on timestamp", "MSTKTRACE 1\n12ms 8 4 R 0\n", "malformed timestamp_us"},
+      {"hex lba", "MSTKTRACE 1\n0 0x10 8 R 0\n", "malformed lba"},
+      {"suffix on blocks", "MSTKTRACE 1\n0 8 4x R 0\n", "malformed blocks"},
+      {"suffix on op", "MSTKTRACE 1\n0 8 4 RW 0\n", "malformed op"},
   };
   for (const RejectCase& c : kCases) {
     ParsedTrace parsed;
