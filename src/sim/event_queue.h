@@ -1,14 +1,27 @@
 // Time-ordered event queue for the discrete-event simulator.
 //
 // Events fire in (time, seq) order: equal timestamps fire in insertion order
-// (stable), which keeps runs deterministic regardless of the internal
-// layout. The structure is a bucketed calendar queue (Brown's design) with
-// O(1) amortized push/fire under high fan-in. Buckets are intrusive chains
-// threaded through pooled event nodes, so steady-state operation performs
-// no allocation at all; the bucket count and width resize to track the
-// event population. tests/event_queue_property_test.cc drives it in
-// lockstep with a binary-heap reference and requires the identical firing
-// sequence.
+// (stable), which keeps runs deterministic. The queue has two lanes:
+//
+// - The sorted lane is a FIFO chained through the pooled event nodes. A push
+//   joins it when the lane is empty or when its time is no earlier than the
+//   lane's tail, so the lane stays sorted at O(1) per event. Every harness
+//   pushes its arrival stream in time order before it runs, so arrivals, the
+//   window kick-off and the first event of an empty queue land here.
+// - Every other push goes to a binary min-heap of (time, seq, slot) keys.
+//   These are the completions, retries and timers scheduled between
+//   arrivals.
+//
+// FireNext takes the earlier of the two heads on (time, seq), so the firing
+// order never depends on which lane an event joined. What keeps the heap
+// small: a heap push happens only while the lane is non-empty, and only
+// before the lane's tail; the tail only moves later until the lane drains,
+// and the lane drains only after every earlier event has fired. So the heap
+// holds only events in flight and is empty whenever the lane is. Nothing
+// needs resizing: the lane is a chain through nodes that already exist, and
+// the heap's vector grows to the peak number of events in flight.
+// tests/event_queue_property_test.cc drives the queue in lockstep with a
+// binary-heap reference and requires the identical firing sequence.
 //
 // Event callbacks are InlineFunction (src/sim/inline_function.h) stored in
 // SlabPool nodes (src/sim/pool.h): scheduling an event costs a pooled slot
@@ -55,17 +68,25 @@ class EventQueue {
 
  private:
   static constexpr uint32_t kNil = UINT32_MAX;
-  static constexpr uint64_t kMinBuckets = 16;
 
   struct Node {
     Callback cb;
     TimeMs time_ms = 0.0;
     uint64_t seq = 0;      // insertion order: tiebreak for equal times
-    uint32_t next = kNil;  // calendar bucket chain link
+    uint32_t next = kNil;  // sorted-lane link
   };
 
-  // Returns (a.time, a.seq) < (b.time, b.seq) — the firing order.
-  static bool EarlierNode(const Node& a, const Node& b) {
+  // A heap entry: the node's firing order plus its slot.
+  struct Key {
+    TimeMs time_ms;
+    uint64_t seq;
+    uint32_t slot;
+  };
+
+  // Returns (a.time_ms, a.seq) < (b.time_ms, b.seq) — the firing order —
+  // for any mix of heap keys and nodes.
+  template <typename A, typename B>
+  static bool Earlier(const A& a, const B& b) {
     // Exact compare is intentional: (time, seq) must be a strict total
     // order so equal-time events fire in insertion order.
     // mstk-lint: allow(U2)
@@ -74,37 +95,17 @@ class EventQueue {
     }
     return a.seq < b.seq;
   }
-
-  // Virtual bucket number of `t`: monotone in t, so the earliest event in
-  // the lowest non-empty virtual bucket is the global minimum.
-  uint64_t VirtualBucket(TimeMs t) const {
-    return static_cast<uint64_t>(t * inv_width_);
-  }
-  void CalendarInsert(uint32_t slot);
-  // Locates the earliest node. Writes the owning bucket and the predecessor
-  // chain link (kNil for bucket head). Requires size_ > 0.
-  uint32_t CalendarFindMin(uint32_t* bucket_out, uint32_t* prev_out) const;
-  void CalendarUnlink(uint32_t bucket, uint32_t prev, uint32_t slot);
-  // Re-buckets every node into `new_bucket_count` buckets with a width
-  // fitted to the population's time span.
-  void CalendarResize(uint64_t new_bucket_count);
-  void MaybeShrink();
-  // Bucket count for `v`: the next power of two, clamped to
-  // [kMinBuckets, the hard cap].
-  static uint64_t NextPow2(uint64_t v);
+  // The heap comparator: std::push_heap keeps the greatest key on top, so
+  // ordering by "fires later" makes it a min-heap.
+  static bool Later(const Key& a, const Key& b) { return Earlier(b, a); }
 
   SlabPool<Node> pool_;
   int64_t size_ = 0;
   uint64_t next_seq_ = 0;
 
-  // Chain heads into pool_, one per bucket; the count is a power of two.
-  std::vector<uint32_t> buckets_ = std::vector<uint32_t>(kMinBuckets, kNil);
-  uint64_t bucket_count_ = kMinBuckets;
-  uint64_t bucket_mask_ = kMinBuckets - 1;
-  double width_ms_ = 1.0;
-  double inv_width_ = 1.0;
-  TimeMs min_time_floor_ = 0.0;  // no pending event is earlier (last fire time)
-  std::vector<uint32_t> scratch_slots_;  // resize workspace, capacity reused
+  uint32_t lane_head_ = kNil;  // earliest lane node; kNil when the lane is empty
+  uint32_t lane_tail_ = kNil;  // latest lane node; stale while the lane is empty
+  std::vector<Key> heap_;
 };
 
 }  // namespace mstk

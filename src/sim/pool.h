@@ -1,12 +1,12 @@
-// Slab pool with free-list reuse for the simulator's per-IO objects.
+// Slab pool with free-list reuse for the event queue's nodes.
 //
-// The discrete-event kernel allocates one node per scheduled event and the
-// I/O path one record per in-flight request; at 10M+ events/sec a general
-// malloc/free per object dominates the profile. SlabPool hands out slots
-// from fixed-size slabs and recycles freed slots LIFO (hot slots stay in
-// cache). Slabs are never moved or freed until the pool is destroyed, so
-// raw pointers into the pool stay valid across growth — the event queue
-// relies on this to run callbacks in place.
+// The discrete-event kernel allocates one node per scheduled event; at 10M+
+// events/sec a general malloc/free per event dominates the profile. The
+// event queue (src/sim/event_queue.h) is the pool's only user. SlabPool
+// hands out slots from fixed-size slabs and recycles freed slots LIFO (hot
+// slots stay in cache). Slabs are never moved or freed until the pool is
+// destroyed, so raw pointers into the pool stay valid across growth — the
+// event queue relies on this to run callbacks in place.
 #ifndef MSTK_SRC_SIM_POOL_H_
 #define MSTK_SRC_SIM_POOL_H_
 

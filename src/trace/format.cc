@@ -29,9 +29,15 @@ void AppendRecordLine(std::string* out, const TraceRecord& r) {
 }
 
 // Parses a base-10 int64 token starting at `*pos`; advances past it. Returns
-// false on empty/overflowing/non-numeric tokens.
+// false on empty/overflowing/non-numeric tokens. The token starts with a
+// digit, or with '-' and a digit: strtoll alone would also skip leading
+// whitespace (\v, \f and \r among it) and accept a '+'.
 bool ParseInt(const std::string& line, size_t* pos, int64_t* value) {
   const char* begin = line.c_str() + *pos;
+  const char first_digit = *begin == '-' ? begin[1] : *begin;
+  if (first_digit < '0' || first_digit > '9') {
+    return false;
+  }
   char* end = nullptr;
   errno = 0;
   const long long v = std::strtoll(begin, &end, 10);

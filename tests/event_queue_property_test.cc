@@ -1,9 +1,9 @@
-// Property tests for the EventQueue: the calendar queue must be
-// observationally identical to a binary-heap reference under arbitrary
-// push/fire churn — the same events fire in the same (time, seq) order, and
-// the sizes agree. Every callback records its insertion index when it
-// fires, so the check compares which event fired, not just when.
-// Deterministic sweep output rests on this order.
+// Property tests for the EventQueue: its two lanes (a sorted FIFO and an
+// in-flight heap) must be observationally identical to a binary-heap
+// reference under arbitrary push/fire churn — the same events fire in the
+// same (time, seq) order, and the sizes agree. Every callback records its
+// insertion index when it fires, so the check compares which event fired,
+// not just when. Deterministic sweep output rests on this order.
 #include "src/sim/event_queue.h"
 
 #include <gtest/gtest.h>
@@ -39,7 +39,7 @@ class HeapQueue {
   int64_t next_index_ = 0;
 };
 
-// Drives the calendar queue and the reference in lockstep. Every event runs
+// Drives the event queue and the reference in lockstep. Every event runs
 // OnFire() — which may push more events from inside FireNext — and only then
 // records its own insertion index, read from its capture.
 class Lockstep {
@@ -59,7 +59,7 @@ class Lockstep {
     ASSERT_EQ(cal_.size(), heap_.size());
   }
 
-  // Fires the next event of the calendar and pops the reference: both must
+  // Fires the next event of the queue and pops the reference: both must
   // agree on the time and on which event fired.
   void FireNext() {
     ASSERT_EQ(cal_.PeekTime(), heap_.PeekTime());
@@ -130,8 +130,8 @@ TEST(EventQueueEquivalenceTest, RandomChurnHeavyTies) {
 }
 
 TEST(EventQueueEquivalenceTest, EqualTimeOrderIsInsertionOrderAfterResizes) {
-  // Push enough coincident events to force several calendar resizes; FIFO
-  // order among equal times must survive every re-thread.
+  // Many coincident events all join the sorted lane (each ties its tail);
+  // FIFO order among equal times must hold across the whole chain.
   constexpr int kN = 5000;
   Lockstep queues;
   for (int i = 0; i < kN; ++i) {
@@ -146,9 +146,9 @@ TEST(EventQueueEquivalenceTest, EqualTimeOrderIsInsertionOrderAfterResizes) {
 
 TEST(EventQueueEquivalenceTest, InterleavedOpenLoopPatternMatches) {
   // The experiment-runner shape: a large preloaded arrival population with
-  // short-lived completions scheduled after each fire. Exercises the
-  // calendar resize path (grow during preload, shrink during drain) against
-  // the heap.
+  // short-lived completions scheduled after each fire. The arrivals fill
+  // the sorted lane; the completions land in the heap while arrivals are
+  // pending, and in the lane once the last arrival has fired.
   constexpr int kArrivals = 20000;
   Lockstep queues;
   double t = 0.0;
@@ -162,19 +162,77 @@ TEST(EventQueueEquivalenceTest, InterleavedOpenLoopPatternMatches) {
   while (!queues.Empty()) {
     ASSERT_NO_FATAL_FAILURE(queues.FireNext()) << "at fire " << fired;
     // Every third fire models a dispatch: schedule a completion slightly
-    // ahead, which lands near the calendar's current bucket cursor.
+    // ahead, which ties or interleaves with the next pending arrivals.
     if (++fired % 3 == 0) {
       ASSERT_NO_FATAL_FAILURE(queues.Push(queues.now() + 0.05));
     }
   }
 }
 
+TEST(EventQueueLaneTest, PushesLandInBothLanesAndFireInOrder) {
+  // The first push opens the sorted lane; a push at or after the lane's
+  // tail joins it, and an earlier one goes to the heap. Insertion index,
+  // time and lane:
+  //   0: 1.0 lane   1: 4.0 lane   2: 4.0 lane (ties the tail)
+  //   3: 2.0 heap   4: 1.0 heap (ties the lane head, later seq)
+  //   5: 0.5 heap (earlier than the lane head)
+  EventQueue q;
+  std::vector<int> fired;
+  std::vector<TimeMs> times;
+  const auto push = [&q, &fired](TimeMs at_ms, int index) {
+    q.Push(at_ms, [&fired, index] { fired.push_back(index); });
+  };
+  push(1.0, 0);
+  push(4.0, 1);
+  push(4.0, 2);
+  push(2.0, 3);
+  push(1.0, 4);
+  EXPECT_EQ(q.PeekTime(), 1.0);
+  push(0.5, 5);
+  EXPECT_EQ(q.PeekTime(), 0.5);
+  TimeMs now = 0.0;
+  for (int i = 0; i < 3; ++i) {  // 5 from the heap, then the 1.0 tie: lane first
+    q.FireNext(&now);
+    times.push_back(now);
+  }
+  EXPECT_EQ(q.PeekTime(), 2.0);
+  push(4.0, 6);  // ties the lane's tail again: lane, after 1 and 2
+  push(3.0, 7);  // heap, between 3 and the lane head
+  EXPECT_EQ(q.size(), 5);
+  while (!q.Empty()) {
+    q.FireNext(&now);
+    times.push_back(now);
+  }
+  EXPECT_EQ(fired, (std::vector<int>{5, 0, 4, 3, 7, 1, 2, 6}));
+  EXPECT_EQ(times, (std::vector<TimeMs>{0.5, 1.0, 1.0, 2.0, 3.0, 4.0, 4.0, 4.0}));
+}
+
+TEST(EventQueueEquivalenceTest, DescendingPreloadDrainsFromTheHeap) {
+  // Every push after the first is earlier than the lane's one node, so the
+  // whole preload lands in the heap. Times come in equal pairs, so the
+  // heap's own seq tiebreak decides half the order. Each fire also pushes a
+  // completion shortly ahead, which lands in the heap too.
+  constexpr int kN = 5000;
+  Lockstep queues;
+  for (int i = kN; i > 0; --i) {
+    ASSERT_NO_FATAL_FAILURE(queues.Push(static_cast<double>(i / 2)));
+  }
+  int fired = 0;
+  while (!queues.Empty()) {
+    ASSERT_NO_FATAL_FAILURE(queues.FireNext()) << "at fire " << fired;
+    if (++fired <= kN) {
+      ASSERT_NO_FATAL_FAILURE(queues.Push(queues.now() + 1.0));
+    }
+  }
+  EXPECT_EQ(fired, 2 * kN);
+}
+
 // Each firing callback schedules 0-40 more events before it records itself.
 // The population swings between kLow and kHigh: in the growing phase every
-// callback schedules a uniform 0-40 children, so the calendar grows inside
-// callbacks; in the draining phase only one callback in 50 does, so it
-// shrinks after them. One delay in eight is zero, so children also tie with
-// the event that schedules them.
+// callback schedules a uniform 0-40 children, so both lanes fill from inside
+// callbacks; in the draining phase only one callback in 50 does, so the
+// lanes drain between them. One delay in eight is zero, so children also tie
+// with the event that schedules them.
 class NestedPushes : public Lockstep {
  public:
   static constexpr int64_t kLow = 50;

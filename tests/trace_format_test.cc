@@ -102,6 +102,14 @@ TEST(TraceFormatTest, ParserRejectionSuite) {
       {"hex lba", "MSTKTRACE 1\n0 0x10 8 R 0\n", "malformed lba"},
       {"suffix on blocks", "MSTKTRACE 1\n0 8 4x R 0\n", "malformed blocks"},
       {"suffix on op", "MSTKTRACE 1\n0 8 4 RW 0\n", "malformed op"},
+      // A numeric field starts with a digit, or with '-' and a digit: no
+      // '+', and no whitespace but the spaces and tabs between fields.
+      {"signed version", "MSTKTRACE +1\n", "malformed version"},
+      {"signed timestamp", "MSTKTRACE 1\n+0 8 4 R 0\n", "malformed timestamp_us"},
+      {"signed lba", "MSTKTRACE 1\n0 +8 4 R 0\n", "malformed lba"},
+      {"signed blocks", "MSTKTRACE 1\n0 8 +4 R 0\n", "malformed blocks"},
+      {"signed client", "MSTKTRACE 1\n0 8 4 R +0\n", "malformed client"},
+      {"vertical tab before lba", "MSTKTRACE 1\n0 \v8 4 R 0\n", "malformed lba"},
   };
   for (const RejectCase& c : kCases) {
     ParsedTrace parsed;
@@ -187,6 +195,7 @@ TEST(TraceTest, ReadRejectsBadRecords) {
       {"DiskSim runs backwards", "0.2 0 8 4 1\n0.1 0 8 4 1\n", "line 2: timestamp_us runs back"},
       {"non-hex DiskSim flags", "0 0 8 4 1\n0.1 0 8 4 1g\n", "line 2: malformed DiskSim"},
       {"signed DiskSim flags", "0 0 8 4 -1\n", "line 1: malformed DiskSim"},
+      {"signed DiskSim blkno", "0 0 +8 4 1\n", "line 1: malformed DiskSim"},
       {"filtered device runs backwards", "0.2 0 8 4 1\n0.1 1 8 4 1\n", "line 2: timestamp_us"},
       {"ASCII runs backwards", "5 R 8 4\n4.9 W 8 4\n", "line 2: timestamp_us runs backwards"},
       {"oversized blocks", "0 R 8 1048577\n", "line 1: out-of-range blocks"},
