@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
     SummaryStats fg_response;
     SampleSet fg_samples;
     driver.AddCompletionListener([&](const Request& req, TimeMs now) {
-      if (req.id < (1LL << 40)) {
+      if (!req.background) {
         fg_response.Add(now - req.arrival_ms);
         fg_samples.Add(now - req.arrival_ms);
       }

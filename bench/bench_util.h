@@ -57,18 +57,23 @@ namespace mstk {
 
 // Strict numeric arguments for every CLI: the whole argument must parse, and
 // out-of-range values fail rather than wrap or reach a library precondition.
+// An argument starts with a digit. No caller's range holds a negative value,
+// so none needs the sign or the leading whitespace that strtoll and strtod
+// would also take.
 inline bool ParseWhole(const char* arg, int64_t lo, int64_t hi, int64_t* value) {
+  if (arg[0] < '0' || arg[0] > '9') return false;
   char* end = nullptr;
   errno = 0;
   *value = std::strtoll(arg, &end, 10);
-  return end != arg && *end == '\0' && errno != ERANGE && *value >= lo && *value <= hi;
+  return *end == '\0' && errno != ERANGE && *value >= lo && *value <= hi;
 }
 
-// A finite real in [lo, hi].
+// A finite real in [lo, hi], in decimal: strtod's hex spelling fails.
 inline bool ParseReal(const char* arg, double lo, double hi, double* value) {
+  if (arg[0] < '0' || arg[0] > '9' || std::strpbrk(arg, "xX") != nullptr) return false;
   char* end = nullptr;
   *value = std::strtod(arg, &end);
-  return end != arg && *end == '\0' && std::isfinite(*value) && *value >= lo && *value <= hi;
+  return *end == '\0' && std::isfinite(*value) && *value >= lo && *value <= hi;
 }
 
 inline bool ParsePositive(const char* arg, double* value) {
@@ -303,9 +308,9 @@ inline SchedulingCell RunSchedulingCell(StorageDevice* device, IoScheduler* sche
 // ---------------------------------------------------------------------------
 // Self-contained trial bodies for the multi-trial scheduling figures. Each
 // call owns its device, scheduler, and event queue, so trials are safe to
-// fan out across a ThreadPool; randomness comes only from `seed`. Shared by
-// fig6/fig7 and tools/mstk_sweep so the sweep artifacts measure exactly the
-// figure cells.
+// fan out across TrialRunner's threads; randomness comes only from `seed`.
+// Shared by fig6/fig7 and tools/mstk_sweep so the sweep artifacts measure
+// exactly the figure cells.
 
 enum class SchedKind { kFcfs, kSstfLbn, kClook, kSptf };
 

@@ -1,11 +1,8 @@
 // Per-run metrics collection: the measurements Figs 5-8 report.
 //
-// Recording is buffered: the driver's hot path appends to struct-of-arrays
-// columns (one contiguous double per measurement) and the Welford summaries
-// are folded in lazily, column by column, the first time a reader asks.
-// Each summary sees its values in exactly the order the un-buffered
-// collector fed them, so every derived statistic is bit-identical to
-// immediate recording — batching changes cache behavior, never results.
+// Each dispatch and completion is folded into its Welford summaries, and
+// each response into the exact sample set, as it is recorded, so every
+// reader sees every record so far.
 #ifndef MSTK_SRC_CORE_METRICS_H_
 #define MSTK_SRC_CORE_METRICS_H_
 
@@ -46,43 +43,23 @@ class MetricsCollector {
                         const PhaseBreakdown& phases);
 
   // Response time = queue time + service time (the Fig 5a/6a metric).
-  const SummaryStats& response_time() const {
-    Flush();
-    return response_time_;
-  }
+  const SummaryStats& response_time() const { return response_time_; }
   // Service time alone.
-  const SummaryStats& service_time() const {
-    Flush();
-    return service_time_;
-  }
+  const SummaryStats& service_time() const { return service_time_; }
   // Queue time alone.
-  const SummaryStats& queue_time() const {
-    Flush();
-    return queue_time_;
-  }
+  const SummaryStats& queue_time() const { return queue_time_; }
   // Queue depth observed at each dispatch.
-  const SummaryStats& queue_depth() const {
-    Flush();
-    return queue_depth_;
-  }
+  const SummaryStats& queue_depth() const { return queue_depth_; }
   // Per-phase time across completed requests (ms per request).
-  const SummaryStats& phase(Phase p) const {
-    Flush();
-    return phase_stats_[static_cast<int>(p)];
-  }
+  const SummaryStats& phase(Phase p) const { return phase_stats_[static_cast<int>(p)]; }
 
   // sigma^2/mu^2 of response time (the Fig 5b/6b starvation metric).
-  double ResponseScv() const {
-    return response_time().SquaredCoefficientOfVariation();
-  }
+  double ResponseScv() const { return response_time_.SquaredCoefficientOfVariation(); }
 
   // Exact response-time quantile (e.g. 0.99 for tail latency).
-  double ResponseQuantile(double q) {
-    Flush();
-    return response_samples_.Quantile(q);
-  }
+  double ResponseQuantile(double q) { return response_samples_.Quantile(q); }
 
-  int64_t completed() const { return response_time().count(); }
+  int64_t completed() const { return response_time_.count(); }
   TimeMs last_completion_ms() const { return last_completion_ms_; }
 
   // Fault-recovery accounting. The driver writes through the mutable
@@ -97,38 +74,12 @@ class MetricsCollector {
   void set_exclude_background(bool exclude) { exclude_background_ = exclude; }
 
  private:
-  // Records buffered per column before a drain. The columns are fixed
-  // inline arrays (12 KiB total): recording is a plain indexed store per
-  // measurement — no capacity checks, no allocation — and a full chunk is
-  // drained with one cache-resident pass per column. Flush points depend
-  // only on the record stream, never on when readers happen to look, so
-  // results don't depend on observation.
-  static constexpr int kFlushChunk = 128;
-
-  // Folds every buffered column into its summary. Const because readers
-  // trigger it from const accessors; buffers and summaries are mutable.
-  void Flush() const;
-
-  // Struct-of-arrays record buffers, appended on the hot path. The three
-  // record streams (dispatches, completions, phase rows) advance their own
-  // counters — the four-argument RecordCompletion is the only phase-row
-  // producer — so mixed three-/four-argument streams still flush every
-  // summary in its own exact record order.
-  mutable double pending_queue_ms_[kFlushChunk];
-  mutable double pending_queue_depth_[kFlushChunk];
-  mutable double pending_response_ms_[kFlushChunk];
-  mutable double pending_service_ms_[kFlushChunk];
-  mutable double pending_phase_ms_[kPhaseCount][kFlushChunk];
-  mutable int pending_dispatches_ = 0;
-  mutable int pending_completions_ = 0;
-  mutable int pending_phase_rows_ = 0;
-
-  mutable SummaryStats response_time_;
-  mutable SummaryStats service_time_;
-  mutable SummaryStats queue_time_;
-  mutable SummaryStats queue_depth_;
-  mutable SummaryStats phase_stats_[kPhaseCount];
-  mutable SampleSet response_samples_;
+  SummaryStats response_time_;
+  SummaryStats service_time_;
+  SummaryStats queue_time_;
+  SummaryStats queue_depth_;
+  SummaryStats phase_stats_[kPhaseCount];
+  SampleSet response_samples_;
   TimeMs last_completion_ms_ = 0.0;
   FaultCounters fault_;
   bool exclude_background_ = false;

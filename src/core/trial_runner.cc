@@ -1,11 +1,12 @@
 #include "src/core/trial_runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <future>
+#include <exception>
+#include <thread>
 
 #include "src/sim/check.h"
-#include "src/sim/thread_pool.h"
 
 namespace mstk {
 
@@ -135,27 +136,42 @@ void AggregateResult::AppendJson(JsonWriter& json) const {
 AggregateResult TrialRunner::Run(const Options& options,
                                  const std::function<TrialMetrics(uint64_t, int64_t)>& fn) {
   MSTK_CHECK(options.trials >= 1, "TrialRunner: need at least one trial");
-  const int jobs = options.jobs > 0 ? options.jobs : ThreadPool::DefaultThreadCount();
+  const int jobs = options.jobs > 0
+                       ? options.jobs
+                       : std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 
   AggregateResult agg;
   agg.base_seed = options.base_seed;
   agg.trials = options.trials;
   agg.per_trial.resize(static_cast<size_t>(options.trials));
 
-  // One result slot per trial index: workers may finish in any order, but
-  // each writes only its own slot and aggregation below reads in index
-  // order, which is what makes the output schedule-independent.
+  // One result slot and one exception slot per trial index: threads take
+  // indices from a shared counter and finish in any order, but each trial
+  // writes only its own slots and everything below reads in index order,
+  // which is what makes the output schedule-independent. A throwing trial
+  // stops no other: every trial runs, then the lowest index's exception
+  // leaves Run().
+  std::vector<std::exception_ptr> errors(static_cast<size_t>(options.trials));
   {
-    ThreadPool pool(static_cast<int>(std::min<int64_t>(jobs, options.trials)));
-    std::vector<std::future<TrialMetrics>> futures;
-    futures.reserve(static_cast<size_t>(options.trials));
-    for (int64_t t = 0; t < options.trials; ++t) {
-      const uint64_t seed = DeriveTrialSeed(options.base_seed, t);
-      futures.push_back(pool.Submit([&fn, seed, t] { return fn(seed, t); }));
+    std::atomic<int64_t> next_trial{0};
+    const auto run_trials = [&] {
+      for (int64_t t = next_trial++; t < options.trials; t = next_trial++) {
+        try {
+          agg.per_trial[static_cast<size_t>(t)] = fn(DeriveTrialSeed(options.base_seed, t), t);
+        } catch (...) {
+          errors[static_cast<size_t>(t)] = std::current_exception();
+        }
+      }
+    };
+    // Each jthread joins as it leaves this scope, also when starting a
+    // later one throws.
+    std::vector<std::jthread> threads;
+    for (int64_t j = std::min<int64_t>(jobs, options.trials); j > 0; --j) {
+      threads.emplace_back(run_trials);
     }
-    for (int64_t t = 0; t < options.trials; ++t) {
-      agg.per_trial[static_cast<size_t>(t)] = futures[static_cast<size_t>(t)].get();
-    }
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
 
   const TrialMetrics& first = agg.per_trial.front();

@@ -1,13 +1,14 @@
 // Parallel multi-trial experiment engine.
 //
 // Every figure in the paper is a mean over many simulated request streams.
-// TrialRunner fans N independent trials out across a fixed-size ThreadPool:
-// each trial owns its own device, scheduler, and event queue (the trial
-// callback constructs them), and draws randomness only from a per-trial RNG
-// seed derived with a splitmix64 mix of (base_seed, trial_index). Results
-// are collected into a slot per trial index and aggregated in index order,
-// so the output is bit-identical regardless of worker count or OS thread
-// schedule — `--jobs 1` and `--jobs 8` produce byte-identical JSON.
+// TrialRunner fans N independent trials out across `jobs` plain threads,
+// which take trial indices from one shared counter: each trial owns its own
+// device, scheduler, and event queue (the trial callback constructs them),
+// and draws randomness only from a per-trial RNG seed derived with a
+// splitmix64 mix of (base_seed, trial_index). Results are collected into a
+// slot per trial index and aggregated in index order, so the output is
+// bit-identical regardless of thread count or OS thread schedule —
+// `--jobs 1` and `--jobs 8` produce byte-identical JSON.
 #ifndef MSTK_SRC_CORE_TRIAL_RUNNER_H_
 #define MSTK_SRC_CORE_TRIAL_RUNNER_H_
 
@@ -85,11 +86,12 @@ class TrialRunner {
     uint64_t base_seed = 1;
   };
 
-  // Runs `fn(trial_seed, trial_index)` for every index in [0, trials) on a
-  // pool of `jobs` workers and aggregates in index order. `fn` must be
+  // Runs `fn(trial_seed, trial_index)` for every index in [0, trials) on
+  // min(jobs, trials) threads and aggregates in index order. `fn` must be
   // thread-safe with respect to other trials (own its device/scheduler/
-  // queue) and deterministic in its arguments. A throwing trial propagates
-  // out of Run() after all workers finish.
+  // queue) and deterministic in its arguments. A throwing trial stops no
+  // other: once every trial has run, the exception of the lowest throwing
+  // index propagates out of Run().
   static AggregateResult Run(const Options& options,
                              const std::function<TrialMetrics(uint64_t, int64_t)>& fn);
 

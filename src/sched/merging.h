@@ -33,17 +33,13 @@ class MergingScheduler : public IoScheduler {
   int64_t merges() const { return merges_; }
 
  private:
-  // Pending requests staged for merging, keyed by start LBN. Requests move
-  // to the inner scheduler lazily on Pop, which gives arrivals the longest
-  // window to coalesce (a simple "plugging" model).
-  struct Staged {
-    Request req;
-  };
-
   void FlushToInner();
 
   IoScheduler* inner_;
   int32_t max_merged_blocks_;
+  // Pending requests staged for merging, keyed by start LBN. Requests move
+  // to the inner scheduler lazily on Pop, which gives arrivals the longest
+  // window to coalesce (a simple "plugging" model).
   std::map<int64_t, Request> staged_;
   std::map<int64_t, int64_t> by_end_;  // end LBN (exclusive) -> start LBN
   int64_t merges_ = 0;

@@ -12,10 +12,8 @@ namespace mstk {
 // Numerically stable running summary (Welford's algorithm).
 class SummaryStats {
  public:
-  // Inline so callers folding several summaries in one loop (the batched
-  // metrics flush) can overlap the independent update chains; each Add's
-  // mean update is serial through a divide, so cross-summary ILP is the
-  // only parallelism available.
+  // Inline: the metrics collector calls it for several summaries per
+  // recorded request, on the driver's hot path.
   void Add(double x) {
     ++count_;
     const double delta = x - mean_;
@@ -23,13 +21,6 @@ class SummaryStats {
     m2_ += delta * (x - mean_);
     min_ = std::min(min_, x);
     max_ = std::max(max_, x);
-  }
-
-  // Adds `values[0..n)` in order. Bit-identical to n calls of Add().
-  void AddBatch(const double* values, int64_t n) {
-    for (int64_t i = 0; i < n; ++i) {
-      Add(values[i]);
-    }
   }
 
   int64_t count() const { return count_; }
@@ -57,10 +48,6 @@ class SampleSet {
  public:
   void Add(double x) {
     samples_.push_back(x);
-    sorted_ = false;
-  }
-  void AddBatch(const double* values, int64_t n) {
-    samples_.insert(samples_.end(), values, values + n);
     sorted_ = false;
   }
   int64_t count() const { return static_cast<int64_t>(samples_.size()); }

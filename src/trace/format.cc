@@ -28,20 +28,23 @@ void AppendRecordLine(std::string* out, const TraceRecord& r) {
   out->append(buf);
 }
 
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
 // Parses a base-10 int64 token starting at `*pos`; advances past it. Returns
-// false on empty/overflowing/non-numeric tokens. The token starts with a
-// digit, or with '-' and a digit: strtoll alone would also skip leading
-// whitespace (\v, \f and \r among it) and accept a '+'.
+// false on empty/overflowing/non-numeric tokens. The token is spelled as the
+// writer spells it: "0", or an optional '-' and a nonzero digit, then digits.
+// strtoll alone would also skip leading whitespace (\v, \f and \r among
+// it), accept a '+', and take leading zeros and "-0".
 bool ParseInt(const std::string& line, size_t* pos, int64_t* value) {
   const char* begin = line.c_str() + *pos;
-  const char first_digit = *begin == '-' ? begin[1] : *begin;
-  if (first_digit < '0' || first_digit > '9') {
+  const char* digits = *begin == '-' ? begin + 1 : begin;
+  if (!IsDigit(digits[0]) || (digits[0] == '0' && (digits != begin || IsDigit(digits[1])))) {
     return false;
   }
   char* end = nullptr;
   errno = 0;
   const long long v = std::strtoll(begin, &end, 10);
-  if (end == begin || errno == ERANGE) {
+  if (errno == ERANGE) {
     return false;
   }
   *value = static_cast<int64_t>(v);
@@ -82,10 +85,16 @@ bool ParseToken(const std::string& token, int64_t* value) {
   return ParseInt(token, &pos, value) && pos == token.size();
 }
 
+// A decimal arrival: it starts with a digit, or with '-' and a digit, so
+// strtod's '+', hex, inf and nan spellings fail.
 bool ParseToken(const std::string& token, double* value) {
+  if (!IsDigit(token[0] == '-' ? token[1] : token[0]) ||
+      token.find_first_of("xX") != std::string::npos) {
+    return false;
+  }
   char* end = nullptr;
   *value = std::strtod(token.c_str(), &end);
-  return end != token.c_str() && *end == '\0';
+  return *end == '\0';
 }
 
 // A DiskSim flags field: an unsigned hex bitfield such as "1a". Tokens hold
@@ -230,27 +239,13 @@ bool ParseTrace(const std::string& bytes, ParsedTrace* out, std::string* error) 
       return Fail(error, "trailing garbage after client field", line_no, out);
     }
 
-    if (record.timestamp_us < 0) {
-      return Fail(error, "negative timestamp_us", line_no, out);
+    // Narrow so that out-of-int32 values fail RecordError's range checks
+    // rather than wrap into range.
+    record.blocks = static_cast<int32_t>(std::clamp<int64_t>(blocks64, 0, INT32_MAX));
+    record.client = client64 >= 0 && client64 <= INT32_MAX ? static_cast<int32_t>(client64) : -1;
+    if (const char* reason = RecordError(record, last_timestamp_us)) {
+      return Fail(error, reason, line_no, out);
     }
-    if (record.timestamp_us < last_timestamp_us) {
-      return Fail(error, "timestamp_us runs backwards (trace must be arrival-sorted)", line_no,
-                  out);
-    }
-    if (record.lba < 0) {
-      return Fail(error, "out-of-range lba (must be >= 0)", line_no, out);
-    }
-    if (blocks64 <= 0 || blocks64 > kMaxRecordBlocks) {
-      return Fail(error, "out-of-range blocks (must be in [1, 2^20])", line_no, out);
-    }
-    if (record.lba > INT64_MAX - blocks64) {
-      return Fail(error, "out-of-range lba + blocks (end overflows int64)", line_no, out);
-    }
-    if (client64 < 0 || client64 > INT32_MAX) {
-      return Fail(error, "out-of-range client id", line_no, out);
-    }
-    record.blocks = static_cast<int32_t>(blocks64);
-    record.client = static_cast<int32_t>(client64);
     last_timestamp_us = record.timestamp_us;
     out->records.push_back(record);
   }

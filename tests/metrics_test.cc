@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "src/core/experiment.h"
+#include "src/sim/rng.h"
+#include "src/sim/stats.h"
 #include "src/sim/units.h"
 
 namespace mstk {
@@ -110,6 +115,112 @@ TEST(MetricsTest, PhaseSummariesTrackBreakdowns) {
   m.RecordCompletion(req, 30.0, 1.0);
   EXPECT_EQ(m.phase(Phase::kSeekX).count(), 2);
   EXPECT_EQ(m.completed(), 3);
+}
+
+// The collector's contract, folded by hand: every summary sees its values
+// in record order, excluded background requests feed only the rebuild
+// counters, and the three-argument completion records no phases.
+struct ReferenceFold {
+  bool exclude_background = false;
+  SummaryStats response, service, queue, depth, phase[kPhaseCount];
+  SampleSet samples;
+  int64_t rebuild_ios = 0;
+  TimeMs rebuild_ms = 0.0;
+  TimeMs last_completion_ms = 0.0;
+
+  void Dispatch(const Request& req, TimeMs now_ms, int64_t queue_depth) {
+    if (exclude_background && req.background) return;
+    queue.Add(now_ms - req.arrival_ms);
+    depth.Add(static_cast<double>(queue_depth));
+  }
+  void Complete(const Request& req, TimeMs now_ms, TimeMs service_ms,
+                const PhaseBreakdown* phases) {
+    if (req.background) {
+      ++rebuild_ios;
+      rebuild_ms += service_ms;
+      if (exclude_background) return;
+    }
+    response.Add(now_ms - req.arrival_ms);
+    samples.Add(now_ms - req.arrival_ms);
+    service.Add(service_ms);
+    last_completion_ms = now_ms;
+    for (int i = 0; phases != nullptr && i < kPhaseCount; ++i) {
+      phase[i].Add(phases->phase_ms[i]);
+    }
+  }
+};
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+void ExpectSameSummary(const SummaryStats& got, const SummaryStats& want, const char* what,
+                       int record) {
+  EXPECT_EQ(got.count(), want.count()) << what << " after record " << record;
+  EXPECT_EQ(Bits(got.mean()), Bits(want.mean())) << what << " after record " << record;
+  EXPECT_EQ(Bits(got.variance()), Bits(want.variance())) << what << " after record " << record;
+  EXPECT_EQ(Bits(got.min()), Bits(want.min())) << what << " after record " << record;
+  EXPECT_EQ(Bits(got.max()), Bits(want.max())) << what << " after record " << record;
+}
+
+void ExpectSameFold(MetricsCollector& m, ReferenceFold& ref, int record) {
+  ExpectSameSummary(m.response_time(), ref.response, "response", record);
+  ExpectSameSummary(m.service_time(), ref.service, "service", record);
+  ExpectSameSummary(m.queue_time(), ref.queue, "queue", record);
+  ExpectSameSummary(m.queue_depth(), ref.depth, "queue depth", record);
+  for (int i = 0; i < kPhaseCount; ++i) {
+    ExpectSameSummary(m.phase(static_cast<Phase>(i)), ref.phase[i],
+                      PhaseName(static_cast<Phase>(i)), record);
+  }
+  EXPECT_EQ(Bits(m.ResponseScv()), Bits(ref.response.SquaredCoefficientOfVariation()));
+  if (ref.samples.count() > 0) {
+    for (const double q : {0.5, 0.99, 0.999}) {
+      EXPECT_EQ(Bits(m.ResponseQuantile(q)), Bits(ref.samples.Quantile(q)))
+          << "quantile " << q << " after record " << record;
+    }
+  }
+  EXPECT_EQ(m.completed(), ref.response.count()) << "after record " << record;
+  EXPECT_EQ(Bits(m.last_completion_ms()), Bits(ref.last_completion_ms)) << record;
+  EXPECT_EQ(m.fault().rebuild_ios, ref.rebuild_ios) << "after record " << record;
+  EXPECT_EQ(Bits(m.fault().rebuild_ms), Bits(ref.rebuild_ms)) << "after record " << record;
+}
+
+TEST(MetricsTest, MatchesAReferenceFold) {
+  for (const bool exclude : {false, true}) {
+    SCOPED_TRACE(exclude ? "background excluded" : "background counted");
+    MetricsCollector m;
+    m.set_exclude_background(exclude);
+    ReferenceFold ref;
+    ref.exclude_background = exclude;
+    Rng rng(2026);
+    TimeMs now_ms = 0.0;
+    constexpr int kRecords = 1000;
+    for (int record = 1; record <= kRecords; ++record) {
+      now_ms += rng.Exponential(1.0);
+      Request req;
+      req.arrival_ms = now_ms - rng.Uniform(0.0, 20.0);
+      req.background = rng.Bernoulli(0.25);
+      const TimeMs service_ms = rng.Uniform(0.1, 5.0);
+      switch (rng.UniformInt(3)) {
+        case 0: {
+          const int64_t queue_depth = rng.UniformInt(32);
+          m.RecordDispatch(req, now_ms, queue_depth);
+          ref.Dispatch(req, now_ms, queue_depth);
+          break;
+        }
+        case 1:
+          m.RecordCompletion(req, now_ms, service_ms);
+          ref.Complete(req, now_ms, service_ms, nullptr);
+          break;
+        default: {
+          PhaseBreakdown phases;
+          for (TimeMs& ms : phases.phase_ms) ms = rng.Uniform(0.0, 2.0);
+          m.RecordCompletion(req, now_ms, service_ms, phases);
+          ref.Complete(req, now_ms, service_ms, &phases);
+          break;
+        }
+      }
+      if (record % 97 == 0 || record == kRecords) ExpectSameFold(m, ref, record);
+    }
+  }
 }
 
 }  // namespace

@@ -43,7 +43,10 @@ def main():
                      ["--trials", "100001"], ["--jobs", "-1"], ["--jobs", "4.5"],
                      ["--jobs", "1025"], ["--jobs", "99999999999"], ["--seed", "-5"],
                      ["--seed", "1e3"], ["--seed", "18446744073709551615"], ["--seed"],
-                     ["--selfcheck"]):
+                     ["--selfcheck"],
+                     # A number starts with a digit: strtoll alone would
+                     # take a sign and leading whitespace.
+                     ["--trials", "+2"], ["--trials", " 2"]):
             rc, _, err = run(SWEEP, "smoke", "--json", bad, *args)
             check("mstk_sweep %s: usage, exit 2" % " ".join(args),
                   rc == 2 and "usage:" in err, "rc=%d %s" % (rc, err))
@@ -60,6 +63,10 @@ def main():
                 ("fault_tolerance", ["--fault-rate", "1.5"]),
                 ("fault_tolerance", ["--fault-rate", "-0.1"]),
                 ("fault_tolerance", ["--fault-rate", "nan"]),
+                ("fault_tolerance", ["--fast", "--fault-rate", "+0.5"]),
+                ("fault_tolerance", ["--fast", "--fault-rate", "0x1p-4"]),
+                ("fault_tolerance", ["--fast", "--fault-rate", " 0.5"]),
+                ("fig6_mems_scheduling", ["--fast", "--seed", "+1"]),
                 ("trace_replay", ["--clients", "0"]),
                 ("trace_replay", ["--clients", "3x"]),
                 # Past BenchOptions::kMaxClients: the multiplied trace

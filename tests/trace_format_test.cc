@@ -110,6 +110,17 @@ TEST(TraceFormatTest, ParserRejectionSuite) {
       {"signed blocks", "MSTKTRACE 1\n0 8 +4 R 0\n", "malformed blocks"},
       {"signed client", "MSTKTRACE 1\n0 8 4 R +0\n", "malformed client"},
       {"vertical tab before lba", "MSTKTRACE 1\n0 \v8 4 R 0\n", "malformed lba"},
+      // ... and is spelled as the writer spells it: no leading zeros, no "-0".
+      {"leading zeros in timestamp", "MSTKTRACE 1\n007 8 4 R 0\n", "malformed timestamp_us"},
+      {"negative zero timestamp", "MSTKTRACE 1\n-0 8 4 R 0\n", "malformed timestamp_us"},
+      {"leading zero in lba", "MSTKTRACE 1\n0 08 4 R 0\n", "malformed lba"},
+      {"leading zero in blocks", "MSTKTRACE 1\n0 8 04 R 0\n", "malformed blocks"},
+      {"leading zero in client", "MSTKTRACE 1\n0 8 4 R 00\n", "malformed client"},
+      {"leading zero in version", "MSTKTRACE 01\n", "malformed version"},
+      // Out-of-int32 fields fail their range check rather than wrap into it.
+      {"int32-overflowing client", "MSTKTRACE 1\n0 8 4 R 2147483648\n", "out-of-range client"},
+      {"client wrapping to 0", "MSTKTRACE 1\n0 8 4 R 4294967296\n", "out-of-range client"},
+      {"int32-overflowing blocks", "MSTKTRACE 1\n0 8 4294967297 R 0\n", "out-of-range blocks"},
   };
   for (const RejectCase& c : kCases) {
     ParsedTrace parsed;
@@ -202,7 +213,13 @@ TEST(TraceTest, ReadRejectsBadRecords) {
       {"int32-overflowing blocks", "0 R 8 4294967297\n", "line 1: out-of-range blocks"},
       {"end overflows int64", "0 R 9223372036854775807 8\n", "line 1: out-of-range lba + blocks"},
       {"negative arrival", "-1 R 8 4\n", "line 1: out-of-range arrival"},
-      {"non-finite arrival", "nan R 8 4\n", "line 1: out-of-range arrival"},
+      // An arrival is decimal and starts with a digit or '-'; integer
+      // fields have no leading zeros.
+      {"non-finite arrival", "nan R 8 4\n", "line 1: malformed old mstk ASCII"},
+      {"signed DiskSim arrival", "+0.5 0 8 4 1\n", "line 1: malformed DiskSim"},
+      {"hex DiskSim arrival", "0x1p-1 0 8 4 1\n", "line 1: malformed DiskSim"},
+      {"signed ASCII arrival", "+1 R 8 4\n", "line 1: malformed old mstk ASCII"},
+      {"leading zero in DiskSim blkno", "0 0 08 4 1\n", "line 1: malformed DiskSim"},
   };
   for (const RejectCase& c : kCases) {
     ParsedTrace parsed;

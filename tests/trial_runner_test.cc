@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "src/mems/mems_device.h"
@@ -149,6 +152,65 @@ TEST(TrialRunnerTest, TrialExceptionPropagates) {
                                   return {{"v", 1.0}};
                                 }),
                std::runtime_error);
+}
+
+TEST(TrialRunnerTest, RethrowsTheLowestIndexAfterEveryTrial) {
+  for (const int jobs : {1, 3, 8}) {
+    std::atomic<int> ran{0};
+    std::atomic<bool> trial5_threw{false};
+    TrialRunner::Options opts;
+    opts.trials = 8;
+    opts.jobs = jobs;
+    std::string message;
+    try {
+      TrialRunner::Run(opts, [&](uint64_t, int64_t index) -> TrialMetrics {
+        ++ran;
+        if (index == 2 && jobs >= 2) {
+          // Trial 5 throws first in time, so a runner that rethrows the
+          // first exception it catches fails. The wait is bounded so that a
+          // runner which never starts trial 5 cannot hang the suite; the
+          // pause after it lets trial 5's thread hand its exception over.
+          const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (!trial5_threw && std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+        if (index == 2) throw std::runtime_error("trial 2");
+        if (index == 5) {
+          trial5_threw = true;
+          throw std::runtime_error("trial 5");
+        }
+        return {{"v", 1.0}};
+      });
+    } catch (const std::runtime_error& e) {
+      message = e.what();
+    }
+    EXPECT_EQ(message, "trial 2") << "jobs " << jobs;
+    EXPECT_EQ(ran.load(), 8) << "jobs " << jobs;
+  }
+}
+
+TEST(TrialRunnerTest, RunsEveryTrialOnceAtAnyJobCount) {
+  for (const int jobs : {0, 1, 5, 64}) {
+    std::atomic<int> runs[5] = {};
+    TrialRunner::Options opts;
+    opts.trials = 5;
+    opts.jobs = jobs;
+    opts.base_seed = 3;
+    const AggregateResult agg =
+        TrialRunner::Run(opts, [&runs](uint64_t seed, int64_t index) -> TrialMetrics {
+          ++runs[index];
+          return {{"index", static_cast<double>(index)}, {"seed", static_cast<double>(seed)}};
+        });
+    ASSERT_EQ(agg.per_trial.size(), 5u) << "jobs " << jobs;
+    for (int64_t t = 0; t < 5; ++t) {
+      const TrialMetrics& slot = agg.per_trial[static_cast<size_t>(t)];
+      EXPECT_EQ(runs[t].load(), 1) << "jobs " << jobs << ", trial " << t;
+      EXPECT_EQ(slot[0].second, static_cast<double>(t)) << "jobs " << jobs;
+      EXPECT_EQ(slot[1].second, static_cast<double>(DeriveTrialSeed(3, t))) << "jobs " << jobs;
+    }
+  }
 }
 
 TEST(JsonWriterTest, StableKeyOrderAndEscaping) {

@@ -27,14 +27,7 @@ _D1_PATTERNS = [
 ]
 
 
-def _d1_scope(rel):
-    if not rel.startswith("src/"):
-        return False
-    # The pool itself may touch thread identity to implement workers.
-    return not rel.startswith("src/sim/thread_pool")
-
-
-@rule("D1", "no nondeterminism sources in src/", _d1_scope)
+@rule("D1", "no nondeterminism sources in src/", lambda rel: rel.startswith("src/"))
 def check_d1(sf, ctx):
     del ctx
     for pat, msg in _D1_PATTERNS:
