@@ -9,7 +9,10 @@
 // sled is off every row boundary, so its Y legs all take the full planner;
 // only a run's first dispatch pays that. BM_SledSeekClosedForm and
 // BM_SledPlanRestToRest time the same seeks, so their ratio is what the
-// one-candidate seek saves over Plan.
+// one-candidate seek saves over Plan; BM_MemsKeyLegFloor times the floor
+// SPTF prunes on before it asks for such a seek. BM_MemsDeviceConstruct
+// times building a device once its parameter set's Y-leg master exists,
+// as every device after a process's first does.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -48,6 +51,35 @@ void BM_SledPlanRestToRest(benchmark::State& state) {
 }
 BENCHMARK(BM_SledPlanRestToRest);
 
+// Parks the sled on a row boundary, as after any serviced request.
+void Park(MemsDevice* device) {
+  Request req;
+  req.block_count = 8;
+  (void)device->ServiceRequest(req, 0.0);
+}
+
+// The floor on the key leg from a parked sled to random cylinders.
+void BM_MemsKeyLegFloor(benchmark::State& state) {
+  MemsDevice device;
+  Park(&device);
+  Rng rng(7);
+  const int64_t cylinders = device.params().cylinders();
+  for (auto _ : state) {
+    const auto key = static_cast<int32_t>(rng.UniformInt(cylinders));
+    benchmark::DoNotOptimize(device.KeyLegFloorMs(key));
+  }
+}
+BENCHMARK(BM_MemsKeyLegFloor);
+
+void BM_MemsDeviceConstruct(benchmark::State& state) {
+  const MemsDevice first;  // fills the master
+  for (auto _ : state) {
+    MemsDevice device;
+    benchmark::DoNotOptimize(device.CapacityBlocks());
+  }
+}
+BENCHMARK(BM_MemsDeviceConstruct);
+
 void BM_SledTravelMovingStart(benchmark::State& state) {
   const SledKinematics kin(SledAxisParams{803.6, 50e-6, 0.75});
   Rng rng(2);
@@ -58,13 +90,6 @@ void BM_SledTravelMovingStart(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SledTravelMovingStart);
-
-// Parks the sled on a row boundary, as after any serviced request.
-void Park(MemsDevice* device) {
-  Request req;
-  req.block_count = 8;
-  (void)device->ServiceRequest(req, 0.0);
-}
 
 void BM_MemsServiceRequest4K(benchmark::State& state) {
   MemsDevice device;

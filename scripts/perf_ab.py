@@ -2,14 +2,15 @@
 """Same-runner A/B of the repository benchmark: a base checkout against this one.
 
     scripts/perf_ab.py BASE_DIR [--pairs 10] [--seconds 5] [--first-seed 2]
-                       [--report perf_ab.json]
+                       [--workload NAME ...] [--report perf_ab.json]
 
-For every workload in this checkout's BENCHMARK.json the script runs the
-benchmark command in BASE_DIR (the base) and in this checkout (the head) in
-alternating pairs: pair i runs at seed first-seed + i, and the side that
-runs first flips from pair to pair. Seed 1 is the pinned development seed,
-so pairs start at seed 2 or later. Each tree builds its own benchmark
-binary on first use.
+For every workload in this checkout's BENCHMARK.json, or only those named
+by --workload (in the order given), the script runs the benchmark command
+in BASE_DIR (the base) and in this checkout (the head) in alternating
+pairs: pair i runs at seed first-seed + i, and the side that runs first
+flips from pair to pair. Seed 1 is the pinned development seed, so pairs
+start at seed 2 or later. Each tree builds its own benchmark binary on
+first use.
 
 For each workload and end-to-end metric it prints each side's median and
 quartiles, the head/base ratio of the medians, the head's wins (the
@@ -118,6 +119,8 @@ def main():
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=int, default=5)
     parser.add_argument("--first-seed", type=int, default=2)
+    parser.add_argument("--workload", action="append", metavar="NAME",
+                        help="A/B only this workload (repeatable; default: every one)")
     parser.add_argument("--report", default="perf_ab.json")
     args = parser.parse_args()
     if args.pairs < 1 or args.seconds < 1 or args.first_seed < 2:
@@ -125,11 +128,17 @@ def main():
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         bench = json.load(f)
+    known = [w["name"] for w in bench["workloads"]]
+    unknown = [w for w in args.workload or [] if w not in known]
+    if unknown:
+        parser.error("unknown workload %s (BENCHMARK.json has: %s)"
+                     % (", ".join(unknown), ", ".join(known)))
+    workloads = list(dict.fromkeys(args.workload)) if args.workload else known
     trees = {"base": os.path.abspath(args.base), "head": ROOT}
     report = {"base": trees["base"], "head": trees["head"], "pairs": args.pairs,
               "seconds": args.seconds, "first_seed": args.first_seed, "workloads": {}}
     check_failed = run_failed = False
-    for workload in [w["name"] for w in bench["workloads"]]:
+    for workload in workloads:
         pairs = []
         for i in range(args.pairs):
             seed = args.first_seed + i

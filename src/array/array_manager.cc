@@ -9,46 +9,65 @@
 #include "src/sim/check.h"
 
 namespace mstk {
-namespace {
-
-// Checks every field of a superblock before a manager adopts it, so a
-// corrupt one dies here with the field named, rather than indexing past a
-// device table or tripping a rebuild invariant mid-run.
-void CheckRestorable(const ArraySuperblock& sb, int active_members, int device_count,
-                     int64_t member_extent) {
+const char* RestoreError(const ArraySuperblock& sb, const ArrayManagerConfig& config,
+                         int device_count, int64_t member_extent) {
+  const int active_members = config.active_members;
   const size_t slots = static_cast<size_t>(active_members);
-  MSTK_CHECK(sb.version >= 1, "restored superblock was never written");
-  MSTK_CHECK(sb.slot_to_device.size() == slots, "restored superblock has the wrong slot count");
-  MSTK_CHECK(sb.slot_failed.size() == slots, "restored superblock has the wrong slot_failed size");
-  MSTK_CHECK(sb.device_failed.size() == static_cast<size_t>(device_count),
-             "restored superblock has the wrong device count");
+  if (sb.version < 1) return "restored superblock was never written";
+  if (sb.slot_to_device.size() != slots) return "restored superblock has the wrong slot count";
+  if (sb.slot_failed.size() != slots) return "restored superblock has the wrong slot_failed size";
+  if (sb.device_failed.size() != static_cast<size_t>(device_count)) {
+    return "restored superblock has the wrong device count";
+  }
   // A device has at most one role: active slot, pooled spare or rebuild
   // target.
   std::vector<bool> taken(static_cast<size_t>(device_count), false);
-  const auto take = [&](int d) {
-    MSTK_CHECK(d >= 0 && d < device_count, "restored superblock names a device out of range");
-    MSTK_CHECK(!taken[static_cast<size_t>(d)], "restored superblock gives a device two roles");
+  const auto take = [&](int d) -> const char* {
+    if (d < 0 || d >= device_count) return "restored superblock names a device out of range";
+    if (taken[static_cast<size_t>(d)]) return "restored superblock gives a device two roles";
     taken[static_cast<size_t>(d)] = true;
+    return nullptr;
   };
-  for (const int d : sb.slot_to_device) take(d);
-  for (const int d : sb.spare_pool) take(d);
-  if (sb.state != ArrayState::kRebuilding) {
-    MSTK_CHECK(sb.rebuild_slot == -1 && sb.rebuild_device == -1,
-               "restored superblock has a rebuild target outside kRebuilding");
-    return;
+  for (const int d : sb.slot_to_device) {
+    if (const char* reason = take(d)) return reason;
   }
-  take(sb.rebuild_device);
-  MSTK_CHECK(sb.rebuild_slot >= 0 && sb.rebuild_slot < active_members,
-             "restored superblock's rebuild slot is out of range");
-  MSTK_CHECK(sb.slot_failed[static_cast<size_t>(sb.rebuild_slot)],
-             "restored superblock rebuilds a healthy slot");
+  for (const int d : sb.spare_pool) {
+    if (const char* reason = take(d)) return reason;
+  }
+  switch (sb.state) {
+    case ArrayState::kOptimal:
+    case ArrayState::kDegraded:
+    case ArrayState::kRebuilding:
+    case ArrayState::kResync:
+    case ArrayState::kFailed:
+      break;
+    default:
+      return "restored superblock has a state outside ArrayState";
+  }
+  if (sb.state != ArrayState::kFailed &&
+      RaidPlanner(config.raid, active_members).HealthFor(sb.slot_failed) == ArrayHealth::kFailed) {
+    return "restored superblock has more failed slots than the RAID level survives";
+  }
+  if (sb.state != ArrayState::kRebuilding) {
+    if (sb.rebuild_slot != -1 || sb.rebuild_device != -1) {
+      return "restored superblock has a rebuild target outside kRebuilding";
+    }
+    return nullptr;
+  }
+  if (const char* reason = take(sb.rebuild_device)) return reason;
+  if (sb.rebuild_slot < 0 || sb.rebuild_slot >= active_members) {
+    return "restored superblock's rebuild slot is out of range";
+  }
+  if (!sb.slot_failed[static_cast<size_t>(sb.rebuild_slot)]) {
+    return "restored superblock rebuilds a healthy slot";
+  }
   // A cursor at the extent never persists: the last chunk's commit ends the
   // rebuild.
-  MSTK_CHECK(sb.rebuild_cursor_blocks >= 0 && sb.rebuild_cursor_blocks < member_extent,
-             "restored superblock's rebuild cursor is out of range");
+  if (sb.rebuild_cursor_blocks < 0 || sb.rebuild_cursor_blocks >= member_extent) {
+    return "restored superblock's rebuild cursor is out of range";
+  }
+  return nullptr;
 }
-
-}  // namespace
 
 const char* ArrayStateName(ArrayState state) {
   switch (state) {
@@ -116,7 +135,8 @@ ArrayManager::ArrayManager(Simulator* sim, const ArrayManagerConfig& config,
       devices_(std::move(devices)),
       planner_(config.raid, config.active_members) {
   Init(scheduler_factory);
-  CheckRestorable(restored, config_.active_members, device_count(), member_extent_);
+  const char* reason = RestoreError(restored, config_, device_count(), member_extent_);
+  MSTK_CHECK(reason == nullptr, reason);
   super_ = restored;
   transitions_.push_back(Transition{super_.state, sim_->NowMs(), super_.version});
   ResumeFromSuperblock();

@@ -80,6 +80,16 @@ using SchedulerFactory = std::function<std::unique_ptr<IoScheduler>(const Storag
 SchedulerFactory MakeFcfsFactory();
 SchedulerFactory MakeSptfFactory();
 
+// Returns nullptr when an ArrayManager built with `config` over
+// `device_count` devices, whose member extent is `member_extent` blocks
+// (ArrayManager::member_extent_blocks), may adopt `sb`; else the reason it
+// may not. Every field is checked, so a superblock that passes restores
+// without indexing past a device table or tripping a rebuild invariant
+// mid-run. The restore constructor dies with this reason; a caller holding
+// an untrusted superblock can ask first.
+const char* RestoreError(const ArraySuperblock& sb, const ArrayManagerConfig& config,
+                         int device_count, int64_t member_extent);
+
 class ArrayManager {
  public:
   // Lifecycle transition log entry (also reflected in the superblock).
@@ -98,7 +108,8 @@ class ArrayManager {
                MetricsCollector* metrics);
   // Restore form: adopts `restored` (a superblock saved from a previous
   // manager) instead of the factory-fresh state — the "reboot after a crash
-  // mid-rebuild" path. An in-progress rebuild resumes from its cursor.
+  // mid-rebuild" path. An in-progress rebuild resumes from its cursor. Dies
+  // unless RestoreError accepts `restored`.
   ArrayManager(Simulator* sim, const ArrayManagerConfig& config,
                std::vector<StorageDevice*> devices, const SchedulerFactory& scheduler_factory,
                MetricsCollector* metrics, const ArraySuperblock& restored);

@@ -129,10 +129,16 @@ class StorageDevice {
   // with PositioningKey(r) >= 0. While StateKey() != kNoKey, KeyLegMs(k)
   // also never decreases as k moves away from StateKey() on either side;
   // SPTF then visits keys outward from the state's key and stops early.
-  // While it is kNoKey, SPTF visits every occupied key. The defaults file
-  // every request under key 0 with a zero key leg and give the state no
-  // key, so SPTF estimates every pending request; a wrapper device that
-  // does not forward these methods stays exact that way.
+  // While it is kNoKey, SPTF visits every occupied key. KeyLegFloorMs(k)
+  // is a cheap lower bound SPTF prunes on before it asks for the leg:
+  //
+  //   0 <= KeyLegFloorMs(k) <= KeyLegMs(k)
+  //
+  // as doubles, in every state, and never NaN (a NaN floor would end the
+  // walk early). The defaults file every request under key 0 with a zero
+  // key leg and a zero floor and give the state no key, so SPTF estimates
+  // every pending request; a wrapper device that does not forward these
+  // methods stays exact that way.
   static constexpr int32_t kNoKey = -1;
 
   // Key (>= 0) of `req`. It must not depend on the device state: SPTF
@@ -145,6 +151,9 @@ class StorageDevice {
 
   // Key leg (ms) from the current state to `key`.
   [[nodiscard]] virtual TimeMs KeyLegMs(int32_t /*key*/) const { return 0.0; }
+
+  // Lower bound (ms) on KeyLegMs(key) in the current state; see above.
+  [[nodiscard]] virtual TimeMs KeyLegFloorMs(int32_t /*key*/) const { return 0.0; }
 
   // EstimatePositioningMs(req, at_ms), given the key leg of req's key.
   [[nodiscard]] virtual TimeMs EstimateGivenKeyLeg(const Request& req, TimeMs /*key_leg_ms*/,

@@ -68,6 +68,12 @@ double SledKinematics::ArcSeconds(int u, double p0, double v0, double p1,
 }
 
 SledPlan SledKinematics::Plan(double p0, double v0, double p1, double v1) const {
+  const SledPlan best = TryPlan(p0, v0, p1, v1);
+  assert(best.feasible && "no feasible single-switch sled plan");
+  return best;
+}
+
+SledPlan SledKinematics::TryPlan(double p0, double v0, double p1, double v1) const {
   SledPlan best;
   best.t_total = kInf;
 
@@ -116,7 +122,6 @@ SledPlan SledKinematics::Plan(double p0, double v0, double p1, double v1) const 
       }
     }
   }
-  assert(best.feasible && "no feasible single-switch sled plan");
   return best;
 }
 

@@ -51,8 +51,14 @@ class SledKinematics {
   // (p1, v1). Positions in meters within [-p_max, p_max]; velocities in m/s.
   double TravelSeconds(double p0, double v0, double p1, double v1) const;
 
-  // Full plan for the fastest trajectory (for tests/telemetry).
+  // Full plan for the fastest trajectory (for tests/telemetry). Asserts
+  // that a single-switch plan exists.
   SledPlan Plan(double p0, double v0, double p1, double v1) const;
+
+  // Plan without the assertion: when no single-switch plan exists it
+  // returns feasible == false and t_total == +inf, which is what
+  // TravelSeconds returns for that pair in a Release build.
+  SledPlan TryPlan(double p0, double v0, double p1, double v1) const;
 
   // Rest-to-rest seek (the X-dimension case): Plan(from, 0, to, 0).t_total,
   // bit for bit. While the spring is weaker than the actuator (c * p_max <

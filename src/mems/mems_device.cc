@@ -1,8 +1,11 @@
 #include "src/mems/mems_device.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <map>
+#include <mutex>
 
 #include "src/sim/check.h"
 
@@ -14,9 +17,56 @@ MemsDevice::MemsDevice(const MemsParams& params)
                                  params.spring_factor, params.spring_coeff()}),
       v_access_(params.access_velocity()),
       row_pass_s_(params.row_pass_seconds()),
+      settle_s_(params.settle_seconds()),
       y_states_(2 * (params.rows_per_track() + 1)),
-      y_leg_s_(static_cast<size_t>(y_states_) * static_cast<size_t>(y_states_), -1.0) {
+      y_leg_s_(YLegMaster(geometry_, kinematics_, v_access_)) {
   Reset();
+}
+
+const std::vector<double>& MemsDevice::YLegMaster(const MemsGeometry& geometry,
+                                                  const SledKinematics& kinematics,
+                                                  double v_access) {
+  // The exact bits of every input a Y leg reads: two parameter sets that
+  // agree on them have equal tables, entry for entry.
+  const SledAxisParams& axis = kinematics.params();
+  std::vector<uint64_t> key;
+  const auto add = [&key](double input) { key.push_back(std::bit_cast<uint64_t>(input)); };
+  for (const double input : {axis.a_max, axis.p_max, axis.spring_factor, axis.spring_coeff}) {
+    add(input);
+  }
+  add(v_access);
+  const int32_t boundaries = geometry.params().rows_per_track() + 1;
+  for (int32_t b = 0; b < boundaries; ++b) {
+    add(geometry.RowBoundaryY(b));
+  }
+
+  // Published masters never change and are never freed.
+  struct Registry {
+    std::mutex mu;
+    std::map<std::vector<uint64_t>, std::vector<double>> masters;
+  };
+  static Registry* const registry = new Registry;
+  const std::lock_guard<std::mutex> lock(registry->mu);
+  const auto [it, inserted] = registry->masters.try_emplace(std::move(key));
+  std::vector<double>& table = it->second;
+  if (inserted) {
+    // Entry from * states + to, with YState's inverse: boundary state / 2,
+    // moving up when the state is odd.
+    const int32_t states = 2 * boundaries;
+    table.reserve(static_cast<size_t>(states) * static_cast<size_t>(states));
+    for (int32_t from = 0; from < states; ++from) {
+      const double from_y = geometry.RowBoundaryY(from / 2);
+      const double from_vy = (from % 2 == 1 ? +1 : -1) * v_access;
+      for (int32_t to = 0; to < states; ++to) {
+        const double to_y = geometry.RowBoundaryY(to / 2);
+        const double to_vy = (to % 2 == 1 ? +1 : -1) * v_access;
+        // TryPlan, not TravelSeconds: an infeasible pair stores +inf
+        // without taking Plan's asserting path.
+        table.push_back(kinematics.TryPlan(from_y, from_vy, to_y, to_vy).t_total);
+      }
+    }
+  }
+  return table;
 }
 
 void MemsDevice::Reset() {
@@ -63,18 +113,13 @@ MemsDevice::Segment MemsDevice::SegmentAt(int64_t lbn, int64_t last_lbn) const {
 
 double MemsDevice::YLegSeconds(int32_t from_state, const SledState& from,
                                int32_t to_boundary, int dir) const {
-  const auto travel = [&] {
+  if (from_state == kOffBoundary) {
     return kinematics_.TravelSeconds(from.y, from.vy, geometry_.RowBoundaryY(to_boundary),
                                      dir * v_access_);
-  };
-  if (from_state == kOffBoundary) {
-    return travel();
   }
-  double& leg = y_leg_s_[static_cast<size_t>(from_state) * static_cast<size_t>(y_states_) +
-                         static_cast<size_t>(YState(to_boundary, dir))];
-  if (leg < 0.0) {
-    leg = travel();
-  }
+  const double leg = y_leg_s_[static_cast<size_t>(from_state) * static_cast<size_t>(y_states_) +
+                              static_cast<size_t>(YState(to_boundary, dir))];
+  assert(std::isfinite(leg) && "no feasible single-switch sled plan");
   return leg;
 }
 
@@ -83,7 +128,7 @@ double MemsDevice::PositioningSeconds(const SledState& state, const Segment& seg
   const double target_x = geometry_.CylinderX(seg.cylinder);
   double tx = 0.0;
   if (target_x != state.x) {
-    tx = kinematics_.SeekSeconds(state.x, target_x) + geometry_.params().settle_seconds();
+    tx = kinematics_.SeekSeconds(state.x, target_x) + settle_s_;
   }
   const double ty = kinematics_.TravelSeconds(state.y, state.vy, EntryY(seg, dir),
                                               dir * v_access_);
@@ -102,7 +147,6 @@ TimeMs MemsDevice::ServiceRequest(const Request& req, TimeMs start_ms,
   // when the X leg dominates, else to seek_y (initial) / turnaround
   // (mid-transfer). The attributed times therefore tile the service time.
   double phase_s[kPhaseCount] = {};
-  const double settle_s = geometry_.params().settle_seconds();
 
   // Initial positioning: pick the cheaper read direction for the first
   // segment. Same expressions as PositioningSeconds, decomposed so the X
@@ -112,7 +156,7 @@ TimeMs MemsDevice::ServiceRequest(const Request& req, TimeMs start_ms,
   double tx0 = 0.0;
   if (target_x0 != sled_.x) {
     x_seek0_s = XSeekSeconds(seg.cylinder, target_x0);
-    tx0 = x_seek0_s + settle_s;
+    tx0 = x_seek0_s + settle_s_;
   }
   const double ty0_up = YLegSeconds(sled_y_state_, sled_, EntryBoundary(seg, +1), +1);
   const double ty0_down = YLegSeconds(sled_y_state_, sled_, EntryBoundary(seg, -1), -1);
@@ -122,7 +166,7 @@ TimeMs MemsDevice::ServiceRequest(const Request& req, TimeMs start_ms,
   double positioning_s = std::min(pos_up, pos_down);
   if (tx0 >= (dir > 0 ? ty0_up : ty0_down)) {
     phase_s[static_cast<int>(Phase::kSeekX)] += x_seek0_s;
-    phase_s[static_cast<int>(Phase::kSettle)] += tx0 > 0.0 ? settle_s : 0.0;
+    phase_s[static_cast<int>(Phase::kSettle)] += tx0 > 0.0 ? settle_s_ : 0.0;
   } else {
     phase_s[static_cast<int>(Phase::kSeekY)] += dir > 0 ? ty0_up : ty0_down;
   }
@@ -132,7 +176,7 @@ TimeMs MemsDevice::ServiceRequest(const Request& req, TimeMs start_ms,
   if (seek_error_rate_ > 0.0 && seek_error_rng_.Bernoulli(seek_error_rate_)) {
     const double entry_y = EntryY(seg, dir);
     const double retry_s =
-        2.0 * kinematics_.TurnaroundSeconds(entry_y, dir * v_access_) + settle_s;
+        2.0 * kinematics_.TurnaroundSeconds(entry_y, dir * v_access_) + settle_s_;
     positioning_s += retry_s;
     phase_s[static_cast<int>(Phase::kOverhead)] += retry_s;
   }
@@ -154,7 +198,7 @@ TimeMs MemsDevice::ServiceRequest(const Request& req, TimeMs start_ms,
     const double target_x = geometry_.CylinderX(seg.cylinder);
     if (target_x != state.x) {
       x_seek_s = kinematics_.SeekSeconds(state.x, target_x);
-      tx = x_seek_s + settle_s;
+      tx = x_seek_s + settle_s_;
     }
     // Greedy direction choice; for full-track segments this degenerates to
     // the serpentine turnaround.
@@ -165,7 +209,7 @@ TimeMs MemsDevice::ServiceRequest(const Request& req, TimeMs start_ms,
     extra_s += std::max(tx, ty);
     if (tx >= ty) {
       phase_s[static_cast<int>(Phase::kSeekX)] += x_seek_s;
-      phase_s[static_cast<int>(Phase::kSettle)] += tx > 0.0 ? settle_s : 0.0;
+      phase_s[static_cast<int>(Phase::kSettle)] += tx > 0.0 ? settle_s_ : 0.0;
     } else {
       phase_s[static_cast<int>(Phase::kTurnaround)] += ty;
     }
@@ -226,11 +270,30 @@ TimeMs MemsDevice::EstimateGivenKeyLeg(const Request& req, TimeMs key_leg_ms,
   return EstimateGivenXLeg(SegmentAt(req.lbn, req.last_lbn()), key_leg_ms);
 }
 
+TimeMs MemsDevice::KeyLegFloorMs(int32_t key) const {
+  if (StateKey() == kNoKey || key == sled_cylinder_) {
+    return 0.0;
+  }
+  // From rest to rest the sled moves monotonically from x0 to x1, so no
+  // push exceeds a1 and no brake exceeds a2 (docs/MODEL.md §3): its speed
+  // at every point is at most the bang-bang profile's that uses them. The
+  // last factor keeps the floor under the exact leg through rounding where
+  // the bound is tight (no spring).
+  const double x0 = sled_.x;
+  const double x1 = geometry_.CylinderX(key);
+  const double sigma = x1 > x0 ? 1.0 : -1.0;
+  const double a_max = kinematics_.params().a_max;
+  const double a1 = a_max - sigma * kinematics_.c() * x0;
+  const double a2 = a_max + sigma * kinematics_.c() * x1;
+  const double d = std::abs(x1 - x0);
+  return SecondsToMs(std::sqrt(2.0 * d * (a1 + a2) / (a1 * a2)) + settle_s_) * (1.0 - 1e-9);
+}
+
 double MemsDevice::XLegSeconds(int32_t cylinder) const {
   // Same expression as PositioningSeconds' X leg.
   const double target_x = geometry_.CylinderX(cylinder);
   return target_x != sled_.x
-             ? XSeekSeconds(cylinder, target_x) + geometry_.params().settle_seconds()
+             ? XSeekSeconds(cylinder, target_x) + settle_s_
              : 0.0;
 }
 

@@ -64,6 +64,12 @@ class MemsDevice : public StorageDevice {
   [[nodiscard]] TimeMs KeyLegMs(int32_t key) const override {
     return SecondsToMs(XLegSeconds(key));
   }
+  // Closed-form floor on the X leg, a few multiplies and one sqrt where the
+  // leg takes two hypot and two atan2 calls: the bang-bang time over the
+  // same distance with the largest push and brake the spring allows on the
+  // way, plus settle (docs/MODEL.md §3). Zero while the state has no key
+  // and on the sled's own cylinder.
+  [[nodiscard]] TimeMs KeyLegFloorMs(int32_t key) const override;
   // Same bits as EstimatePositioningMs; takes the Y legs from the Y-leg
   // table (see below).
   [[nodiscard]] TimeMs EstimateGivenKeyLeg(const Request& req, TimeMs key_leg_ms,
@@ -153,12 +159,17 @@ class MemsDevice : public StorageDevice {
   // the Table 1 device. Each state's (y, vy) comes from the same expressions
   // every time, so the call's arguments, and hence its result, are the same
   // bits on every visit: the table returns exactly what the call would. It
-  // holds 56 x 56 doubles, about 25 KB per device, each entry filled on
-  // first use. The sled is off every boundary on a fresh device, after
-  // Reset() and after set_sled(); legs from there are computed directly.
+  // holds 56 x 56 doubles, about 25 KB per device (83 KB on G3), copied at
+  // construction from a process-wide master (YLegMaster) and never written
+  // after. The sled is off every boundary on a fresh device, after Reset()
+  // and after set_sled(); legs from there are computed directly.
   //
-  // The const estimate methods fill this mutable table and the X-seek memo
-  // below, so one device must not be estimated from two threads at once.
+  // A pair with no single-switch plan (the resonant spring at 2 kHz and
+  // up) holds +inf, as a Release TravelSeconds returns; reading one
+  // asserts, as computing it did.
+  //
+  // The const estimate methods fill the mutable X-seek memo below, so one
+  // device must not be estimated from two threads at once.
   static constexpr int32_t kOffBoundary = -1;
   // Table index of the state "at row boundary `boundary`, moving in `dir`".
   static int32_t YState(int32_t boundary, int dir) {
@@ -168,6 +179,13 @@ class MemsDevice : public StorageDevice {
   // to entering row boundary `to_boundary` moving in direction `dir`.
   double YLegSeconds(int32_t from_state, const SledState& from, int32_t to_boundary,
                      int dir) const;
+  // The Y-leg table of every device whose legs read the same bits: the
+  // axis parameters, the access velocity and every row-boundary Y. Filled
+  // completely under a mutex the first time a device with those inputs is
+  // built; every device copies it.
+  static const std::vector<double>& YLegMaster(const MemsGeometry& geometry,
+                                               const SledKinematics& kinematics,
+                                               double v_access);
 
   // X-seek memo. SPTF's walk computes the X leg of every cylinder it
   // visits (KeyLegMs), and the service of the request it picks needs the
@@ -192,8 +210,9 @@ class MemsDevice : public StorageDevice {
   int32_t sled_cylinder_ = kNoKey;       // cylinder the sled rests on, if any
   double v_access_;     // m/s
   double row_pass_s_;   // s
+  double settle_s_;     // s
   int32_t y_states_;    // 2 * (rows_per_track + 1)
-  mutable std::vector<double> y_leg_s_;  // y_states_^2 legs; < 0 until computed
+  std::vector<double> y_leg_s_;  // y_states_^2 legs, a copy of YLegMaster
   mutable std::array<XSeek, kXSeekSlots> x_seek_memo_{};
   double seek_error_rate_ = 0.0;
   uint64_t seek_error_seed_ = 0;

@@ -49,49 +49,58 @@ Request SptfScheduler::Pop(TimeMs now_ms) {
 
 std::size_t SptfScheduler::Walk(TimeMs now_ms) {
   constexpr TimeMs kDone = std::numeric_limits<TimeMs>::infinity();
-  // With a state key, `up` visits the occupied keys state_key, state_key +
-  // 1, ... and `down` visits state_key - 1, state_key - 2, ... Without one,
-  // legs follow no order: `up` visits every occupied key from 0, `down`
-  // none, and nothing is pruned. Each side's leg is computed once per key
-  // and serves both the prune test and the bucket's costs.
+  // With a state key, side 0 visits the occupied keys state_key, state_key
+  // + 1, ... and side 1 visits state_key - 1, state_key - 2, ... Without
+  // one, legs follow no order: side 0 visits every occupied key from 0,
+  // side 1 none, and nothing is pruned.
   const int32_t state_key = device_->StateKey();
   const bool prune = state_key != StorageDevice::kNoKey;
   const int32_t from = prune ? state_key : 0;
-  int32_t up = OccupiedAtOrAbove(from);
-  int32_t down = OccupiedAtOrBelow(from - 1);
-  TimeMs up_leg = up >= 0 ? device_->KeyLegMs(up) : kDone;
-  TimeMs down_leg = down >= 0 ? device_->KeyLegMs(down) : kDone;
+  // Each side holds its next key and a value for it: first the key leg's
+  // floor, then, once the side comes up with that floor, the exact leg.
+  // Each exact leg is computed once and serves the prune test and the
+  // bucket's costs. Floors never exceed legs, so the side with the smaller
+  // value holds the key with the smaller exact leg whenever its value is
+  // exact: keys are visited in the order of their exact legs, ties going to
+  // side 0, with or without floors.
+  struct Side {
+    int32_t key;   // next occupied key, or -1 when the side is done
+    TimeMs value;  // its floor, its exact leg, or kDone
+    bool exact;
+  };
+  const auto next_on = [this](int32_t key) {
+    return Side{key, key >= 0 ? device_->KeyLegFloorMs(key) : kDone, key < 0};
+  };
+  Side sides[2] = {next_on(OccupiedAtOrAbove(from)), next_on(OccupiedAtOrBelow(from - 1))};
   std::size_t best = 0;
   double best_cost = kDone;
   for (;;) {
-    const bool take_up = up_leg <= down_leg;
-    const int32_t key = take_up ? up : down;
-    const TimeMs leg = take_up ? up_leg : down_leg;
-    // Stop when both sides are done, or when the smaller next leg's bound
-    // exceeds the best cost: every later leg on either side is at least as
-    // large, and no request costs less than its key's bound. An equal
+    const int s = sides[0].value <= sides[1].value ? 0 : 1;
+    Side& side = sides[s];
+    // Stop when both sides are done, or when the smaller value's bound
+    // exceeds the best cost: every later leg on either side is at least
+    // that value, and no request costs less than its key's bound. An equal
     // bound is visited, since a request there may tie with a lower add
     // sequence.
-    if (key < 0 || (prune && KeyBound(leg) > best_cost)) {
+    if (side.key < 0 || (prune && KeyBound(side.value) > best_cost)) {
       break;
     }
-    for (int32_t i = head_[static_cast<std::size_t>(key)]; i >= 0; i = At(i).next) {
+    if (!side.exact) {
+      side.value = device_->KeyLegMs(side.key);
+      side.exact = true;
+      continue;
+    }
+    for (int32_t i = head_[static_cast<std::size_t>(side.key)]; i >= 0; i = At(i).next) {
       const auto slot = static_cast<std::size_t>(i);
       const Request& req = pending_[slot];
       const double cost =
-          EffectiveCost(req, device_->EstimateGivenKeyLeg(req, leg, now_ms), now_ms);
+          EffectiveCost(req, device_->EstimateGivenKeyLeg(req, side.value, now_ms), now_ms);
       if (cost < best_cost || (cost == best_cost && AddedBefore(slot, best))) {
         best_cost = cost;
         best = slot;
       }
     }
-    if (take_up) {
-      up = OccupiedAtOrAbove(key + 1);
-      up_leg = up >= 0 ? device_->KeyLegMs(up) : kDone;
-    } else {
-      down = OccupiedAtOrBelow(key - 1);
-      down_leg = down >= 0 ? device_->KeyLegMs(down) : kDone;
-    }
+    side = next_on(s == 0 ? OccupiedAtOrAbove(side.key + 1) : OccupiedAtOrBelow(side.key - 1));
   }
   assert(best_cost < kDone);
   return best;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -296,7 +297,8 @@ bool ImportTrace(const std::string& bytes, int devno, ParsedTrace* out, std::str
       return Fail(error, disksim ? "malformed DiskSim record" : "malformed old mstk ASCII record",
                   line_no, out);
     }
-    if (!(arrival_ms >= 0.0 && arrival_ms <= kMaxArrivalMs)) {  // also rejects NaN
+    // Also rejects NaN, and -0 and -0.0, whose sign bit is set.
+    if (std::signbit(arrival_ms) || !(arrival_ms <= kMaxArrivalMs)) {
       return Fail(error, "out-of-range arrival time", line_no, out);
     }
     record.timestamp_us = MsToUs(arrival_ms);

@@ -4,12 +4,14 @@
 
 #include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/array/array_experiment.h"
 #include "src/core/trial_runner.h"
 #include "src/mems/mems_device.h"
 #include "src/sim/json_writer.h"
+#include "src/sim/rng.h"
 #include "src/sim/simulator.h"
 
 namespace mstk {
@@ -264,6 +266,9 @@ TEST(ArrayManagerTest, CorruptSuperblockDiesOnRestore) {
       {[](ArraySuperblock* b) { b->rebuild_cursor_blocks = kExtent; }, "rebuild cursor"},
       {[](ArraySuperblock* b) { b->rebuild_cursor_blocks = -1; }, "rebuild cursor"},
       {[](ArraySuperblock* b) { b->state = ArrayState::kDegraded; }, "outside kRebuilding"},
+      {[](ArraySuperblock* b) { b->state = static_cast<ArrayState>(7); }, "outside ArrayState"},
+      {[](ArraySuperblock* b) { b->state = static_cast<ArrayState>(-1); }, "outside ArrayState"},
+      {[](ArraySuperblock* b) { b->slot_failed[2] = true; }, "more failed slots"},
   };
   for (size_t i = 0; i < std::size(kCases); ++i) {
     ArraySuperblock bad = saved;
@@ -273,6 +278,175 @@ TEST(ArrayManagerTest, CorruptSuperblockDiesOnRestore) {
     EXPECT_DEATH(ArrayManager(&rig2.sim, config, rig2.devices, MakeFcfsFactory(), &metrics2, bad),
                  kCases[i].want_death)
         << "case " << i;
+  }
+}
+
+// A valid mid-rebuild superblock over `device_count` devices: 4 slots,
+// slot 0 failed and being copied onto device 4, the rest pooled spares.
+ArraySuperblock MidRebuildSuperblock(const ArrayManagerConfig& config, int device_count) {
+  Rig rig(config, device_count);
+  rig.manager->FailDevice(0, 0.0);
+  EXPECT_TRUE(
+      rig.RunUntil([&rig] { return rig.manager->rebuild_chunks_committed() >= 1; }));
+  return rig.manager->superblock();
+}
+
+// Applies one random field mutation to `sb`: a resized vector, a device or
+// slot id that may be out of range or taken, a flipped flag, a shifted
+// cursor, a state that may lie outside ArrayState, or a version.
+void MutateSuperblock(ArraySuperblock* sb, Rng* rng, int device_count) {
+  const auto any_id = [&] { return static_cast<int>(rng->UniformInt(device_count + 4)) - 2; };
+  const auto pick = [&](size_t n) {
+    return static_cast<size_t>(rng->UniformInt(static_cast<int64_t>(n)));
+  };
+  // Grows `v` by `value` or shrinks it by one.
+  const auto resize = [&](auto* v, auto value) {
+    if (rng->Bernoulli(0.5)) {
+      v->push_back(value);
+    } else if (!v->empty()) {
+      v->pop_back();
+    }
+  };
+  switch (rng->UniformInt(11)) {
+    case 0:
+      resize(&sb->slot_to_device, any_id());
+      break;
+    case 1:
+      resize(&sb->slot_failed, rng->Bernoulli(0.5));
+      break;
+    case 2:
+      resize(&sb->device_failed, rng->Bernoulli(0.5));
+      break;
+    case 3:
+      if (!sb->slot_to_device.empty()) {
+        sb->slot_to_device[pick(sb->slot_to_device.size())] = any_id();
+      }
+      break;
+    case 4:
+      if (sb->spare_pool.empty() || rng->Bernoulli(0.3)) {
+        sb->spare_pool.push_back(any_id());
+      } else if (rng->Bernoulli(0.5)) {
+        const auto i = static_cast<int64_t>(pick(sb->spare_pool.size()));
+        sb->spare_pool.erase(sb->spare_pool.begin() + i);
+      } else {
+        sb->spare_pool[pick(sb->spare_pool.size())] = any_id();
+      }
+      break;
+    case 5:
+      if (rng->Bernoulli(0.5)) {
+        sb->rebuild_device = any_id();
+      } else {
+        sb->rebuild_slot = static_cast<int>(rng->UniformInt(8)) - 2;
+      }
+      break;
+    case 6:
+      if (!sb->slot_failed.empty()) {
+        const size_t i = pick(sb->slot_failed.size());
+        sb->slot_failed[i] = !sb->slot_failed[i];
+      }
+      break;
+    case 7:
+      if (!sb->device_failed.empty()) {
+        const size_t i = pick(sb->device_failed.size());
+        sb->device_failed[i] = !sb->device_failed[i];
+      }
+      break;
+    case 8: {
+      const int64_t shifts[] = {1, -1, kChunk, -kChunk, kExtent, -kExtent};
+      sb->rebuild_cursor_blocks += shifts[pick(std::size(shifts))];
+      break;
+    }
+    case 9:
+      sb->state = static_cast<ArrayState>(rng->UniformInt(8) - 1);
+      break;
+    default:
+      sb->version = rng->UniformInt(4) - 1;
+      break;
+  }
+}
+
+TEST(ArrayManagerTest, PerturbedSuperblocksRestoreOrAreRejected) {
+  // 5,000 mutants of a valid mid-rebuild superblock, one to four field
+  // mutations each. RestoreError must reject a mutant or let it restore:
+  // an accepted one restores, serves a short foreground stream and runs
+  // its rebuild, resync and dwell to completion with nothing outstanding.
+  // A crash here is a restore path RestoreError should have rejected.
+  const ArrayManagerConfig config = SmallArrayConfig();
+  constexpr int kDevices = 6;
+  const ArraySuperblock valid = MidRebuildSuperblock(config, kDevices);
+  ASSERT_EQ(valid.state, ArrayState::kRebuilding);
+  ASSERT_EQ(valid.spare_pool, std::vector<int>({5}));
+  Rng rng(20261020);
+  int64_t accepted = 0;
+  for (int mutant = 0; mutant < 5000; ++mutant) {
+    ArraySuperblock sb = valid;
+    for (int64_t n = 1 + rng.UniformInt(4); n > 0; --n) {
+      MutateSuperblock(&sb, &rng, kDevices);
+    }
+    if (RestoreError(sb, config, kDevices, kExtent) != nullptr) {
+      continue;
+    }
+    ++accepted;
+    Simulator sim;
+    MetricsCollector metrics;
+    std::vector<std::unique_ptr<MemsDevice>> owned;
+    std::vector<StorageDevice*> devices;
+    for (int d = 0; d < kDevices; ++d) {
+      owned.push_back(std::make_unique<MemsDevice>());
+      devices.push_back(owned.back().get());
+    }
+    ArrayManager manager(&sim, config, devices, MakeFcfsFactory(), &metrics, sb);
+    ASSERT_EQ(manager.member_extent_blocks(), kExtent);
+    std::vector<Request> stream;
+    for (int i = 0; i < 4; ++i) {
+      const IoType type = i % 2 == 0 ? IoType::kRead : IoType::kWrite;
+      stream.push_back(MakeReq(rng.UniformInt(manager.CapacityBlocks() - 64), 64, type));
+    }
+    for (size_t i = 0; i < stream.size(); ++i) {
+      const Request* req = &stream[i];
+      sim.ScheduleAt(0.5 * static_cast<double>(i), [&manager, req] { manager.Submit(*req); });
+    }
+    sim.Run();
+    ASSERT_EQ(manager.outstanding(), 0) << "mutant " << mutant;
+    ASSERT_NE(manager.state(), ArrayState::kRebuilding) << "mutant " << mutant;
+    ASSERT_NE(manager.state(), ArrayState::kResync) << "mutant " << mutant;
+  }
+  // Enough mutants pass for the restore half to mean something.
+  EXPECT_GE(accepted, 400);
+  ::testing::Test::RecordProperty("accepted", std::to_string(accepted));
+}
+
+TEST(ArrayManagerTest, SecondFailedSlotIsRejectedOnRestore) {
+  // Found by PerturbedSuperblocksRestoreOrAreRejected: a RAID-5 superblock
+  // with two failed slots in any state but kFailed passed the restore
+  // check, then died mid-run ("rebuilding with a second failed slot" when
+  // the rebuild resumed or started, "RAID-5 cannot survive two failures" on
+  // a read). kFailed itself records exactly that and restores.
+  const ArrayManagerConfig config = SmallArrayConfig();
+  constexpr int kDevices = 6;
+  const ArraySuperblock valid = MidRebuildSuperblock(config, kDevices);
+  EXPECT_EQ(RestoreError(valid, config, kDevices, kExtent), nullptr);
+  for (const ArrayState state : {ArrayState::kOptimal, ArrayState::kDegraded,
+                                 ArrayState::kRebuilding, ArrayState::kResync,
+                                 ArrayState::kFailed}) {
+    SCOPED_TRACE(ArrayStateName(state));
+    ArraySuperblock sb = valid;
+    sb.state = state;
+    if (state != ArrayState::kRebuilding) {
+      sb.spare_pool.insert(sb.spare_pool.begin(), sb.rebuild_device);
+      sb.rebuild_slot = -1;
+      sb.rebuild_device = -1;
+    }
+    ASSERT_EQ(RestoreError(sb, config, kDevices, kExtent), nullptr);
+    sb.slot_failed[3] = true;
+    const char* reason = RestoreError(sb, config, kDevices, kExtent);
+    if (state == ArrayState::kFailed) {
+      EXPECT_EQ(reason, nullptr);
+      continue;
+    }
+    ASSERT_NE(reason, nullptr);
+    EXPECT_NE(std::string(reason).find("more failed slots than the RAID level survives"),
+              std::string::npos);
   }
 }
 

@@ -110,9 +110,11 @@ bool SeekMatchesPlan(const SledKinematics& kin, double from, double to) {
 
 // SPTF's outward walk (src/sched/sptf.h) is exact only if the MEMS key leg,
 // the X seek plus settle, never shrinks as the target cylinder moves away
-// from the sled's cylinder on either side. Checks every step outward from
-// every `stride`-th cylinder: cylinders * (cylinders - 1) steps at stride 1.
-// Every ordered pair it visits also checks SeekMatchesPlan.
+// from the sled's cylinder on either side, and if the leg's floor never
+// exceeds it. Checks every step outward from every `stride`-th cylinder:
+// cylinders * (cylinders - 1) steps at stride 1. Every ordered pair it
+// visits also checks SeekMatchesPlan and 0 <= floor <= leg (which a NaN
+// floor fails).
 void ExpectKeyLegNeverShrinksOutward(const MemsParams& params, int32_t stride = 1) {
   MemsDevice device(params);
   const MemsGeometry& geometry = device.geometry();
@@ -121,6 +123,7 @@ void ExpectKeyLegNeverShrinksOutward(const MemsParams& params, int32_t stride = 
   int64_t steps = 0;
   int64_t shrinking = 0;
   int64_t inexact_seeks = 0;
+  int64_t bad_floors = 0;
   for (int32_t from = 0; from < cylinders; from += stride) {
     Request req;
     req.lbn = geometry.Encode(MemsAddress{from, 0, 0, 0});
@@ -132,6 +135,8 @@ void ExpectKeyLegNeverShrinksOutward(const MemsParams& params, int32_t stride = 
       leg[static_cast<size_t>(to)] = device.KeyLegMs(to);
       inexact_seeks +=
           SeekMatchesPlan(device.kinematics(), x_from, geometry.CylinderX(to)) ? 0 : 1;
+      const double floor = device.KeyLegFloorMs(to);
+      bad_floors += floor >= 0.0 && floor <= leg[static_cast<size_t>(to)] ? 0 : 1;
     }
     ASSERT_EQ(leg[static_cast<size_t>(from)], 0.0);
     for (size_t to = static_cast<size_t>(from) + 1; to < leg.size(); ++to, ++steps) {
@@ -144,6 +149,7 @@ void ExpectKeyLegNeverShrinksOutward(const MemsParams& params, int32_t stride = 
   EXPECT_EQ(steps, int64_t{(cylinders + stride - 1) / stride} * (cylinders - 1));
   EXPECT_EQ(shrinking, 0);
   EXPECT_EQ(inexact_seeks, 0);
+  EXPECT_EQ(bad_floors, 0);
 }
 
 TEST(MemsKeyLegPropertyTest, NeverShrinksOutwardG1) {
@@ -160,8 +166,9 @@ TEST(MemsKeyLegPropertyTest, NeverShrinksOutwardG3) {
 
 TEST(MemsKeyLegPropertyTest, NeverShrinksOutwardAcrossSpringFactors) {
   // Every bounded-force device offers the order, not just the presets:
-  // sample the spring factors the ablations sweep, and no settle at all.
-  for (const double spring : {0.0, 0.25, 0.5, 0.9}) {
+  // sample the spring factors the ablations sweep, up to 0.99, and no
+  // settle at all.
+  for (const double spring : {0.0, 0.25, 0.5, 0.9, 0.99}) {
     SCOPED_TRACE(spring);
     MemsParams params;
     params.spring_factor = spring;
@@ -170,6 +177,42 @@ TEST(MemsKeyLegPropertyTest, NeverShrinksOutwardAcrossSpringFactors) {
   MemsParams no_settle;
   no_settle.settle_constants = 0.0;
   ExpectKeyLegNeverShrinksOutward(no_settle, 25);
+}
+
+TEST(MemsKeyLegPropertyTest, FloorIsZeroWithoutAStateKey) {
+  // The floor's argument needs the sled at rest on a cylinder and an
+  // actuator stronger than the spring: with no state key (a fresh sled,
+  // after Reset() or set_sled(), and on the resonant spring) it is 0.
+  MemsParams resonant;
+  resonant.spring_model = SpringModel::kResonant;
+  for (const MemsParams& params : {MemsParams{}, resonant}) {
+    MemsDevice device(params);
+    const MemsGeometry& geometry = device.geometry();
+    const auto expect_zero_floors = [&] {
+      ASSERT_EQ(device.StateKey(), StorageDevice::kNoKey);
+      for (int32_t key = 0; key < params.cylinders(); key += 7) {
+        ASSERT_EQ(device.KeyLegFloorMs(key), 0.0) << "key " << key;
+      }
+    };
+    Request req;
+    req.lbn = geometry.Encode(MemsAddress{1800, 0, 0, 0});
+    req.block_count = 8;
+    if (params.spring_model == SpringModel::kResonant) {
+      (void)device.ServiceRequest(req, 0.0);
+      expect_zero_floors();
+      continue;
+    }
+    expect_zero_floors();
+    (void)device.ServiceRequest(req, 0.0);
+    ASSERT_EQ(device.StateKey(), 1800);
+    EXPECT_EQ(device.KeyLegFloorMs(1800), 0.0);
+    EXPECT_GT(device.KeyLegFloorMs(1799), 0.0);
+    device.Reset();
+    expect_zero_floors();
+    (void)device.ServiceRequest(req, 0.0);
+    device.set_sled(SledState{geometry.CylinderX(1800), 0.0, 0.0});
+    expect_zero_floors();
+  }
 }
 
 TEST(MemsKeyLegPropertyTest, ResonantSeeksMatchPlan) {

@@ -6,6 +6,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <thread>
+#include <vector>
 
 #include "src/sim/rng.h"
 
@@ -152,6 +154,126 @@ TEST(MemsDeviceTest, StateKeyIsTheCylinderTheSledRestsOn) {
   (void)device.ServiceRequest(MakeRead(lbn, 8), 0.0);
   device.Reset();
   EXPECT_EQ(device.StateKey(), StorageDevice::kNoKey);
+}
+
+// Bits of every positioning estimate along a run: before each of `steps`
+// random services on `device`, the scalar estimate (every leg computed
+// directly) and the positioning order's (Y legs from the table) of 8
+// probes, then the service time.
+struct EstimateTrace {
+  std::vector<uint64_t> scalar;
+  std::vector<uint64_t> order;
+  std::vector<uint64_t> service;
+};
+
+EstimateTrace TraceEstimates(MemsDevice* device, uint64_t seed, int steps) {
+  EstimateTrace trace;
+  Rng rng(seed);
+  const auto random_request = [&] {
+    return MakeRead(rng.UniformInt(device->CapacityBlocks() - 600),
+                    static_cast<int32_t>(1 + rng.UniformInt(600)));
+  };
+  for (int i = 0; i < steps; ++i) {
+    for (int j = 0; j < 8; ++j) {
+      const Request probe = random_request();
+      const double leg_ms = device->KeyLegMs(device->PositioningKey(probe));
+      const double scalar_ms = device->EstimatePositioningMs(probe, 0.0);
+      const double order_ms = device->EstimateGivenKeyLeg(probe, leg_ms, 0.0);
+      trace.scalar.push_back(std::bit_cast<uint64_t>(scalar_ms));
+      trace.order.push_back(std::bit_cast<uint64_t>(order_ms));
+    }
+    const double service_ms = device->ServiceRequest(random_request(), 0.0);
+    trace.service.push_back(std::bit_cast<uint64_t>(service_ms));
+  }
+  return trace;
+}
+
+TEST(MemsDeviceTest, YLegMastersAreKeyedOnTheAccessVelocity) {
+  // Two parameter sets that differ only in the per-tip rate share every
+  // kinematic input but the access velocity, so each needs its own master:
+  // a table borrowed from the other set would break the order's estimate.
+  MemsParams slow;
+  MemsParams fast;
+  fast.per_tip_rate_kbitps = 1000.0;
+  for (const MemsParams& params : {slow, fast, slow}) {
+    SCOPED_TRACE(params.per_tip_rate_kbitps);
+    MemsDevice device(params);
+    const EstimateTrace trace = TraceEstimates(&device, 11, 100);
+    ASSERT_EQ(trace.order, trace.scalar);
+  }
+}
+
+TEST(MemsDeviceTest, ResonantSpringAt2kHzConstructsAndServices) {
+  // At 2 kHz the resonant spring leaves 1,584 of the 3,136 Y-leg pairs
+  // without a single-switch plan: the master holds +inf there instead of
+  // asserting while it is filled, so the device constructs in a Debug
+  // build. Requests near the centre, where every leg has a plan, service
+  // normally; reading an infeasible entry asserts, as computing it does.
+  MemsParams params;
+  params.spring_model = SpringModel::kResonant;
+  params.resonant_freq_hz = 2000.0;
+  MemsDevice device(params);
+  const MemsGeometry& geometry = device.geometry();
+  Rng rng(5);
+  for (int i = 0; i < 200; ++i) {
+    const auto cylinder = static_cast<int32_t>(1000 + rng.UniformInt(500));
+    const auto track = static_cast<int32_t>(rng.UniformInt(5));
+    const auto row = static_cast<int32_t>(12 + rng.UniformInt(3));
+    const Request req = MakeRead(geometry.Encode(MemsAddress{cylinder, track, row, 0}), 1);
+    const double leg_ms = device.KeyLegMs(device.PositioningKey(req));
+    const double order_ms = device.EstimateGivenKeyLeg(req, leg_ms, 0.0);
+    const double scalar_ms = device.EstimatePositioningMs(req, 0.0);
+    ASSERT_EQ(std::bit_cast<uint64_t>(order_ms), std::bit_cast<uint64_t>(scalar_ms))
+        << "request " << i;
+    const double service_ms = device.ServiceRequest(req, 0.0);
+    ASSERT_TRUE(std::isfinite(service_ms)) << "request " << i;
+  }
+  // From the centre, the rows at the edge have no single-switch plan.
+  const Request edge = MakeRead(geometry.Encode(MemsAddress{1250, 0, 0, 0}), 1);
+  EXPECT_DEBUG_DEATH((void)device.ServiceRequest(edge, 0.0), "no feasible single-switch");
+}
+
+TEST(MemsDeviceTest, DevicesBuiltConcurrentlyCopyOneMaster) {
+  // Four threads race to build devices of two parameter sets that no
+  // other test uses, so the first builds of each set fill their masters
+  // concurrently. Every device must estimate and service bit for bit like
+  // the reference built afterwards on one thread, and its order's
+  // estimates must match the scalar ones, which read no table.
+  MemsParams a;
+  a.per_tip_rate_kbitps = 733.0;
+  MemsParams b = MemsParams::SecondGeneration();
+  b.per_tip_rate_kbitps = 977.0;
+  const MemsParams sets[] = {a, b};
+  constexpr int kThreads = 4;
+  constexpr int kDevicesPerThread = 4;
+  std::vector<std::vector<EstimateTrace>> traces(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&sets, &traces, t] {
+      for (int d = 0; d < kDevicesPerThread; ++d) {
+        MemsDevice device(sets[(t + d) % 2]);
+        traces[static_cast<size_t>(t)].push_back(TraceEstimates(&device, 3, 40));
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int set = 0; set < 2; ++set) {
+    MemsDevice device(sets[set]);
+    const EstimateTrace reference = TraceEstimates(&device, 3, 40);
+    ASSERT_EQ(reference.order, reference.scalar);
+    for (int t = 0; t < kThreads; ++t) {
+      for (int d = 0; d < kDevicesPerThread; ++d) {
+        if ((t + d) % 2 != set) {
+          continue;
+        }
+        const EstimateTrace& got = traces[static_cast<size_t>(t)][static_cast<size_t>(d)];
+        EXPECT_EQ(got.order, reference.scalar) << "thread " << t << " device " << d;
+        EXPECT_EQ(got.service, reference.service) << "thread " << t << " device " << d;
+      }
+    }
+  }
 }
 
 TEST(MemsDeviceTest, ZeroBlockRequestDies) {

@@ -282,7 +282,9 @@ TEST(SptfTest, RequestWithoutKeyDiesInAdd) {
 // rules: MEMS legs almost never tie at the prune boundary, these integer
 // legs often do. Key = lbn / 100, key leg = |key - state key| ms (0 with no
 // state key), and the estimate is max(key leg, lbn % 100 ms). Servicing a
-// request moves the state to its key.
+// request moves the state to its key. The leg floor is the default 0, or
+// max(leg - 1, 0) with `floors` set, which often equals the best cost at
+// the prune boundary: there the walk must take the exact leg, not prune.
 class ScriptedOrderDevice : public StorageDevice {
  public:
   const char* name() const override { return "scripted"; }
@@ -303,6 +305,9 @@ class ScriptedOrderDevice : public StorageDevice {
     ++key_legs;
     return Leg(key);
   }
+  [[nodiscard]] TimeMs KeyLegFloorMs(int32_t key) const override {
+    return floors ? std::max(Leg(key) - 1.0, 0.0) : 0.0;
+  }
   [[nodiscard]] TimeMs EstimateGivenKeyLeg(const Request& req, TimeMs key_leg_ms,
                                            TimeMs) const override {
     ++estimates;
@@ -316,6 +321,7 @@ class ScriptedOrderDevice : public StorageDevice {
   }
 
   int32_t state_key = kNoKey;
+  bool floors = false;
   mutable int64_t key_legs = 0;
   mutable int64_t estimates = 0;
 
@@ -477,10 +483,11 @@ TEST(SptfWalkTest, DeepQueueVisitsAHandfulOfKeys) {
   }
 }
 
-TEST(SptfWalkTest, RandomizedMatchesNaiveScan) {
-  // Integer legs and residuals on 60 keys: most Pops meet ties, many at the
-  // prune boundary. Device and scheduler resets interleave.
+// Integer legs and residuals on 60 keys: most Pops meet ties, many at the
+// prune boundary. Device and scheduler resets interleave.
+void ExpectRandomizedPopsMatchNaiveScan(bool floors) {
   ScriptedOrderDevice device;
+  device.floors = floors;
   SptfScheduler sched(&device);
   std::vector<Request> naive;
   Rng rng(2024);
@@ -506,6 +513,45 @@ TEST(SptfWalkTest, RandomizedMatchesNaiveScan) {
   }
 }
 
+TEST(SptfWalkTest, RandomizedMatchesNaiveScan) { ExpectRandomizedPopsMatchNaiveScan(false); }
+
+TEST(SptfWalkTest, RandomizedMatchesNaiveScanWithLegFloors) {
+  ExpectRandomizedPopsMatchNaiveScan(true);
+}
+
+TEST(SptfWalkTest, FloorsSettleThePruneTest) {
+  // Requests at keys 44, 47, 50, 53 and 56, residual 0, state 50: the best
+  // cost (0) sits in the state's own bucket, and the next key on each side
+  // has leg 3. A floor of 0 cannot prune them, so both legs are computed;
+  // floors of 2 prune them unseen.
+  for (const bool floors : {false, true}) {
+    SCOPED_TRACE(floors);
+    ScriptedOrderDevice device;
+    device.floors = floors;
+    device.state_key = 50;
+    SptfScheduler sched(&device);
+    for (const int64_t key : {44, 47, 50, 53, 56}) {
+      sched.Add(Scripted(key, key, 0));
+    }
+    EXPECT_EQ(sched.Pop(0.0).id, 50);
+    EXPECT_EQ(device.estimates, 1);
+    EXPECT_EQ(device.key_legs, floors ? 1 : 3);
+  }
+  // One request per key 40-60, residual 2, state 50: keys 48-52 all cost
+  // 2, and the earliest added of them wins. Keys 47 and 53 have floor 2,
+  // equal to the best cost, so the walk takes their legs (3), which prune.
+  ScriptedOrderDevice device;
+  device.floors = true;
+  device.state_key = 50;
+  SptfScheduler sched(&device);
+  for (int64_t key = 40; key <= 60; ++key) {
+    sched.Add(Scripted(key, key, 2));
+  }
+  EXPECT_EQ(sched.Pop(0.0).id, 48);
+  EXPECT_EQ(device.estimates, 5);  // keys 48-52
+  EXPECT_EQ(device.key_legs, 7);   // and the legs of keys 47 and 53
+}
+
 // Counts the walk's key legs.
 class CountingMemsDevice : public MemsDevice {
  public:
@@ -528,9 +574,9 @@ class CountingSptf : public SptfScheduler {
 };
 
 // Runs the paper's random workload open loop at `rate_per_s` through MEMS +
-// SPTF and checks the selection work: at most `max_legs_per_pop` key legs
-// per Pop. A walk that silently stops pruning (about 20 legs per Pop) fails
-// here.
+// SPTF and checks the selection work: at most `max_legs_per_pop` exact key
+// legs per Pop. A walk that silently stops pruning (about 20 legs per Pop)
+// fails here, and so does one that ignores the leg floors (3.2 and 4.5).
 void ExpectWalkWorkBound(double rate_per_s, int64_t count, double max_legs_per_pop) {
   CountingMemsDevice device;
   RandomWorkloadConfig config;
@@ -549,9 +595,10 @@ void ExpectWalkWorkBound(double rate_per_s, int64_t count, double max_legs_per_p
   ::testing::Test::RecordProperty("key_legs_per_pop", std::to_string(legs_per_pop));
 }
 
-TEST(SptfWalkTest, WorkBoundAt1800ReqPerS) { ExpectWalkWorkBound(1800.0, 20000, 5.0); }
+// Seed 1 reads 1.47 legs per Pop at 1800 req/s and 2.56 at 3000 req/s.
+TEST(SptfWalkTest, WorkBoundAt1800ReqPerS) { ExpectWalkWorkBound(1800.0, 20000, 1.6); }
 
-TEST(SptfWalkTest, WorkBoundWhenOverloaded) { ExpectWalkWorkBound(3000.0, 20000, 8.0); }
+TEST(SptfWalkTest, WorkBoundWhenOverloaded) { ExpectWalkWorkBound(3000.0, 20000, 2.8); }
 
 TEST(AgedSptfTest, AgingPromotesOldRequests) {
   MemsDevice device;

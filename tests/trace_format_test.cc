@@ -213,6 +213,8 @@ TEST(TraceTest, ReadRejectsBadRecords) {
       {"int32-overflowing blocks", "0 R 8 4294967297\n", "line 1: out-of-range blocks"},
       {"end overflows int64", "0 R 9223372036854775807 8\n", "line 1: out-of-range lba + blocks"},
       {"negative arrival", "-1 R 8 4\n", "line 1: out-of-range arrival"},
+      {"negative-zero ASCII arrival", "-0 R 8 4\n", "line 1: out-of-range arrival"},
+      {"negative-zero DiskSim arrival", "-0.0 0 8 4 1\n", "line 1: out-of-range arrival"},
       // An arrival is decimal and starts with a digit or '-'; integer
       // fields have no leading zeros.
       {"non-finite arrival", "nan R 8 4\n", "line 1: malformed old mstk ASCII"},
