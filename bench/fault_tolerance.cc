@@ -10,6 +10,7 @@
 // to ~0. Spare-region remapping multiplies sequential read times; MEMS
 // sparing leaves them untouched.
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/fault/lifetime.h"
@@ -89,9 +90,12 @@ int main(int argc, char** argv) {
     double total = 0.0;
     const int kReads = static_cast<int>(opts.Scale(1000));
     Rng read_rng(7);
+    std::vector<IoExtent> extents;
     for (int i = 0; i < kReads; ++i) {
       const int64_t lbn = read_rng.UniformInt(region - 512);
-      for (const PhysExtent& extent : remap.Map(lbn, 512)) {
+      extents.clear();
+      remap.Map(lbn, 512, &extents);
+      for (const IoExtent& extent : extents) {
         Request req;
         req.lbn = extent.lbn;
         req.block_count = extent.blocks;

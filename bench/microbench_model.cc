@@ -12,15 +12,22 @@
 // one-candidate seek saves over Plan; BM_MemsKeyLegFloor times the floor
 // SPTF prunes on before it asks for such a seek. BM_MemsDeviceConstruct
 // times building a device once its parameter set's Y-leg master exists,
-// as every device after a process's first does.
+// as every device after a process's first does. BM_ArrayManagerRequest
+// times the array layer end to end: one RAID-5 request's fan-out, member
+// service and completion bookkeeping.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <vector>
 
+#include "src/array/array_manager.h"
 #include "src/disk/disk_device.h"
+#include "src/fault/injector.h"
 #include "src/mems/mems_device.h"
 #include "src/sched/sptf.h"
 #include "src/sim/rng.h"
+#include "src/sim/simulator.h"
+#include "src/workload/random_workload.h"
 
 namespace {
 
@@ -155,6 +162,68 @@ void BM_SptfPopQueue(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SptfPopQueue)->Arg(16)->Arg(64)->Arg(256);
+
+// One array request through ArrayManager in steady state: the Submit and
+// every simulator event up to the next arrival. The array has the shape of
+// perfbench's array_rebuild (RAID-5 over 16 active MEMS members and 2
+// spares, SPTF members with fault injectors, 1500 req/s) but no member
+// failure, and transient faults only, so that it stays optimal however
+// long the bench runs.
+void BM_ArrayManagerRequest(benchmark::State& state) {
+  constexpr int kActive = 16;
+  constexpr int kDevices = kActive + 2;
+  std::vector<std::unique_ptr<MemsDevice>> devices;
+  std::vector<std::unique_ptr<FaultInjector>> injectors;
+  std::vector<StorageDevice*> facing;
+  std::vector<FaultModel*> models;
+  for (int d = 0; d < kDevices; ++d) {
+    devices.push_back(std::make_unique<MemsDevice>());
+    facing.push_back(devices.back().get());
+    FaultInjectorConfig fault;
+    fault.transient_rate = 0.01;
+    injectors.push_back(std::make_unique<FaultInjector>(
+        fault, devices.back()->CapacityBlocks(), 1000 + static_cast<uint64_t>(d)));
+    models.push_back(injectors.back().get());
+  }
+  ArrayManagerConfig config;
+  config.raid = RaidConfig{RaidLevel::kRaid5, 64};
+  config.active_members = kActive;
+  config.member_extent_blocks = 32768;
+  Simulator sim;
+  MetricsCollector metrics;
+  ArrayManager manager(&sim, config, facing, MakeSptfFactory(), &metrics);
+  RecoveryPolicy recovery;
+  recovery.max_retries = 5;
+  manager.AttachFaultModels(models, recovery);
+
+  RandomWorkloadConfig workload;
+  workload.arrival_rate_per_s = 1500.0;
+  workload.request_count = 20000;
+  workload.capacity_blocks = manager.CapacityBlocks();
+  Rng rng(8);
+  const std::vector<Request> stream = GenerateRandomWorkload(workload, rng);
+  // Replays the stream end to end, shifted in time on each pass.
+  size_t next = 0;
+  TimeMs pass_start_ms = 0.0;
+  const auto submit_next = [&] {
+    if (next == stream.size()) {
+      next = 0;
+      pass_start_ms += stream.back().arrival_ms;
+    }
+    Request req = stream[next++];
+    req.arrival_ms += pass_start_ms;
+    sim.RunUntil(req.arrival_ms);
+    manager.Submit(req);
+  };
+  for (int i = 0; i < 2000; ++i) {
+    submit_next();
+  }
+  for (auto _ : state) {
+    submit_next();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ArrayManagerRequest);
 
 }  // namespace
 

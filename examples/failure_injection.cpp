@@ -7,6 +7,7 @@
 //
 // Run: ./build/examples/failure_injection
 #include <cstdio>
+#include <vector>
 
 #include "src/fault/ecc.h"
 #include "src/fault/lifetime.h"
@@ -61,9 +62,12 @@ int main() {
     device.Reset();
     Rng read_rng(5);
     double total = 0.0;
+    std::vector<IoExtent> extents;
     for (int i = 0; i < 3000; ++i) {
       const int64_t lbn = read_rng.UniformInt(region - 128);
-      for (const PhysExtent& extent : remap.Map(lbn, 128)) {
+      extents.clear();
+      remap.Map(lbn, 128, &extents);
+      for (const IoExtent& extent : extents) {
         Request req;
         req.lbn = extent.lbn;
         req.block_count = extent.blocks;

@@ -163,15 +163,15 @@ void ArrayManager::Init(const SchedulerFactory& scheduler_factory) {
   for (int d = 0; d < device_count(); ++d) {
     PerDevice& pd = per_device_[static_cast<size_t>(d)];
     pd.scheduler = scheduler_factory(devices_[static_cast<size_t>(d)]);
-    pd.metrics = std::make_unique<MetricsCollector>();
-    pd.metrics->set_exclude_background(true);
+    // Nothing reads a member's latencies, only its fault counters, so the
+    // member drivers run without a collector.
     pd.driver = std::make_unique<Driver>(sim_, devices_[static_cast<size_t>(d)],
-                                         pd.scheduler.get(), pd.metrics.get());
+                                         pd.scheduler.get(), /*metrics=*/nullptr);
     pd.background = std::make_unique<BackgroundRunner>(
         sim_, pd.driver.get(), std::vector<Request>{}, config_.rebuild_idle_delay_ms,
         kIdleRebuildIdBase + static_cast<int64_t>(d) * kIdleRebuildIdStride);
     pd.driver->AddCompletionListener(
-        [this, d](const Request& sub, TimeMs now) { OnMemberCompletion(d, sub, now); });
+        [this](const Request& sub, TimeMs now) { OnMemberCompletion(sub, now); });
   }
 }
 
@@ -204,7 +204,7 @@ void ArrayManager::SetState(ArrayState next, TimeMs now_ms) {
 FaultCounters ArrayManager::DeviceFaults() const {
   FaultCounters total;
   for (const PerDevice& pd : per_device_) {
-    const FaultCounters& f = pd.metrics->fault();
+    const FaultCounters& f = pd.driver->fault();
     total.transient_errors += f.transient_errors;
     total.timeouts += f.timeouts;
     total.retries += f.retries;
@@ -231,24 +231,22 @@ void ArrayManager::AttachFaultModels(const std::vector<FaultModel*>& models,
   }
 }
 
-std::vector<ArrayManager::RoutedOp> ArrayManager::RouteRequest(const Request& req) {
+void ArrayManager::RouteRequest(const Request& req) {
   const TimeMs now = sim_->NowMs();
-  std::vector<RaidPlanner::MemberOp> plan;
   if (req.is_read()) {
     const RaidPlanner::MirrorCost mirror_cost = [this](int slot, const Request& probe,
                                                        TimeMs at) {
       const int dev = super_.slot_to_device[static_cast<size_t>(slot)];
       return devices_[static_cast<size_t>(dev)]->EstimatePositioningMs(probe, at);
     };
-    plan = planner_.PlanRead(req, super_.slot_failed, now, mirror_cost);
+    planner_.PlanRead(req, super_.slot_failed, now, mirror_cost, &plan_);
   } else {
-    plan = planner_.PlanWrite(req, super_.slot_failed);
+    planner_.PlanWrite(req, super_.slot_failed, &plan_);
   }
 
-  std::vector<RoutedOp> routed;
-  routed.reserve(plan.size());
-  for (const RaidPlanner::MemberOp& op : plan) {
-    routed.push_back(RoutedOp{super_.slot_to_device[static_cast<size_t>(op.member)], op});
+  routed_.clear();
+  for (const RaidPlanner::MemberOp& op : plan_) {
+    routed_.push_back(RoutedOp{super_.slot_to_device[static_cast<size_t>(op.member)], op});
   }
 
   // During a rebuild, writes that land on the failed slot below the rebuild
@@ -257,10 +255,20 @@ std::vector<ArrayManager::RoutedOp> ArrayManager::RouteRequest(const Request& re
   // above the cursor are picked up when the rebuild gets there.
   if (!req.is_read() && super_.state == ArrayState::kRebuilding) {
     const int s = super_.rebuild_slot;
+    // Mirrors the member-space span [lbn, lbn + blocks) of slot s.
+    const auto mirror = [this, s](int64_t lbn, int32_t blocks) {
+      if (lbn >= super_.rebuild_cursor_blocks) {
+        return;
+      }
+      const int32_t clipped = static_cast<int32_t>(
+          std::min<int64_t>(blocks, super_.rebuild_cursor_blocks - lbn));
+      routed_.push_back(RoutedOp{
+          super_.rebuild_device,
+          RaidPlanner::MemberOp{s, lbn, clipped, IoType::kWrite, /*row=*/-1, /*phase2=*/false}});
+    };
     const int64_t unit = config_.raid.stripe_unit_blocks;
-    std::vector<std::pair<int64_t, int32_t>> spans;  // member-space (lbn, blocks)
     if (config_.raid.level == RaidLevel::kRaid1) {
-      spans.emplace_back(req.lbn, req.block_count);
+      mirror(req.lbn, req.block_count);
     } else if (config_.raid.level == RaidLevel::kRaid5) {
       int64_t cursor = req.lbn;
       int64_t remaining = req.block_count;
@@ -269,36 +277,54 @@ std::vector<ArrayManager::RoutedOp> ArrayManager::RouteRequest(const Request& re
         const int32_t run = static_cast<int32_t>(std::min<int64_t>(remaining, unit - in_unit));
         const MemberBlock mb = planner_.MapRaid5Data(cursor);
         if (mb.member == s) {
-          spans.emplace_back(mb.lbn, run);
+          mirror(mb.lbn, run);
         }
         cursor += run;
         remaining -= run;
       }
     }
-    for (const auto& [lbn, blocks] : spans) {
-      if (lbn >= super_.rebuild_cursor_blocks) {
-        continue;
-      }
-      const int32_t clipped = static_cast<int32_t>(
-          std::min<int64_t>(blocks, super_.rebuild_cursor_blocks - lbn));
-      routed.push_back(RoutedOp{
-          super_.rebuild_device,
-          RaidPlanner::MemberOp{s, lbn, clipped, IoType::kWrite, /*row=*/-1, /*phase2=*/false}});
-    }
   }
-  return routed;
 }
 
-void ArrayManager::IssueSubOp(int64_t parent_key, PendingIo* io, const RoutedOp& routed) {
+void ArrayManager::IssueSubOp(int slot, const RoutedOp& routed) {
   Request sub;
   sub.id = next_sub_id_++;
   sub.type = routed.op.type;
   sub.lbn = routed.op.lbn;
   sub.block_count = routed.op.blocks;
   sub.arrival_ms = sim_->NowMs();
-  sub_refs_[sub.id] = SubRef{parent_key, routed.op.row, routed.op.phase2};
-  io->outstanding++;
+  if (sub.id - oldest_sub_id_ >= static_cast<int64_t>(sub_refs_.size())) {
+    // The live window would wrap the ring: double it, re-seating each live
+    // ref at its id modulo the new size.
+    std::vector<SubRef> grown(std::max<size_t>(16, 2 * sub_refs_.size()));
+    for (int64_t id = oldest_sub_id_; id < sub.id; ++id) {
+      grown[static_cast<size_t>(id) & (grown.size() - 1)] =
+          sub_refs_[static_cast<size_t>(id) & (sub_refs_.size() - 1)];
+    }
+    sub_refs_.swap(grown);
+  }
+  sub_refs_[static_cast<size_t>(sub.id) & (sub_refs_.size() - 1)] =
+      SubRef{slot, routed.op.phase2, routed.op.row};
+  pending_[static_cast<size_t>(slot)].outstanding++;
   per_device_[static_cast<size_t>(routed.device)].driver->Submit(sub);
+}
+
+bool ArrayManager::TakeSubRef(int64_t id, SubRef* ref) {
+  if (id < oldest_sub_id_ || id >= next_sub_id_) {
+    return false;
+  }
+  const size_t mask = sub_refs_.size() - 1;
+  SubRef& entry = sub_refs_[static_cast<size_t>(id) & mask];
+  if (entry.slot < 0) {
+    return false;
+  }
+  *ref = entry;
+  entry.slot = -1;
+  while (oldest_sub_id_ < next_sub_id_ &&
+         sub_refs_[static_cast<size_t>(oldest_sub_id_) & mask].slot < 0) {
+    ++oldest_sub_id_;
+  }
+  return true;
 }
 
 void ArrayManager::Submit(const Request& req) {
@@ -312,16 +338,21 @@ void ArrayManager::Submit(const Request& req) {
     return;
   }
 
-  const std::vector<RoutedOp> routed = RouteRequest(req);
-  const int64_t key = next_parent_key_++;
-  PendingIo& io = pending_[key];
+  RouteRequest(req);
+  if (free_slots_.empty()) {
+    free_slots_.push_back(static_cast<int>(pending_.size()));
+    pending_.emplace_back();
+  }
+  const int slot = free_slots_.back();
+  free_slots_.pop_back();
+  PendingIo& io = pending_[static_cast<size_t>(slot)];
   io.parent = req;
   io.submit_ms = now;
-  metrics_->RecordDispatch(req, now, static_cast<int64_t>(pending_.size()));
+  metrics_->RecordDispatch(req, now, outstanding());
 
   // Row barriers: each phase-1 op tagged with a row holds back that row's
   // phase-2 ops until it completes.
-  for (const RoutedOp& r : routed) {
+  for (const RoutedOp& r : routed_) {
     if (r.op.phase2 || r.op.row < 0) {
       continue;
     }
@@ -338,9 +369,9 @@ void ArrayManager::Submit(const Request& req) {
     }
   }
 
-  for (const RoutedOp& r : routed) {
+  for (const RoutedOp& r : routed_) {
     if (!r.op.phase2) {
-      IssueSubOp(key, &io, r);
+      IssueSubOp(slot, r);
       continue;
     }
     bool gated = false;
@@ -354,36 +385,31 @@ void ArrayManager::Submit(const Request& req) {
       io.held.push_back(r);
     } else {
       // Full-stripe rows have no phase-1 reads to wait for.
-      IssueSubOp(key, &io, r);
+      IssueSubOp(slot, r);
     }
   }
 
   if (io.outstanding == 0 && io.held.empty()) {
     // Degenerate plan (every target slot failed): nothing could be issued.
-    CompleteParent(key, &io, now);
+    CompleteParent(slot, now);
   }
 }
 
-void ArrayManager::CompleteParent(int64_t parent_key, PendingIo* io, TimeMs now_ms) {
-  if (io->parent.failed) {
+void ArrayManager::CompleteParent(int slot, TimeMs now_ms) {
+  PendingIo& io = pending_[static_cast<size_t>(slot)];
+  if (io.parent.failed) {
     failed_foreground_++;
     metrics_->fault().failed_requests++;
   }
-  metrics_->RecordCompletion(io->parent, now_ms, now_ms - io->submit_ms);
-  pending_.erase(parent_key);
+  metrics_->RecordCompletion(io.parent, now_ms, now_ms - io.submit_ms);
+  io.rows.clear();
+  free_slots_.push_back(slot);
 }
 
-void ArrayManager::OnMemberCompletion(int device, const Request& sub, TimeMs now_ms) {
-  (void)device;
-  const auto ref_it = sub_refs_.find(sub.id);
-  if (ref_it != sub_refs_.end()) {
-    const SubRef ref = ref_it->second;
-    sub_refs_.erase(ref_it);
-    const auto io_it = pending_.find(ref.parent_key);
-    if (io_it == pending_.end()) {
-      return;  // orphan from before a Restart()
-    }
-    PendingIo& io = io_it->second;
+void ArrayManager::OnMemberCompletion(const Request& sub, TimeMs now_ms) {
+  SubRef ref;
+  if (TakeSubRef(sub.id, &ref)) {
+    PendingIo& io = pending_[static_cast<size_t>(ref.slot)];
     io.outstanding--;
     if (sub.failed) {
       io.parent.failed = true;
@@ -394,30 +420,33 @@ void ArrayManager::OnMemberCompletion(int device, const Request& sub, TimeMs now
           continue;
         }
         if (--rb.reads_left == 0) {
-          // The row's reads are in: release its held phase-2 writes.
-          auto held = std::move(io.held);
-          io.held.clear();
-          for (const RoutedOp& r : held) {
+          // The row's reads are in: release its held phase-2 writes in
+          // order, compacting the rest in place so held keeps its capacity.
+          size_t kept = 0;
+          for (size_t i = 0; i < io.held.size(); ++i) {
+            const RoutedOp r = io.held[i];
             if (r.op.row == ref.row) {
-              IssueSubOp(ref.parent_key, &io, r);
+              IssueSubOp(ref.slot, r);
             } else {
-              io.held.push_back(r);
+              io.held[kept++] = r;
             }
           }
+          io.held.resize(kept);
         }
         break;
       }
     }
     if (io.outstanding == 0 && io.held.empty()) {
-      CompleteParent(ref.parent_key, &io, now_ms);
+      CompleteParent(ref.slot, now_ms);
     }
     return;
   }
 
   // Rebuild traffic for the chunk in flight.
-  const auto read_it = chunk_read_ids_.find(sub.id);
+  const auto read_it = std::find(chunk_read_ids_.begin(), chunk_read_ids_.end(), sub.id);
   if (read_it != chunk_read_ids_.end()) {
-    chunk_read_ids_.erase(read_it);
+    *read_it = chunk_read_ids_.back();
+    chunk_read_ids_.pop_back();
     if (chunk_read_ids_.empty() && super_.state == ArrayState::kRebuilding) {
       // Survivor reads done: copy the reconstructed chunk onto the target.
       Request write;
@@ -432,8 +461,8 @@ void ArrayManager::OnMemberCompletion(int device, const Request& sub, TimeMs now
     CommitChunk(now_ms);
     return;
   }
-  // Orphaned rebuild I/O from before a Restart(), or BackgroundRunner
-  // bookkeeping traffic: nothing to do.
+  // Orphaned I/O (from before a Restart(), or of a rebuild chunk that a
+  // failure aborted): nothing to do.
 }
 
 void ArrayManager::SubmitRebuildIo(int device, const Request& io) {
@@ -444,7 +473,7 @@ void ArrayManager::SubmitRebuildIo(int device, const Request& io) {
     if (is_write) {
       chunk_write_id_ = id;
     } else {
-      chunk_read_ids_[id] = true;
+      chunk_read_ids_.push_back(id);
     }
     return;
   }
@@ -454,7 +483,7 @@ void ArrayManager::SubmitRebuildIo(int device, const Request& io) {
   if (is_write) {
     chunk_write_id_ = task.id;
   } else {
-    chunk_read_ids_[task.id] = true;
+    chunk_read_ids_.push_back(task.id);
   }
   per_device_[static_cast<size_t>(device)].driver->Submit(task);
 }
@@ -619,8 +648,15 @@ void ArrayManager::FailDevice(int device, TimeMs now_ms) {
 
 void ArrayManager::Restart() {
   ++restart_epoch_;
-  pending_.clear();
-  sub_refs_.clear();
+  free_slots_.clear();
+  for (int slot = static_cast<int>(pending_.size()) - 1; slot >= 0; --slot) {
+    PendingIo& io = pending_[static_cast<size_t>(slot)];
+    io.outstanding = 0;
+    io.held.clear();
+    io.rows.clear();
+    free_slots_.push_back(slot);
+  }
+  oldest_sub_id_ = next_sub_id_;
   chunk_read_ids_.clear();
   chunk_write_id_ = -1;
   chunk_blocks_ = 0;

@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -128,8 +127,10 @@ class ArrayManager {
   int64_t failed_foreground() const { return failed_foreground_; }
 
   // The member driver, for wiring fault models / traces from a harness.
+  // Members run without a MetricsCollector: they keep fault counters only.
   Driver* driver(int device) { return per_device_[static_cast<size_t>(device)].driver.get(); }
-  // Aggregated fault/rebuild counters across the member drivers.
+  // Aggregated fault/rebuild counters across the member drivers, summed in
+  // device order.
   FaultCounters DeviceFaults() const;
 
   // Submits one foreground array request at the current virtual time. The
@@ -139,7 +140,9 @@ class ArrayManager {
   // immediately, marked failed.
   void Submit(const Request& req);
   // Foreground array requests submitted but not yet completed.
-  int64_t outstanding() const { return static_cast<int64_t>(pending_.size()); }
+  int64_t outstanding() const {
+    return static_cast<int64_t>(pending_.size() - free_slots_.size());
+  }
 
   // Fails a physical device out of the array: active slots degrade the
   // array and (spare permitting) start a rebuild; pooled spares just leave
@@ -167,7 +170,7 @@ class ArrayManager {
     int64_t row;
     int reads_left;
   };
-  // One in-flight foreground array request.
+  // One in-flight foreground array request, in a reusable slot of pending_.
   struct PendingIo {
     Request parent;
     TimeMs submit_ms = 0.0;
@@ -175,21 +178,25 @@ class ArrayManager {
     std::vector<RoutedOp> held;  // phase-2 ops waiting on their row barrier
     std::vector<RowBarrier> rows;
   };
-  // Reverse route from a member sub-op id back to its array request.
+  // Reverse route from a live member sub-op back to its array request.
   struct SubRef {
-    int64_t parent_key;
-    int64_t row;
-    bool phase2;
+    int slot = -1;  // pending_ slot; -1 once the sub-op has completed
+    bool phase2 = false;
+    int64_t row = -1;
   };
 
   void Init(const SchedulerFactory& scheduler_factory);
   void ResumeFromSuperblock();
   void SetState(ArrayState next, TimeMs now_ms);
 
-  [[nodiscard]] std::vector<RoutedOp> RouteRequest(const Request& req);
-  void IssueSubOp(int64_t parent_key, PendingIo* io, const RoutedOp& routed);
-  void CompleteParent(int64_t parent_key, PendingIo* io, TimeMs now_ms);
-  void OnMemberCompletion(int device, const Request& sub, TimeMs now_ms);
+  // Plans `req` and routes its member ops into routed_.
+  void RouteRequest(const Request& req);
+  void IssueSubOp(int slot, const RoutedOp& routed);
+  void CompleteParent(int slot, TimeMs now_ms);
+  void OnMemberCompletion(const Request& sub, TimeMs now_ms);
+  // Retires live sub-op `id` into `*ref`; false if `id` is not a live
+  // foreground sub-op (rebuild traffic, or an orphan from before Restart()).
+  bool TakeSubRef(int64_t id, SubRef* ref);
 
   void MaybeStartRebuild(TimeMs now_ms);
   void StartNextChunk(TimeMs now_ms);
@@ -208,7 +215,6 @@ class ArrayManager {
 
   struct PerDevice {
     std::unique_ptr<IoScheduler> scheduler;
-    std::unique_ptr<MetricsCollector> metrics;
     std::unique_ptr<Driver> driver;
     std::unique_ptr<BackgroundRunner> background;
   };
@@ -217,18 +223,30 @@ class ArrayManager {
   ArraySuperblock super_;
   std::vector<Transition> transitions_;
 
-  // Foreground bookkeeping. Ordered maps keep iteration deterministic (and
-  // mstk-lint's serializer rule away); lookups dominate and stay O(log n)
-  // over the handful of in-flight requests.
-  std::map<int64_t, PendingIo> pending_;
-  std::map<int64_t, SubRef> sub_refs_;
-  int64_t next_parent_key_ = 0;
+  // Foreground bookkeeping in reusable tables, so a steady-state request
+  // allocates nothing. No iteration order is involved: a request is found
+  // through its slot index and a sub-op through its id, so which slot a
+  // request takes never reaches an output.
+  //  - pending_: in-flight requests by slot. A freed slot goes on
+  //    free_slots_ and keeps its vectors' capacity for the next request.
+  //  - sub_refs_: live sub-ops by id. Ids are issued in order, so the live
+  //    ones lie in [oldest_sub_id_, next_sub_id_); each sits at its id
+  //    modulo the ring's power-of-two size, which doubles when the window
+  //    would wrap. Restart() moves oldest_sub_id_ to next_sub_id_, which
+  //    turns every earlier completion into an ignored orphan.
+  std::vector<PendingIo> pending_;
+  std::vector<int> free_slots_;
+  std::vector<SubRef> sub_refs_;
+  int64_t oldest_sub_id_ = kSubIdBase;
   int64_t next_sub_id_ = kSubIdBase;
   int64_t failed_foreground_ = 0;
+  // Submit's scratch: the plan and its routed member ops.
+  std::vector<RaidPlanner::MemberOp> plan_;
+  std::vector<RoutedOp> routed_;
 
-  // Rebuild chunk in flight: outstanding survivor-read ids, then the
-  // copy-back write id.
-  std::map<int64_t, bool> chunk_read_ids_;
+  // Rebuild chunk in flight: outstanding survivor-read ids (unordered),
+  // then the copy-back write id.
+  std::vector<int64_t> chunk_read_ids_;
   int64_t chunk_write_id_ = -1;
   int32_t chunk_blocks_ = 0;
   int64_t next_greedy_id_ = kGreedyRebuildIdBase;

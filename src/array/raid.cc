@@ -72,11 +72,29 @@ MemberBlock RaidPlanner::MapRaid5Data(int64_t array_lbn) const {
   return MemberBlock{member, row * unit + array_lbn % unit};
 }
 
-std::vector<RaidPlanner::MemberOp> RaidPlanner::PlanRead(const Request& req,
-                                                         const std::vector<bool>& failed,
-                                                         TimeMs at_ms,
-                                                         const MirrorCost& mirror_cost) const {
-  std::vector<MemberOp> ops;
+void RaidPlanner::AppendCoalesced(const MemberOp& op, std::vector<MemberOp>* ops) {
+  // Striping visits the members round-robin, but each member's successive
+  // units are contiguous LBNs, so a large request becomes one long run per
+  // member. Ops may only merge when they agree on phase, barrier row, AND
+  // type: a row-tagged reconstruct read adjacent to an untagged normal read
+  // must keep its barrier identity, not silently inherit its neighbor's.
+  for (auto last = ops->rbegin(); last != ops->rend(); ++last) {
+    if (last->member != op.member) {
+      continue;
+    }
+    if (last->lbn + last->blocks == op.lbn && last->phase2 == op.phase2 &&
+        last->row == op.row && last->type == op.type) {
+      last->blocks += op.blocks;
+      return;
+    }
+    break;
+  }
+  ops->push_back(op);
+}
+
+void RaidPlanner::PlanRead(const Request& req, const std::vector<bool>& failed, TimeMs at_ms,
+                           const MirrorCost& mirror_cost, std::vector<MemberOp>* ops) const {
+  ops->clear();
   const int64_t unit = config_.stripe_unit_blocks;
   switch (config_.level) {
     case RaidLevel::kRaid1: {
@@ -98,8 +116,8 @@ std::vector<RaidPlanner::MemberOp> RaidPlanner::PlanRead(const Request& req,
         }
       }
       MSTK_CHECK(best >= 0, "all mirrors failed");
-      ops.push_back(MemberOp{best, req.lbn, req.block_count, IoType::kRead, -1, false});
-      return ops;
+      ops->push_back(MemberOp{best, req.lbn, req.block_count, IoType::kRead, -1, false});
+      return;
     }
     case RaidLevel::kRaid0:
     case RaidLevel::kRaid5: {
@@ -119,40 +137,17 @@ std::vector<RaidPlanner::MemberOp> RaidPlanner::PlanRead(const Request& req,
               continue;
             }
             MSTK_CHECK(!failed[static_cast<size_t>(m)], "RAID-5 cannot survive two failures");
-            ops.push_back(MemberOp{m, mb.lbn, run, IoType::kRead, row, false});
+            AppendCoalesced(MemberOp{m, mb.lbn, run, IoType::kRead, row, false}, ops);
           }
         } else {
-          ops.push_back(MemberOp{mb.member, mb.lbn, run, IoType::kRead, -1, false});
+          AppendCoalesced(MemberOp{mb.member, mb.lbn, run, IoType::kRead, -1, false}, ops);
         }
         cursor += run;
         remaining -= run;
       }
-      // Coalesce physically adjacent ops per member: striping visits the
-      // members round-robin, but each member's successive units are
-      // contiguous LBNs, so a large read becomes one long run per member.
-      // Ops may only merge when they agree on phase, barrier row, AND type:
-      // a row-tagged reconstruct read adjacent to an untagged normal read
-      // must keep its barrier identity, not silently inherit its neighbor's.
-      std::vector<MemberOp> merged;
-      std::vector<int> last_index(static_cast<size_t>(member_count_), -1);
-      for (const MemberOp& op : ops) {
-        const int idx = last_index[static_cast<size_t>(op.member)];
-        if (idx >= 0 &&
-            merged[static_cast<size_t>(idx)].lbn + merged[static_cast<size_t>(idx)].blocks ==
-                op.lbn &&
-            merged[static_cast<size_t>(idx)].phase2 == op.phase2 &&
-            merged[static_cast<size_t>(idx)].row == op.row &&
-            merged[static_cast<size_t>(idx)].type == op.type) {
-          merged[static_cast<size_t>(idx)].blocks += op.blocks;
-        } else {
-          last_index[static_cast<size_t>(op.member)] = static_cast<int>(merged.size());
-          merged.push_back(op);
-        }
-      }
-      return merged;
+      return;
     }
   }
-  return ops;
 }
 
 void RaidPlanner::PlanRaid5RowWrite(int64_t row, int64_t first_unit, int64_t last_unit,
@@ -167,55 +162,51 @@ void RaidPlanner::PlanRaid5RowWrite(int64_t row, int64_t first_unit, int64_t las
   const bool full_stripe = (first_unit == 0 && last_unit == units_in_row - 1 &&
                             lbn_in_row_first % unit == 0 && blocks == units_in_row * unit);
 
-  // Walk the covered units once up front: reconstruct-write mode is decided
-  // by whether any covered data unit is failed, and whether every failed
-  // covered unit is written in full (if not, the old parity must be read to
-  // stand in for the failed unit's unwritten blocks).
-  struct CoveredUnit {
-    int64_t u;
-    int member;
-    int64_t in_unit;
-    int32_t run;
+  // Calls visit(member, in_unit, run) for each covered unit, in order.
+  const auto for_each_covered = [&](const auto& visit) {
+    int64_t cursor = lbn_in_row_first;
+    int64_t remaining = blocks;
+    for (int64_t u = first_unit; u <= last_unit; ++u) {
+      const int64_t in_unit = cursor % unit;
+      const int32_t run = static_cast<int32_t>(std::min<int64_t>(remaining, unit - in_unit));
+      visit(u < parity ? static_cast<int>(u) : static_cast<int>(u) + 1, in_unit, run);
+      cursor += run;
+      remaining -= run;
+    }
   };
-  std::vector<CoveredUnit> covered;
-  covered.reserve(static_cast<size_t>(last_unit - first_unit + 1));
-  int64_t cursor = lbn_in_row_first;
-  int64_t remaining = blocks;
+
+  // Reconstruct-write mode is decided by whether any covered data unit is
+  // failed, and whether every failed covered unit is written in full (if
+  // not, the old parity must be read to stand in for the failed unit's
+  // unwritten blocks).
   bool any_data_failed = false;
   bool failed_units_fully_written = true;
-  for (int64_t u = first_unit; u <= last_unit; ++u) {
-    const int64_t in_unit = cursor % unit;
-    const int32_t run = static_cast<int32_t>(std::min<int64_t>(remaining, unit - in_unit));
-    const int member = u < parity ? static_cast<int>(u) : static_cast<int>(u) + 1;
+  for_each_covered([&](int member, int64_t in_unit, int32_t run) {
     if (failed[static_cast<size_t>(member)]) {
       any_data_failed = true;
       if (in_unit != 0 || run != unit) {
         failed_units_fully_written = false;
       }
     }
-    covered.push_back(CoveredUnit{u, member, in_unit, run});
-    cursor += run;
-    remaining -= run;
-  }
+  });
   const bool reconstruct = any_data_failed && parity_live && !full_stripe;
 
-  for (const CoveredUnit& c : covered) {
-    if (failed[static_cast<size_t>(c.member)]) {
-      continue;  // nothing to issue against a failed member
+  for_each_covered([&](int member, int64_t in_unit, int32_t run) {
+    if (failed[static_cast<size_t>(member)]) {
+      return;  // nothing to issue against a failed member
     }
     if (!full_stripe) {
       if (reconstruct) {
         // Reconstruct-write: parity is rebuilt from the *full* surviving
         // units, so read the whole unit, not just the written span.
         ops->push_back(
-            MemberOp{c.member, row * unit, static_cast<int32_t>(unit), IoType::kRead, row, false});
+            MemberOp{member, row * unit, static_cast<int32_t>(unit), IoType::kRead, row, false});
       } else {
-        ops->push_back(
-            MemberOp{c.member, row * unit + c.in_unit, c.run, IoType::kRead, row, false});
+        ops->push_back(MemberOp{member, row * unit + in_unit, run, IoType::kRead, row, false});
       }
     }
-    ops->push_back(MemberOp{c.member, row * unit + c.in_unit, c.run, IoType::kWrite, row, true});
-  }
+    ops->push_back(MemberOp{member, row * unit + in_unit, run, IoType::kWrite, row, true});
+  });
 
   if (reconstruct) {
     // Read the surviving data units the write does not touch, in full.
@@ -265,39 +256,31 @@ void RaidPlanner::PlanRaid5RowWrite(int64_t row, int64_t first_unit, int64_t las
   }
 }
 
-std::vector<RaidPlanner::MemberOp> RaidPlanner::PlanWrite(const Request& req,
-                                                          const std::vector<bool>& failed) const {
-  std::vector<MemberOp> ops;
+void RaidPlanner::PlanWrite(const Request& req, const std::vector<bool>& failed,
+                            std::vector<MemberOp>* ops) const {
+  ops->clear();
   const int64_t unit = config_.stripe_unit_blocks;
   switch (config_.level) {
     case RaidLevel::kRaid1: {
       for (int m = 0; m < member_count_; ++m) {
         if (!failed[static_cast<size_t>(m)]) {
-          ops.push_back(MemberOp{m, req.lbn, req.block_count, IoType::kWrite, -1, false});
+          ops->push_back(MemberOp{m, req.lbn, req.block_count, IoType::kWrite, -1, false});
         }
       }
-      return ops;
+      return;
     }
     case RaidLevel::kRaid0: {
       int64_t cursor = req.lbn;
       int64_t remaining = req.block_count;
-      std::vector<int> last_index(static_cast<size_t>(member_count_), -1);
       while (remaining > 0) {
         const int64_t in_unit = cursor % unit;
         const int32_t run = static_cast<int32_t>(std::min<int64_t>(remaining, unit - in_unit));
         const MemberBlock mb = MapRaid0(cursor);
-        const int idx = last_index[static_cast<size_t>(mb.member)];
-        if (idx >= 0 &&
-            ops[static_cast<size_t>(idx)].lbn + ops[static_cast<size_t>(idx)].blocks == mb.lbn) {
-          ops[static_cast<size_t>(idx)].blocks += run;
-        } else {
-          last_index[static_cast<size_t>(mb.member)] = static_cast<int>(ops.size());
-          ops.push_back(MemberOp{mb.member, mb.lbn, run, IoType::kWrite, -1, false});
-        }
+        AppendCoalesced(MemberOp{mb.member, mb.lbn, run, IoType::kWrite, -1, false}, ops);
         cursor += run;
         remaining -= run;
       }
-      return ops;
+      return;
     }
     case RaidLevel::kRaid5: {
       const int64_t n = member_count_;
@@ -309,14 +292,13 @@ std::vector<RaidPlanner::MemberOp> RaidPlanner::PlanWrite(const Request& req,
         const int64_t in_row = cursor % row_span;
         const int64_t take = std::min<int64_t>(remaining, row_span - in_row);
         PlanRaid5RowWrite(row, in_row / unit, (in_row + take - 1) / unit,
-                          row * unit + (in_row % unit), static_cast<int32_t>(take), failed, &ops);
+                          row * unit + (in_row % unit), static_cast<int32_t>(take), failed, ops);
         cursor += take;
         remaining -= take;
       }
-      return ops;
+      return;
     }
   }
-  return ops;
 }
 
 RaidArray::RaidArray(const RaidConfig& config, std::vector<StorageDevice*> members)
@@ -363,15 +345,16 @@ void RaidArray::SetMemberFailed(int member, bool failed) {
   health_ = planner_.HealthFor(failed_);
 }
 
-std::vector<RaidArray::MemberOp> RaidArray::Plan(const Request& req, TimeMs at_ms) const {
+void RaidArray::Plan(const Request& req, TimeMs at_ms, std::vector<MemberOp>* ops) const {
   if (req.is_read()) {
     const RaidPlanner::MirrorCost mirror_cost = [this](int member, const Request& probe,
                                                        TimeMs at) {
       return members_[static_cast<size_t>(member)]->EstimatePositioningMs(probe, at);
     };
-    return planner_.PlanRead(req, failed_, at_ms, mirror_cost);
+    planner_.PlanRead(req, failed_, at_ms, mirror_cost, ops);
+  } else {
+    planner_.PlanWrite(req, failed_, ops);
   }
-  return planner_.PlanWrite(req, failed_);
 }
 
 TimeMs RaidArray::Execute(const std::vector<MemberOp>& ops, TimeMs start_ms,
@@ -443,7 +426,8 @@ TimeMs RaidArray::ServiceRequest(const Request& req, TimeMs start_ms,
   MSTK_CHECK(health_ != ArrayHealth::kFailed,
              "array is unrecoverable (failures exceed the RAID level's tolerance); "
              "check health() before issuing I/O");
-  const std::vector<MemberOp> ops = Plan(req, start_ms);
+  std::vector<MemberOp> ops;
+  Plan(req, start_ms, &ops);
   const double total_ms = Execute(ops, start_ms, breakdown);
 
   activity_.busy_ms += total_ms;
@@ -459,7 +443,8 @@ TimeMs RaidArray::ServiceRequest(const Request& req, TimeMs start_ms,
 TimeMs RaidArray::EstimatePositioningMs(const Request& req, TimeMs at_ms) const {
   // Time until every member involved in the first phase can start moving
   // data: the max of the members' first-op positioning estimates.
-  const std::vector<MemberOp> ops = Plan(req, at_ms);
+  std::vector<MemberOp> ops;
+  Plan(req, at_ms, &ops);
   double worst = 0.0;
   std::vector<bool> seen(members_.size(), false);
   for (const MemberOp& op : ops) {

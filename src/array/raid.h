@@ -96,23 +96,29 @@ class RaidPlanner {
   // Parity member for a RAID-5 stripe row.
   [[nodiscard]] int Raid5ParityMember(int64_t row) const;
 
+  // Both planners write the plan into `ops`, which they clear first. The
+  // buffer belongs to the caller, so a caller that plans request after
+  // request reuses its capacity instead of allocating a plan each time.
+  //
   // Plans a read issued at `at_ms`. Degraded RAID-5 reads reconstruct from
   // the survivors of the failed member's rows; RAID-1 picks the live mirror
   // with the cheapest positioning per `mirror_cost` (a null callback falls
   // back to the first live mirror). `failed` must be within the level's
   // fault tolerance (HealthFor != kFailed).
-  [[nodiscard]] std::vector<MemberOp> PlanRead(const Request& req,
-                                               const std::vector<bool>& failed, TimeMs at_ms,
-                                               const MirrorCost& mirror_cost) const;
+  void PlanRead(const Request& req, const std::vector<bool>& failed, TimeMs at_ms,
+                const MirrorCost& mirror_cost, std::vector<MemberOp>* ops) const;
   // Plans a write: full-stripe RAID-5 writes skip the read-modify-write;
   // partial writes read old data + old parity first (phase 1) and gate the
   // new-data/new-parity writes on them (phase 2). With a failed data member
   // the parity unit is reconstructed from full surviving units and written
   // in full.
-  [[nodiscard]] std::vector<MemberOp> PlanWrite(const Request& req,
-                                                const std::vector<bool>& failed) const;
+  void PlanWrite(const Request& req, const std::vector<bool>& failed,
+                 std::vector<MemberOp>* ops) const;
 
  private:
+  // Appends `op`, or extends its member's last op in `ops` when `op`
+  // continues it physically and agrees on type, barrier row and phase.
+  static void AppendCoalesced(const MemberOp& op, std::vector<MemberOp>* ops);
   void PlanRaid5RowWrite(int64_t row, int64_t first_unit, int64_t last_unit,
                          int64_t lbn_in_row_first, int32_t blocks,
                          const std::vector<bool>& failed, std::vector<MemberOp>* ops) const;
@@ -171,7 +177,7 @@ class RaidArray : public StorageDevice {
 
  private:
   // Plans `req` as issued at `at_ms` against the current failure state.
-  [[nodiscard]] std::vector<MemberOp> Plan(const Request& req, TimeMs at_ms) const;
+  void Plan(const Request& req, TimeMs at_ms, std::vector<MemberOp>* ops) const;
 
   // Executes the op graph starting at `start_ms`; returns completion time.
   double Execute(const std::vector<MemberOp>& ops, TimeMs start_ms,

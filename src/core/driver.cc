@@ -40,6 +40,7 @@ Driver::Driver(Simulator* sim, StorageDevice* device, IoScheduler* scheduler,
       device_(device),
       scheduler_(scheduler),
       metrics_(metrics),
+      fault_(metrics != nullptr ? &metrics->fault() : &own_fault_),
       pass_through_ok_(scheduler->PassThroughWhenEmpty()) {}
 
 void Driver::Submit(const Request& req) {
@@ -52,7 +53,9 @@ void Driver::Submit(const Request& req) {
       listener(sim_->NowMs());
     }
     const TimeMs now = sim_->NowMs();
-    metrics_->RecordDispatch(req, now, /*queue_depth=*/1);
+    if (metrics_ != nullptr) {
+      metrics_->RecordDispatch(req, now, /*queue_depth=*/1);
+    }
     const double penalty = pending_penalty_ms_;
     pending_penalty_ms_ = 0.0;
     busy_ = true;
@@ -103,7 +106,9 @@ void Driver::TryDispatch() {
   const int64_t depth = scheduler_->size();
   const TimeMs now = sim_->NowMs();
   const Request req = scheduler_->Pop(now);
-  metrics_->RecordDispatch(req, now, depth);
+  if (metrics_ != nullptr) {
+    metrics_->RecordDispatch(req, now, depth);
+  }
   trace_.Counter("queue_depth", now, static_cast<double>(scheduler_->size()));
 
   const double penalty = pending_penalty_ms_;
@@ -124,16 +129,16 @@ TimeMs Driver::ServiceAttempt(const Request& req, TimeMs start_ms,
   // single extent equal to the request and services exactly like the plain
   // path; slip/spare-region remapping splits into sub-extents serviced
   // back-to-back.
-  std::vector<IoExtent> extents;
-  fault_model_->MapPhysical(req.lbn, req.block_count, &extents);
-  if (extents.size() == 1 && extents[0].lbn == req.lbn &&
-      extents[0].blocks == req.block_count) {
+  extents_.clear();
+  fault_model_->MapPhysical(req.lbn, req.block_count, &extents_);
+  if (extents_.size() == 1 && extents_[0].lbn == req.lbn &&
+      extents_[0].blocks == req.block_count) {
     const double ms = device_->ServiceRequest(req, start_ms, bd);
     bd->EnsurePhases();
     return ms;
   }
   double total = 0.0;
-  for (const IoExtent& e : extents) {
+  for (const IoExtent& e : extents_) {
     Request sub = req;
     sub.lbn = e.lbn;
     sub.block_count = e.blocks;
@@ -163,7 +168,7 @@ void Driver::StartAttempt(const Request& req, int attempt, double fault_ms,
     const double extra = device_->DegradedPenaltyMs();
     attempt_ms += extra;
     bd.phases[Phase::kFault] += extra;
-    metrics_->fault().degraded_ms += extra;
+    fault_->degraded_ms += extra;
   }
 
   FaultType fate = FaultType::kNone;
@@ -188,18 +193,18 @@ void Driver::StartAttempt(const Request& req, int attempt, double fault_ms,
   double extra_wait = 0.0;
   switch (fate) {
     case FaultType::kTransientError:
-      metrics_->fault().transient_errors++;
+      fault_->transient_errors++;
       break;
     case FaultType::kLostCompletion:
       // The access happened but its completion never arrives; the host
       // watchdog fires at timeout_ms after dispatch of this attempt.
-      metrics_->fault().timeouts++;
+      fault_->timeouts++;
       extra_wait = std::max(0.0, recovery_.timeout_ms - attempt_ms);
       break;
     case FaultType::kPermanentFailure:
-      metrics_->fault().permanent_faults++;
+      fault_->permanent_faults++;
       if (fault_model_->OnPermanentFault(req)) {
-        metrics_->fault().remaps++;
+        fault_->remaps++;
         if (rebuild_sink_) {
           rebuild_sink_(req.lbn, req.block_count);
         }
@@ -215,7 +220,7 @@ void Driver::StartAttempt(const Request& req, int attempt, double fault_ms,
   if (attempt >= recovery_.max_retries) {
     // Retry budget exhausted: complete the request marked failed so the
     // workload can observe the error (and metrics count it).
-    metrics_->fault().failed_requests++;
+    fault_->failed_requests++;
     bd.phases[Phase::kQueue] = dispatch_ms - req.arrival_ms;
     bd.phases[Phase::kFault] += fault_ms + extra_wait;
     inflight_.req = req;
@@ -227,7 +232,7 @@ void Driver::StartAttempt(const Request& req, int attempt, double fault_ms,
     return;
   }
 
-  metrics_->fault().retries++;
+  fault_->retries++;
   double backoff = 0.0;
   if (fate != FaultType::kLostCompletion) {
     // Linear backoff between retries; lost completions already waited out
@@ -254,8 +259,12 @@ void Driver::Complete() {
   // driver before the listener loop. Listeners may Submit() and re-dispatch
   // synchronously, repopulating inflight_, so copy the request for them.
   busy_ = false;
-  metrics_->RecordCompletion(inflight_.req, sim_->NowMs(), inflight_.total_ms,
-                             inflight_.phases);
+  if (metrics_ != nullptr) {
+    metrics_->RecordCompletion(inflight_.req, sim_->NowMs(), inflight_.total_ms,
+                               inflight_.phases);
+  } else if (inflight_.req.background) {
+    own_fault_.CountRebuild(inflight_.total_ms);
+  }
   if (trace_.enabled()) {
     EmitRequestTrace(inflight_.req, inflight_.dispatch_ms, inflight_.total_ms,
                      inflight_.phases);

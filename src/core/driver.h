@@ -16,6 +16,7 @@
 #define MSTK_SRC_CORE_DRIVER_H_
 
 #include <functional>
+#include <vector>
 
 #include "src/core/fault_model.h"
 #include "src/core/io_scheduler.h"
@@ -37,15 +38,26 @@ struct RecoveryPolicy {
 
 class Driver {
  public:
-  // All pointers are borrowed and must outlive the driver.
+  // All pointers are borrowed and must outlive the driver. `metrics` may be
+  // null: the driver then records no latency summaries or samples and
+  // keeps only its fault counters (fault()), background completions
+  // included. A composite that reads nothing else from its members
+  // (ArrayManager) builds them that way.
   Driver(Simulator* sim, StorageDevice* device, IoScheduler* scheduler,
          MetricsCollector* metrics);
+
+  Driver(const Driver&) = delete;
+  Driver& operator=(const Driver&) = delete;
 
   // Submits a request at the current virtual time.
   void Submit(const Request& req);
 
   bool device_busy() const { return busy_; }
   int64_t queued() const { return scheduler_->size(); }
+
+  // The fault counters this driver writes: its collector's, or its own
+  // when it was built without one.
+  const FaultCounters& fault() const { return *fault_; }
 
   // Attaches a fault model: every foreground dispatch attempt is judged and
   // recovered per `policy`. Background (rebuild) requests bypass injection.
@@ -127,7 +139,9 @@ class Driver {
   Simulator* sim_;
   StorageDevice* device_;
   IoScheduler* scheduler_;
-  MetricsCollector* metrics_;
+  MetricsCollector* metrics_;  // null: record fault counters only
+  FaultCounters own_fault_;    // used when metrics_ is null
+  FaultCounters* fault_;       // &metrics_->fault() or &own_fault_
   std::vector<std::function<void(const Request&, TimeMs)>> on_complete_;
   std::vector<std::function<void(TimeMs)>> on_idle_;
   std::vector<std::function<void(TimeMs)>> on_active_;
@@ -139,6 +153,7 @@ class Driver {
   TraceTrack trace_;
   FaultModel* fault_model_ = nullptr;
   RecoveryPolicy recovery_;
+  std::vector<IoExtent> extents_;  // ServiceAttempt's remap buffer, reused
   std::function<void(int64_t, int32_t)> rebuild_sink_;
   std::function<void(TimeMs)> degraded_sink_;
   bool degraded_notified_ = false;

@@ -29,6 +29,8 @@ enum class FaultType {
 struct IoExtent {
   int64_t lbn = 0;
   int32_t blocks = 0;
+
+  friend bool operator==(const IoExtent&, const IoExtent&) = default;
 };
 
 class FaultModel {

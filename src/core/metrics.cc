@@ -12,8 +12,7 @@ void MetricsCollector::RecordDispatch(const Request& req, TimeMs now_ms, int64_t
 
 void MetricsCollector::RecordCompletion(const Request& req, TimeMs now_ms, double service_ms) {
   if (req.background) {
-    fault_.rebuild_ios++;
-    fault_.rebuild_ms += service_ms;
+    fault_.CountRebuild(service_ms);
     if (exclude_background_) {
       return;
     }

@@ -29,6 +29,12 @@ struct FaultCounters {
   int64_t rebuild_ios = 0;        // background rebuild requests completed
   TimeMs rebuild_ms = 0.0;        // device time spent on rebuild I/O
   TimeMs degraded_ms = 0.0;       // degraded-mode surcharge paid by requests
+
+  // Books one completed background (rebuild) request.
+  void CountRebuild(TimeMs service_ms) {
+    rebuild_ios++;
+    rebuild_ms += service_ms;
+  }
 };
 
 class MetricsCollector {

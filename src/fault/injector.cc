@@ -55,9 +55,7 @@ bool FaultInjector::OnPermanentFault(const Request& req) {
 
 void FaultInjector::MapPhysical(int64_t lbn, int32_t blocks,
                                 std::vector<IoExtent>* out) const {
-  for (const PhysExtent& e : remapper_.Map(lbn, blocks)) {
-    out->push_back(IoExtent{e.lbn, e.blocks});
-  }
+  remapper_.Map(lbn, blocks, out);
 }
 
 }  // namespace mstk

@@ -18,14 +18,13 @@ bool DefectRemapper::MarkDefective(int64_t lbn) {
   return defects_.insert(lbn).second;
 }
 
-std::vector<PhysExtent> DefectRemapper::Map(int64_t lbn, int32_t blocks) const {
+void DefectRemapper::Map(int64_t lbn, int32_t blocks, std::vector<IoExtent>* out) const {
   assert(lbn >= 0 && blocks > 0);
-  std::vector<PhysExtent> result;
   switch (style_) {
     case RemapStyle::kMemsSpareTip:
       // Spare-tip remapping is timing-transparent.
-      result.push_back(PhysExtent{lbn, blocks});
-      return result;
+      out->push_back(IoExtent{lbn, blocks});
+      return;
 
     case RemapStyle::kDiskSlip: {
       // Logical block i maps to the i-th non-defective physical block:
@@ -43,7 +42,7 @@ std::vector<PhysExtent> DefectRemapper::Map(int64_t lbn, int32_t blocks) const {
             next_defect == defects_.end() ? capacity_blocks_ : *next_defect;
         const int64_t run = std::min<int64_t>(remaining, run_end - run_start);
         if (run > 0) {
-          result.push_back(PhysExtent{run_start, static_cast<int32_t>(run)});
+          out->push_back(IoExtent{run_start, static_cast<int32_t>(run)});
           remaining -= static_cast<int32_t>(run);
           run_start += run;
         }
@@ -53,7 +52,7 @@ std::vector<PhysExtent> DefectRemapper::Map(int64_t lbn, int32_t blocks) const {
           ++next_defect;
         }
       }
-      return result;
+      return;
     }
 
     case RemapStyle::kDiskSpareRegion: {
@@ -68,8 +67,7 @@ std::vector<PhysExtent> DefectRemapper::Map(int64_t lbn, int32_t blocks) const {
                 ? cursor + remaining
                 : *defect;
         if (clean_end > cursor) {
-          result.push_back(
-              PhysExtent{cursor, static_cast<int32_t>(clean_end - cursor)});
+          out->push_back(IoExtent{cursor, static_cast<int32_t>(clean_end - cursor)});
           remaining -= static_cast<int32_t>(clean_end - cursor);
           cursor = clean_end;
         }
@@ -77,23 +75,25 @@ std::vector<PhysExtent> DefectRemapper::Map(int64_t lbn, int32_t blocks) const {
           // `cursor` is defective: redirect this single block.
           const int64_t rank =
               static_cast<int64_t>(std::distance(defects_.begin(), defects_.find(cursor)));
-          result.push_back(PhysExtent{spare_region_base_ + rank, 1});
+          out->push_back(IoExtent{spare_region_base_ + rank, 1});
           --remaining;
           ++cursor;
         }
       }
-      return result;
+      return;
     }
   }
-  return result;
 }
 
 std::vector<Request> DefectRemapper::Apply(const std::vector<Request>& requests) const {
   std::vector<Request> mapped;
   mapped.reserve(requests.size());
+  std::vector<IoExtent> extents;
   int64_t id = 0;
   for (const Request& req : requests) {
-    for (const PhysExtent& extent : Map(req.lbn, req.block_count)) {
+    extents.clear();
+    Map(req.lbn, req.block_count, &extents);
+    for (const IoExtent& extent : extents) {
       Request sub = req;
       sub.id = id++;
       sub.lbn = extent.lbn;

@@ -12,7 +12,8 @@
 #include <set>
 #include <vector>
 
-#include "src/layout/layout_map.h"
+#include "src/core/fault_model.h"
+#include "src/core/request.h"
 
 namespace mstk {
 
@@ -35,8 +36,9 @@ class DefectRemapper {
   int64_t defect_count() const { return static_cast<int64_t>(defects_.size()); }
   RemapStyle style() const { return style_; }
 
-  // Translates a logical extent into the physical extents actually accessed.
-  [[nodiscard]] std::vector<PhysExtent> Map(int64_t lbn, int32_t blocks) const;
+  // Appends the physical extents actually accessed for a logical extent to
+  // `out`, in logical order.
+  void Map(int64_t lbn, int32_t blocks, std::vector<IoExtent>* out) const;
 
   // Remaps a request stream (splitting requests at discontinuities).
   std::vector<Request> Apply(const std::vector<Request>& requests) const;

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/array/array_experiment.h"
@@ -470,6 +472,55 @@ TEST(ArrayManagerTest, InPlaceRestartIgnoresOrphansAndFinishesRebuild) {
   // Every block from the pre-restart cursor on was (re-)copied exactly once.
   EXPECT_EQ(mgr.rebuild_chunks_committed(),
             committed + (kExtent - committed * kChunk) / kChunk);
+}
+
+// Restart() frees every in-flight slot. Requests submitted right after it
+// take those slots while the orphaned member ops still sit ahead of theirs
+// in the FCFS member queues. Each new request must complete exactly once,
+// when its own member op does, never on an orphan's completion.
+TEST(ArrayManagerTest, RestartWhileFreedSlotsAreReused) {
+  constexpr int kDevices = 5;
+  Rig rig(SmallArrayConfig(), kDevices);
+  ArrayManager& mgr = *rig.manager;
+  std::vector<std::pair<int64_t, TimeMs>> member_done;  // (sub id, completion)
+  for (int d = 0; d < kDevices; ++d) {
+    mgr.driver(d)->AddCompletionListener([&member_done](const Request& sub, TimeMs now) {
+      if (!sub.background) {
+        member_done.emplace_back(sub.id, now);
+      }
+    });
+  }
+  // One read inside each of the first six stripe units: one member op each,
+  // spread over all four active members.
+  constexpr int kRequests = 6;
+  for (int u = 0; u < kRequests; ++u) {
+    mgr.Submit(MakeReq(u * 64, 8, IoType::kRead));
+  }
+  mgr.Restart();
+  ASSERT_EQ(mgr.outstanding(), 0);
+  for (int u = 0; u < kRequests; ++u) {
+    mgr.Submit(MakeReq(u * 64 + 16, 8, IoType::kRead));
+  }
+  EXPECT_EQ(mgr.outstanding(), kRequests);
+  rig.sim.Run();
+
+  EXPECT_EQ(mgr.outstanding(), 0);
+  EXPECT_EQ(rig.metrics.completed(), kRequests);
+  EXPECT_EQ(rig.metrics.fault().failed_requests, 0);
+  EXPECT_EQ(mgr.failed_foreground(), 0);
+  // Sub ids are issued in order, so the new requests' member ops are the
+  // last kRequests to be issued. Every request arrived at 0, so the array's
+  // response extremes are their earliest and latest completions.
+  ASSERT_EQ(member_done.size(), 2u * kRequests);
+  std::sort(member_done.begin(), member_done.end());
+  TimeMs first = member_done[kRequests].second;
+  TimeMs last = first;
+  for (size_t i = kRequests; i < member_done.size(); ++i) {
+    first = std::min(first, member_done[i].second);
+    last = std::max(last, member_done[i].second);
+  }
+  EXPECT_EQ(rig.metrics.response_time().min(), first);
+  EXPECT_EQ(rig.metrics.response_time().max(), last);
 }
 
 TEST(ArrayManagerTest, TrialHarnessReportsLifecycleAndIsJobsInvariant) {

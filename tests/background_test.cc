@@ -126,5 +126,31 @@ TEST(BackgroundTest, NoTasksIsInert) {
   EXPECT_EQ(metrics.completed(), 1);
 }
 
+// Background requests that another party submits to the same driver (an
+// ArrayManager's greedy rebuild, ids from 2^50) complete through the
+// runner's completion listener too. The runner counts only ids it issued.
+TEST(BackgroundTest, ForeignBackgroundCompletionsAreNotCounted) {
+  MemsDevice device;
+  FcfsScheduler sched;
+  MetricsCollector metrics;
+  Simulator sim;
+  Driver driver(&sim, &device, &sched, &metrics);
+  BackgroundRunner bg(&sim, &driver, MakeTasks(1), /*idle_delay_ms=*/1.0);
+  for (const int64_t id : {int64_t{1} << 50, (int64_t{1} << 40) + 1}) {
+    Request foreign;
+    foreign.id = id;
+    foreign.lbn = 0;
+    foreign.block_count = 8;
+    foreign.background = true;
+    driver.Submit(foreign);
+  }
+  sim.Run();
+  EXPECT_EQ(metrics.fault().rebuild_ios, 3);
+  EXPECT_EQ(bg.completed(), 1);
+  EXPECT_TRUE(bg.Done());
+  EXPECT_TRUE(bg.IsBackgroundId(int64_t{1} << 40));
+  EXPECT_FALSE(bg.IsBackgroundId((int64_t{1} << 40) + 1));
+}
+
 }  // namespace
 }  // namespace mstk

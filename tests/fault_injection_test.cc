@@ -3,9 +3,12 @@
 // injection enabled.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <functional>
+#include <utility>
 #include <vector>
 
+#include "src/core/background.h"
 #include "src/core/driver.h"
 #include "src/core/experiment.h"
 #include "src/core/fault_model.h"
@@ -183,6 +186,73 @@ TEST(FaultRecoveryTest, PermanentFaultConsumesSparesThenDegrades) {
   EXPECT_TRUE(model.degraded());
   // Once degraded, retried attempts pay the device's surcharge.
   EXPECT_GT(metrics.fault().degraded_ms, 0.0);
+}
+
+// A Driver built without a collector keeps the fault counters a collector
+// would hold, bit for bit, background (rebuild) completions included, and
+// completes every request at the same time.
+TEST(FaultRecoveryTest, DriverWithoutCollectorKeepsTheSameFaultCounters) {
+  struct Outcome {
+    FaultCounters fault;
+    std::vector<std::pair<int64_t, uint64_t>> completions;  // (id, time bits)
+  };
+  const auto run = [](bool with_collector) {
+    MemsDevice device;
+    SptfScheduler sched(&device);
+    MetricsCollector metrics;
+    Simulator sim;
+    Driver driver(&sim, &device, &sched, with_collector ? &metrics : nullptr);
+    FaultInjectorConfig faults;
+    faults.transient_rate = 0.05;
+    faults.lost_completion_rate = 0.01;
+    faults.permanent_rate = 0.01;
+    faults.spares = 3;  // runs out, so later attempts pay the degraded surcharge
+    FaultInjector injector(faults, device.CapacityBlocks(), /*seed=*/17);
+    driver.EnableRecovery(&injector, RecoveryPolicy{});
+    std::vector<Request> rebuilds;
+    for (int i = 0; i < 40; ++i) {
+      Request task;
+      task.lbn = 200000 + 64 * i;
+      task.block_count = 64;
+      rebuilds.push_back(task);
+    }
+    BackgroundRunner background(&sim, &driver, rebuilds, /*idle_delay_ms=*/0.5);
+    Outcome out;
+    driver.AddCompletionListener([&out](const Request& req, TimeMs now) {
+      out.completions.emplace_back(req.id, std::bit_cast<uint64_t>(now));
+    });
+    const std::vector<Request> workload = SmallWorkload(device, 400.0, 600);
+    for (const Request& req : workload) {
+      const Request* arrival = &req;
+      sim.ScheduleAt(req.arrival_ms, [&driver, arrival] { driver.Submit(*arrival); });
+    }
+    sim.Run();
+    EXPECT_TRUE(background.Done());
+    out.fault = driver.fault();
+    if (with_collector) {
+      EXPECT_EQ(&driver.fault(), &metrics.fault());
+    }
+    return out;
+  };
+  const Outcome collected = run(true);
+  const Outcome bare = run(false);
+  EXPECT_EQ(bare.completions, collected.completions);
+  const FaultCounters& a = collected.fault;
+  const FaultCounters& b = bare.fault;
+  EXPECT_GT(a.transient_errors, 0);
+  EXPECT_GT(a.timeouts, 0);
+  EXPECT_GT(a.permanent_faults, a.remaps);
+  EXPECT_EQ(a.rebuild_ios, 40);
+  EXPECT_GT(a.degraded_ms, 0.0);
+  EXPECT_EQ(b.transient_errors, a.transient_errors);
+  EXPECT_EQ(b.timeouts, a.timeouts);
+  EXPECT_EQ(b.retries, a.retries);
+  EXPECT_EQ(b.permanent_faults, a.permanent_faults);
+  EXPECT_EQ(b.remaps, a.remaps);
+  EXPECT_EQ(b.failed_requests, a.failed_requests);
+  EXPECT_EQ(b.rebuild_ios, a.rebuild_ios);
+  EXPECT_EQ(std::bit_cast<uint64_t>(b.rebuild_ms), std::bit_cast<uint64_t>(a.rebuild_ms));
+  EXPECT_EQ(std::bit_cast<uint64_t>(b.degraded_ms), std::bit_cast<uint64_t>(a.degraded_ms));
 }
 
 TEST(FaultInjectorTest, SpareTipRemapPreservesIdentityTiming) {

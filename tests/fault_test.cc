@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/fault/ecc.h"
 #include "src/fault/lifetime.h"
 #include "src/fault/remap.h"
@@ -7,6 +9,12 @@
 
 namespace mstk {
 namespace {
+
+std::vector<IoExtent> Mapped(const DefectRemapper& remap, int64_t lbn, int32_t blocks) {
+  std::vector<IoExtent> extents;
+  remap.Map(lbn, blocks, &extents);
+  return extents;
+}
 
 TEST(EccModelTest, ErasureBudget) {
   const EccModel ecc{EccParams{64, 8, 1.0}};
@@ -115,9 +123,9 @@ TEST(LifetimeTest, AdaptiveSparingUnusedWhenPoolSuffices) {
 TEST(RemapTest, MemsSpareTipIsTimingTransparent) {
   DefectRemapper remap(10000, RemapStyle::kMemsSpareTip, 9000);
   remap.MarkDefective(105);
-  const auto extents = remap.Map(100, 16);
+  const auto extents = Mapped(remap, 100, 16);
   ASSERT_EQ(extents.size(), 1u);
-  EXPECT_EQ(extents[0], (PhysExtent{100, 16}));
+  EXPECT_EQ(extents[0], (IoExtent{100, 16}));
 }
 
 TEST(RemapTest, DiskSlipShiftsPastDefects) {
@@ -125,36 +133,48 @@ TEST(RemapTest, DiskSlipShiftsPastDefects) {
   remap.MarkDefective(5);
   remap.MarkDefective(7);
   // Logical 0..3 unaffected.
-  auto extents = remap.Map(0, 4);
+  auto extents = Mapped(remap, 0, 4);
   ASSERT_EQ(extents.size(), 1u);
-  EXPECT_EQ(extents[0], (PhysExtent{0, 4}));
+  EXPECT_EQ(extents[0], (IoExtent{0, 4}));
   // Logical 4..9 slips around physical 5 and 7.
-  extents = remap.Map(4, 6);
+  extents = Mapped(remap, 4, 6);
   ASSERT_EQ(extents.size(), 3u);
-  EXPECT_EQ(extents[0], (PhysExtent{4, 1}));
-  EXPECT_EQ(extents[1], (PhysExtent{6, 1}));
-  EXPECT_EQ(extents[2], (PhysExtent{8, 4}));
+  EXPECT_EQ(extents[0], (IoExtent{4, 1}));
+  EXPECT_EQ(extents[1], (IoExtent{6, 1}));
+  EXPECT_EQ(extents[2], (IoExtent{8, 4}));
 }
 
 TEST(RemapTest, DiskSlipBeforeStartOffsetsMapping) {
   DefectRemapper remap(10000, RemapStyle::kDiskSlip, 9000);
   remap.MarkDefective(2);
-  const auto extents = remap.Map(10, 4);
+  const auto extents = Mapped(remap, 10, 4);
   ASSERT_EQ(extents.size(), 1u);
-  EXPECT_EQ(extents[0], (PhysExtent{11, 4}));
+  EXPECT_EQ(extents[0], (IoExtent{11, 4}));
 }
 
 TEST(RemapTest, SpareRegionRedirectsDefectiveBlock) {
   DefectRemapper remap(10000, RemapStyle::kDiskSpareRegion, 9000);
   remap.MarkDefective(102);
   remap.MarkDefective(104);
-  const auto extents = remap.Map(100, 8);
+  const auto extents = Mapped(remap, 100, 8);
   ASSERT_EQ(extents.size(), 5u);
-  EXPECT_EQ(extents[0], (PhysExtent{100, 2}));
-  EXPECT_EQ(extents[1], (PhysExtent{9000, 1}));  // defect rank 0
-  EXPECT_EQ(extents[2], (PhysExtent{103, 1}));
-  EXPECT_EQ(extents[3], (PhysExtent{9001, 1}));  // defect rank 1
-  EXPECT_EQ(extents[4], (PhysExtent{105, 3}));
+  EXPECT_EQ(extents[0], (IoExtent{100, 2}));
+  EXPECT_EQ(extents[1], (IoExtent{9000, 1}));  // defect rank 0
+  EXPECT_EQ(extents[2], (IoExtent{103, 1}));
+  EXPECT_EQ(extents[3], (IoExtent{9001, 1}));  // defect rank 1
+  EXPECT_EQ(extents[4], (IoExtent{105, 3}));
+}
+
+TEST(RemapTest, MapAppendsAfterWhatTheBufferHolds) {
+  DefectRemapper remap(10000, RemapStyle::kDiskSpareRegion, 9000);
+  remap.MarkDefective(102);
+  std::vector<IoExtent> extents = {IoExtent{7, 1}};
+  remap.Map(100, 4, &extents);
+  ASSERT_EQ(extents.size(), 4u);
+  EXPECT_EQ(extents[0], (IoExtent{7, 1}));
+  EXPECT_EQ(extents[1], (IoExtent{100, 2}));
+  EXPECT_EQ(extents[2], (IoExtent{9000, 1}));
+  EXPECT_EQ(extents[3], (IoExtent{103, 1}));
 }
 
 TEST(RemapTest, ApplySplitsRequests) {

@@ -101,7 +101,8 @@ TEST(RaidPlanPropertyTest, ReadPlansMatchNaiveReferenceHealthyAndDegraded) {
     const int32_t blocks = 1 + static_cast<int32_t>(rng.UniformInt(capacity - lbn));
     const Request req = MakeReq(lbn, blocks, IoType::kRead);
 
-    const std::vector<MemberOp> plan = planner.PlanRead(req, failed, 0.0, nullptr);
+    std::vector<MemberOp> plan;
+    planner.PlanRead(req, failed, 0.0, nullptr, &plan);
     EXPECT_EQ(ExpandReads(plan), NaiveReadReference(planner, req, failed))
         << "n=" << n << " unit=" << unit << " lbn=" << lbn << " blocks=" << blocks;
   }
@@ -119,8 +120,8 @@ TEST(RaidPlanPropertyTest, CoalescedOpsNeverMixRowOrTypeOrPhase) {
     const int64_t capacity = static_cast<int64_t>(unit) * (n - 1) * 8;
     const int64_t lbn = rng.UniformInt(capacity - 1);
     const int32_t blocks = 1 + static_cast<int32_t>(rng.UniformInt(capacity - lbn));
-    const std::vector<MemberOp> plan =
-        planner.PlanRead(MakeReq(lbn, blocks, IoType::kRead), failed, 0.0, nullptr);
+    std::vector<MemberOp> plan;
+    planner.PlanRead(MakeReq(lbn, blocks, IoType::kRead), failed, 0.0, nullptr, &plan);
 
     // A row-tagged (reconstruction) op must cover exactly its own stripe
     // row: merging it with a neighboring plain read would smear the barrier
@@ -152,7 +153,8 @@ TEST(RaidPlanPropertyTest, EveryPhase2RowHasPhase1CoverageOrIsFullStripe) {
     const int64_t lbn = rng.UniformInt(capacity - 1);
     const int32_t blocks = 1 + static_cast<int32_t>(rng.UniformInt(capacity - lbn));
     const Request req = MakeReq(lbn, blocks, IoType::kWrite);
-    const std::vector<MemberOp> plan = planner.PlanWrite(req, failed);
+    std::vector<MemberOp> plan;
+    planner.PlanWrite(req, failed, &plan);
 
     std::vector<int64_t> rows_with_reads;
     for (const MemberOp& op : plan) {
@@ -194,7 +196,8 @@ TEST(RaidPlanPropertyTest, ReconstructWriteWritesWholeParityUnit) {
     const int64_t lbn = rng.UniformInt(capacity - 1);
     const int32_t blocks = 1 + static_cast<int32_t>(rng.UniformInt(capacity - lbn));
     const Request req = MakeReq(lbn, blocks, IoType::kWrite);
-    const std::vector<MemberOp> plan = planner.PlanWrite(req, failed);
+    std::vector<MemberOp> plan;
+    planner.PlanWrite(req, failed, &plan);
 
     // For every row whose plan reads a full surviving unit (the
     // reconstruct-write signature), the parity write must cover the whole

@@ -220,8 +220,8 @@ TEST(RaidContrastTest, MemsRaid5SmallWriteFarCheaperThanDisk) {
 TEST(RaidRegressionTest, CoalescingKeepsReconstructReadsSeparate) {
   const RaidPlanner planner(RaidConfig{RaidLevel::kRaid5, 64}, 3);
   const std::vector<bool> failed = {false, true, false};
-  const std::vector<RaidPlanner::MemberOp> plan =
-      planner.PlanRead(MakeReq(128, 192), failed, 0.0, nullptr);
+  std::vector<RaidPlanner::MemberOp> plan;
+  planner.PlanRead(MakeReq(128, 192), failed, 0.0, nullptr, &plan);
 
   // Members 0 and 2 each see the plain read and the reconstruct read as two
   // distinct ops with their own row tags; nothing targets the failed member.
@@ -330,8 +330,8 @@ TEST(RaidRegressionTest, ReconstructWriteWritesFullParityUnit) {
   // Member 0 holds unit 0 of row 0 (parity for row 0 is member 2); fail it
   // and write a 16-block span inside that unit.
   std::vector<bool> failed = {true, false, false};
-  const std::vector<RaidPlanner::MemberOp> plan =
-      planner.PlanWrite(MakeReq(8, 16, IoType::kWrite), failed);
+  std::vector<RaidPlanner::MemberOp> plan;
+  planner.PlanWrite(MakeReq(8, 16, IoType::kWrite), failed, &plan);
 
   int64_t parity_write_blocks = -1;
   int64_t parity_write_lbn = -1;
