@@ -14,10 +14,14 @@
 // times building a device once its parameter set's Y-leg master exists,
 // as every device after a process's first does. BM_ArrayManagerRequest
 // times the array layer end to end: one RAID-5 request's fan-out, member
-// service and completion bookkeeping.
+// service and completion bookkeeping. BM_SerializeTrace and BM_ParseTrace
+// time the MSTKTRACE text layer that trace replay pays once per trace, on
+// one whole 20k-record document; their items are records.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/array/array_manager.h"
@@ -27,6 +31,8 @@
 #include "src/sched/sptf.h"
 #include "src/sim/rng.h"
 #include "src/sim/simulator.h"
+#include "src/trace/format.h"
+#include "src/trace/scenarios.h"
 #include "src/workload/random_workload.h"
 
 namespace {
@@ -224,6 +230,41 @@ void BM_ArrayManagerRequest(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ArrayManagerRequest);
+
+// The oltp_burst scenario at perfbench's trace_replay size.
+std::vector<trace::TraceRecord> OltpBurstRecords() {
+  trace::ScenarioConfig config;
+  config.request_count = 20000;
+  return trace::GenerateScenario("oltp_burst", config).records;
+}
+
+void BM_SerializeTrace(benchmark::State& state) {
+  const std::vector<trace::TraceRecord> records = OltpBurstRecords();
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    const std::string doc = trace::SerializeTrace(records);
+    benchmark::DoNotOptimize(doc.data());
+    bytes = static_cast<int64_t>(doc.size());
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(records.size()));
+}
+BENCHMARK(BM_SerializeTrace);
+
+void BM_ParseTrace(benchmark::State& state) {
+  const std::string doc = trace::SerializeTrace(OltpBurstRecords());
+  int64_t records = 0;
+  for (auto _ : state) {
+    trace::ParsedTrace parsed;
+    std::string error;
+    benchmark::DoNotOptimize(trace::ParseTrace(doc, &parsed, &error));
+    benchmark::DoNotOptimize(parsed.records.data());
+    records = static_cast<int64_t>(parsed.records.size());
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(doc.size()));
+  state.SetItemsProcessed(state.iterations() * records);
+}
+BENCHMARK(BM_ParseTrace);
 
 }  // namespace
 

@@ -359,17 +359,17 @@ void RaidArray::Plan(const Request& req, TimeMs at_ms, std::vector<MemberOp>* op
 
 TimeMs RaidArray::Execute(const std::vector<MemberOp>& ops, TimeMs start_ms,
                           ServiceBreakdown* breakdown) {
-  std::vector<double> ready(members_.size(), start_ms);
+  ready_.assign(members_.size(), start_ms);
   // Row barrier: phase-2 ops of a row wait for all that row's phase-1 ops.
-  std::vector<std::pair<int64_t, double>> barriers;  // (row, phase-1 done)
-  auto barrier_for = [&barriers](int64_t row) -> double* {
-    for (auto& [r, t] : barriers) {
+  barriers_.clear();
+  auto barrier_for = [this](int64_t row) -> double* {
+    for (auto& [r, t] : barriers_) {
       if (r == row) {
         return &t;
       }
     }
-    barriers.emplace_back(row, 0.0);
-    return &barriers.back().second;
+    barriers_.emplace_back(row, 0.0);
+    return &barriers_.back().second;
   };
 
   double end = start_ms;
@@ -383,9 +383,9 @@ TimeMs RaidArray::Execute(const std::vector<MemberOp>& ops, TimeMs start_ms,
     sub.lbn = op.lbn;
     sub.block_count = op.blocks;
     sub.type = op.type;
-    const double t0 = ready[static_cast<size_t>(op.member)];
+    const double t0 = ready_[static_cast<size_t>(op.member)];
     const double done = t0 + members_[static_cast<size_t>(op.member)]->ServiceRequest(sub, t0);
-    ready[static_cast<size_t>(op.member)] = done;
+    ready_[static_cast<size_t>(op.member)] = done;
     if (op.row >= 0) {
       double* barrier = barrier_for(op.row);
       *barrier = std::max(*barrier, done);
@@ -402,12 +402,12 @@ TimeMs RaidArray::Execute(const std::vector<MemberOp>& ops, TimeMs start_ms,
     sub.lbn = op.lbn;
     sub.block_count = op.blocks;
     sub.type = op.type;
-    double t0 = ready[static_cast<size_t>(op.member)];
+    double t0 = ready_[static_cast<size_t>(op.member)];
     if (op.row >= 0) {
       t0 = std::max(t0, *barrier_for(op.row));
     }
     const double done = t0 + members_[static_cast<size_t>(op.member)]->ServiceRequest(sub, t0);
-    ready[static_cast<size_t>(op.member)] = done;
+    ready_[static_cast<size_t>(op.member)] = done;
     end = std::max(end, done);
   }
 
@@ -426,9 +426,8 @@ TimeMs RaidArray::ServiceRequest(const Request& req, TimeMs start_ms,
   MSTK_CHECK(health_ != ArrayHealth::kFailed,
              "array is unrecoverable (failures exceed the RAID level's tolerance); "
              "check health() before issuing I/O");
-  std::vector<MemberOp> ops;
-  Plan(req, start_ms, &ops);
-  const double total_ms = Execute(ops, start_ms, breakdown);
+  Plan(req, start_ms, &plan_);
+  const double total_ms = Execute(plan_, start_ms, breakdown);
 
   activity_.busy_ms += total_ms;
   activity_.requests += 1;
@@ -443,15 +442,14 @@ TimeMs RaidArray::ServiceRequest(const Request& req, TimeMs start_ms,
 TimeMs RaidArray::EstimatePositioningMs(const Request& req, TimeMs at_ms) const {
   // Time until every member involved in the first phase can start moving
   // data: the max of the members' first-op positioning estimates.
-  std::vector<MemberOp> ops;
-  Plan(req, at_ms, &ops);
+  Plan(req, at_ms, &plan_);
   double worst = 0.0;
-  std::vector<bool> seen(members_.size(), false);
-  for (const MemberOp& op : ops) {
-    if (op.phase2 || seen[static_cast<size_t>(op.member)]) {
+  seen_.assign(members_.size(), false);
+  for (const MemberOp& op : plan_) {
+    if (op.phase2 || seen_[static_cast<size_t>(op.member)]) {
       continue;
     }
-    seen[static_cast<size_t>(op.member)] = true;
+    seen_[static_cast<size_t>(op.member)] = true;
     Request sub;
     sub.lbn = op.lbn;
     sub.block_count = op.blocks;

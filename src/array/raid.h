@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/storage_device.h"
@@ -190,6 +191,14 @@ class RaidArray : public StorageDevice {
   std::string name_;
   int64_t member_capacity_ = 0;
   int64_t capacity_blocks_ = 0;
+
+  // Buffers every call reuses, so that their capacity is reached once. The
+  // const estimate fills plan_ and seen_: it never re-enters itself or
+  // ServiceRequest, since it calls only the members' estimates.
+  mutable std::vector<MemberOp> plan_;
+  mutable std::vector<bool> seen_;
+  std::vector<double> ready_;
+  std::vector<std::pair<int64_t, double>> barriers_;  // (row, phase-1 done)
 };
 
 }  // namespace mstk

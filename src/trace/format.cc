@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <string_view>
+#include <system_error>
 
 #include "src/sim/check.h"
 #include "src/sim/units.h"
@@ -22,49 +22,64 @@ namespace {
 // this is a corrupt record, not a workload.
 constexpr int32_t kMaxRecordBlocks = 1 << 20;
 
+// Writes `value` and then `separator` at `p`; returns the end of what it
+// wrote. A record line holds at most 68 characters, so the buffer of its
+// caller always has room.
+char* WriteField(char* p, char* end, int64_t value, char separator) {
+  const std::to_chars_result result = std::to_chars(p, end - 1, value);
+  MSTK_CHECK(result.ec == std::errc(), "record line overflows its buffer");
+  *result.ptr = separator;
+  return result.ptr + 1;
+}
+
 void AppendRecordLine(std::string* out, const TraceRecord& r) {
   char buf[96];
-  std::snprintf(buf, sizeof(buf), "%" PRId64 " %" PRId64 " %d %c %d\n", r.timestamp_us, r.lba,
-                r.blocks, r.op == IoType::kRead ? 'R' : 'W', r.client);
-  out->append(buf);
+  char* const end = buf + sizeof(buf);
+  char* p = WriteField(buf, end, r.timestamp_us, ' ');
+  p = WriteField(p, end, r.lba, ' ');
+  p = WriteField(p, end, r.blocks, ' ');
+  *p++ = r.op == IoType::kRead ? 'R' : 'W';
+  *p++ = ' ';
+  p = WriteField(p, end, r.client, '\n');
+  out->append(buf, p);
 }
 
 bool IsDigit(char c) { return c >= '0' && c <= '9'; }
 
 // Parses a base-10 int64 token starting at `*pos`; advances past it. Returns
 // false on empty/overflowing/non-numeric tokens. The token is spelled as the
-// writer spells it: "0", or an optional '-' and a nonzero digit, then digits.
-// strtoll alone would also skip leading whitespace (\v, \f and \r among
-// it), accept a '+', and take leading zeros and "-0".
-bool ParseInt(const std::string& line, size_t* pos, int64_t* value) {
-  const char* begin = line.c_str() + *pos;
-  const char* digits = *begin == '-' ? begin + 1 : begin;
-  if (!IsDigit(digits[0]) || (digits[0] == '0' && (digits != begin || IsDigit(digits[1])))) {
+// writer spells it: "0", or an optional '-' and a nonzero digit, then digits;
+// from_chars alone would also take leading zeros and "-0". The check reads
+// nothing past the end of `line`: there at() gives '\0', a non-digit like
+// any NUL byte inside the line.
+bool ParseInt(std::string_view line, size_t* pos, int64_t* value) {
+  const std::string_view token = line.substr(*pos);
+  const auto at = [token](size_t i) { return i < token.size() ? token[i] : '\0'; };
+  const size_t digits = at(0) == '-' ? 1 : 0;
+  if (!IsDigit(at(digits)) || (at(digits) == '0' && (digits != 0 || IsDigit(at(digits + 1))))) {
     return false;
   }
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(begin, &end, 10);
-  if (errno == ERANGE) {
+  const std::from_chars_result result =
+      std::from_chars(token.data(), token.data() + token.size(), *value);
+  if (result.ec != std::errc()) {
     return false;
   }
-  *value = static_cast<int64_t>(v);
-  *pos += static_cast<size_t>(end - begin);
+  *pos += static_cast<size_t>(result.ptr - token.data());
   return true;
 }
 
 // Record fields end at a space, a tab or the end of the line, so "4x"
 // fails as its own field, not as the next one. What follows the last
 // field, the client, is trailing garbage.
-bool AtFieldEnd(const std::string& line, size_t pos) {
+bool AtFieldEnd(std::string_view line, size_t pos) {
   return pos == line.size() || line[pos] == ' ' || line[pos] == '\t';
 }
 
-bool ParseField(const std::string& line, size_t* pos, int64_t* value) {
+bool ParseField(std::string_view line, size_t* pos, int64_t* value) {
   return ParseInt(line, pos, value) && AtFieldEnd(line, *pos);
 }
 
-bool SkipSpaces(const std::string& line, size_t* pos) {
+bool SkipSpaces(std::string_view line, size_t* pos) {
   const size_t start = *pos;
   while (*pos < line.size() && (line[*pos] == ' ' || line[*pos] == '\t')) {
     ++*pos;
@@ -176,23 +191,30 @@ std::string SerializeTrace(const std::vector<TraceRecord>& records) {
 bool ParseTrace(const std::string& bytes, ParsedTrace* out, std::string* error) {
   out->records.clear();
   out->version = 0;
-  std::istringstream in(bytes);
-  std::string line;
-  int64_t line_no = 0;
-
-  // Header: "MSTKTRACE <version>" on the very first line.
-  if (!std::getline(in, line)) {
+  if (bytes.empty()) {
     return Fail(error, "empty document (missing MSTKTRACE header)", 1, out);
   }
-  ++line_no;
+  // Lines end at '\n' only, so a '\r' stays in its line. A last line
+  // without a '\n' still counts; nothing follows a final '\n'.
+  const std::string_view doc(bytes);
+  size_t next = 0;
+  const auto next_line = [doc, &next] {
+    const size_t end = std::min(doc.find('\n', next), doc.size());
+    const std::string_view line = doc.substr(next, end - next);
+    next = end + 1;
+    return line;
+  };
+
+  // Header: "MSTKTRACE <version>" on the very first line.
+  std::string_view line = next_line();
+  int64_t line_no = 1;
   {
-    const size_t magic_len = std::strlen(kTraceMagic);
-    if (line.compare(0, magic_len, kTraceMagic) != 0 || line.size() <= magic_len ||
-        line[magic_len] != ' ') {
+    const std::string_view magic(kTraceMagic);
+    if (!line.starts_with(magic) || line.size() <= magic.size() || line[magic.size()] != ' ') {
       return Fail(error, "bad magic: expected '" + std::string(kTraceMagic) + " <version>'",
                   line_no, out);
     }
-    size_t pos = magic_len + 1;
+    size_t pos = magic.size() + 1;
     int64_t version = 0;
     if (!ParseInt(line, &pos, &version) || pos != line.size()) {
       return Fail(error, "malformed version field", line_no, out);
@@ -207,7 +229,8 @@ bool ParseTrace(const std::string& bytes, ParsedTrace* out, std::string* error) 
   }
 
   int64_t last_timestamp_us = -1;
-  while (std::getline(in, line)) {
+  while (next < doc.size()) {
+    line = next_line();
     ++line_no;
     if (line.empty() || line[0] == '#') {
       continue;

@@ -10,6 +10,11 @@
 //     250 98304 16 W 1
 //     ...
 //
+// Lines end at '\n' only. A '\r' is part of its line, so a CRLF document
+// fails (its header as a malformed version). A last line without a '\n'
+// still counts, and nothing follows a final '\n'. Line numbers in errors
+// count every line, comments and blank lines included.
+//
 // Line 1 is the mandatory magic + format version. Every subsequent
 // non-comment line is one blkparse-style record of exactly five
 // single-space-separated fields:

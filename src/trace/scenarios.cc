@@ -29,9 +29,15 @@ class ScenarioBuilder {
 
   std::vector<TraceRecord> Finish() {
     // Stable sort: simultaneous arrivals keep generation order, so the
-    // output is a deterministic function of the Add() sequence.
-    std::stable_sort(pending_.begin(), pending_.end(),
-                     [](const Pending& a, const Pending& b) { return a.arrival_ms < b.arrival_ms; });
+    // output is a deterministic function of the Add() sequence. Scenarios
+    // that generate in time order skip it; on sorted input it is the
+    // identity.
+    const auto earlier = [](const Pending& a, const Pending& b) {
+      return a.arrival_ms < b.arrival_ms;
+    };
+    if (!std::is_sorted(pending_.begin(), pending_.end(), earlier)) {
+      std::stable_sort(pending_.begin(), pending_.end(), earlier);
+    }
     std::vector<TraceRecord> records;
     records.reserve(pending_.size());
     int64_t last_us = 0;

@@ -1,7 +1,7 @@
 // Allocation guard for the array fan-out: a steady-state array request
-// through ArrayManager allocates nothing on the heap. The binary replaces the
-// global operator new and delete with counting versions, so it is its own
-// ctest executable.
+// through ArrayManager, or through a RaidArray under a host Driver,
+// allocates nothing on the heap. The binary replaces the global operator new
+// and delete with counting versions, so it is its own ctest executable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,8 +12,11 @@
 #include <vector>
 
 #include "src/array/array_manager.h"
+#include "src/array/raid.h"
+#include "src/core/driver.h"
 #include "src/fault/injector.h"
 #include "src/mems/mems_device.h"
+#include "src/sched/sptf.h"
 #include "src/sim/rng.h"
 #include "src/sim/simulator.h"
 #include "src/workload/random_workload.h"
@@ -210,6 +213,47 @@ TEST(ArrayAllocationTest, RebuildChunksAllocateABoundedAmount) {
       << " requests";
   rig.sim.Run();
   EXPECT_EQ(mgr.outstanding(), 0);
+}
+
+// The inline timing model under a host queue: SPTF estimates every pending
+// request through RaidArray at each Pop, and each dispatch plans and
+// executes one, so planning and execution reuse the array's buffers.
+TEST(ArrayAllocationTest, RaidArrayUnderSptfDoesNotAllocate) {
+  std::vector<std::unique_ptr<MemsDevice>> devices;
+  std::vector<StorageDevice*> members;
+  for (int d = 0; d < kActive; ++d) {
+    devices.push_back(std::make_unique<MemsDevice>());
+    members.push_back(devices.back().get());
+  }
+  RaidArray raid(RaidConfig{RaidLevel::kRaid5, 64}, members);
+  Simulator sim;
+  SptfScheduler sched(&raid);
+  Driver driver(&sim, &raid, &sched, nullptr);
+
+  RandomWorkloadConfig workload;
+  workload.arrival_rate_per_s = 1000.0;  // about 2.8 requests pending at each arrival
+  workload.request_count = kWarmup + kMeasured;
+  workload.capacity_blocks = raid.CapacityBlocks();
+  Rng rng(13);
+  const std::vector<Request> stream = GenerateRandomWorkload(workload, rng);
+  int64_t queued = 0;  // pending requests summed over the measured arrivals
+  int64_t allocations = 0;
+  for (int64_t i = 0; i < kWarmup + kMeasured; ++i) {
+    const Request& req = stream[static_cast<size_t>(i)];
+    const int64_t before = g_allocations.load(std::memory_order_relaxed);
+    sim.RunUntil(req.arrival_ms);
+    driver.Submit(req);
+    if (i >= kWarmup) {
+      allocations += g_allocations.load(std::memory_order_relaxed) - before;
+      queued += driver.queued();
+    }
+  }
+  EXPECT_LT(static_cast<double>(allocations) / kMeasured, kMaxAllocationsPerRequest)
+      << allocations << " allocations over " << kMeasured << " requests";
+  // SPTF had a queue to estimate, so the estimate path ran.
+  EXPECT_GT(static_cast<double>(queued) / kMeasured, 1.0);
+  sim.Run();
+  EXPECT_EQ(raid.activity().requests, kWarmup + kMeasured);
 }
 
 }  // namespace

@@ -24,6 +24,8 @@ namespace mstk {
 namespace trace {
 namespace {
 
+using namespace std::string_literals;
+
 TraceRecord Rec(int64_t ts_us, int64_t lba, int32_t blocks, IoType op, int32_t client) {
   TraceRecord r;
   r.timestamp_us = ts_us;
@@ -71,9 +73,20 @@ TEST(TraceFormatTest, CommentsAndBlankLinesAreIgnored) {
   EXPECT_EQ(parsed.records.size(), 1u);
 }
 
+TEST(TraceFormatTest, LastLineNeedsNoNewline) {
+  ParsedTrace parsed;
+  std::string error;
+  ASSERT_TRUE(ParseTrace("MSTKTRACE 1\n0 8 4 R 0", &parsed, &error)) << error;
+  ASSERT_EQ(parsed.records.size(), 1u);
+  EXPECT_EQ(parsed.records[0], Rec(0, 8, 4, IoType::kRead, 0));
+  ASSERT_TRUE(ParseTrace("MSTKTRACE 1", &parsed, &error)) << error;
+  EXPECT_EQ(parsed.version, kTraceVersion);
+  EXPECT_TRUE(parsed.records.empty());
+}
+
 struct RejectCase {
   const char* label;
-  const char* doc;
+  std::string doc;
   const char* want_error;  // substring of the reported error
 };
 
@@ -121,6 +134,17 @@ TEST(TraceFormatTest, ParserRejectionSuite) {
       {"int32-overflowing client", "MSTKTRACE 1\n0 8 4 R 2147483648\n", "out-of-range client"},
       {"client wrapping to 0", "MSTKTRACE 1\n0 8 4 R 4294967296\n", "out-of-range client"},
       {"int32-overflowing blocks", "MSTKTRACE 1\n0 8 4294967297 R 0\n", "out-of-range blocks"},
+      // Lines end at '\n' only: a '\r' is part of its line.
+      {"CRLF record", "MSTKTRACE 1\n0 8 4 R 0\r\n", "line 2: trailing garbage"},
+      {"CRLF header", "MSTKTRACE 1\r\n0 8 4 R 0\r\n", "line 1: malformed version"},
+      // A NUL byte is a character like any other, not the end of a field.
+      {"NUL after lba", "MSTKTRACE 1\n0 8\0 4 R 0\n"s, "malformed lba"},
+      // The int64 extremes: the minimum is a value, one past the maximum is not.
+      {"int64-minimum lba", "MSTKTRACE 1\n0 -9223372036854775808 4 R 0\n", "out-of-range lba"},
+      {"int64-overflowing timestamp", "MSTKTRACE 1\n9223372036854775808 8 4 R 0\n",
+       "malformed timestamp_us"},
+      {"lone minus as timestamp", "MSTKTRACE 1\n- 8 4 R 0\n", "malformed timestamp_us"},
+      {"lone minus as client", "MSTKTRACE 1\n0 8 4 R -\n", "malformed client"},
   };
   for (const RejectCase& c : kCases) {
     ParsedTrace parsed;
